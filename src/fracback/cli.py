@@ -188,11 +188,10 @@ def _cmd_ml(args: argparse.Namespace) -> int:
 def _cmd_forward(args: argparse.Namespace) -> int:
     ecfg, out, verbosity, pp, alpha = _single_alpha(args)
     prob = pp.problems[alpha]
-    if args.eps and args.eps > 0.0:
-        source = noisy_source(
-            prob.source, args.eps, pp.modeset, mode=ecfg.noise_mode, seed=ecfg.seed
-        )
-        prob = dataclasses.replace(prob, source=source)
+    source = noisy_source(
+        prob.source, args.eps, pp.modeset, mode=ecfg.noise_mode, seed=ecfg.seed
+    )
+    prob = dataclasses.replace(prob, source=source)
     t = ecfg.tau if args.t is None else args.t
     field = forward_solve(prob, pp.u0, t)
     _ensure_dir(out)
@@ -206,17 +205,10 @@ def _cmd_backward(args: argparse.Namespace) -> int:
     ecfg, out, verbosity, pp, alpha = _single_alpha(args)
     prob = pp.problems[alpha]
     g = pp.finals[alpha]
-    eps = args.eps or 0.0
-    delta = args.delta or 0.0
-    g_in = (
-        noisy_data(g, delta, pp.quad, mode=ecfg.noise_mode, seed=ecfg.seed)
-        if delta > 0.0
-        else g
-    )
-    source = (
-        noisy_source(prob.source, eps, pp.modeset, mode=ecfg.noise_mode, seed=ecfg.seed)
-        if eps > 0.0
-        else prob.source
+    eps, delta = args.eps, args.delta
+    g_in = noisy_data(g, delta, pp.quad, mode=ecfg.noise_mode, seed=ecfg.seed)
+    source = noisy_source(
+        prob.source, eps, pp.modeset, mode=ecfg.noise_mode, seed=ecfg.seed
     )
     if args.t is not None:
         t = args.t
@@ -283,10 +275,9 @@ def _cmd_fig4(args: argparse.Namespace) -> int:
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     ecfg, out, verbosity, pp, alpha = _single_alpha(args)
     prob = pp.problems[alpha]
-    g = pp.finals[alpha]
-    delta = args.delta or 0.0
-    if delta > 0.0:
-        g = noisy_data(g, delta, pp.quad, mode=ecfg.noise_mode, seed=ecfg.seed)
+    g = noisy_data(
+        pp.finals[alpha], args.delta, pp.quad, mode=ecfg.noise_mode, seed=ecfg.seed
+    )
     report = solvability_diagnostic(prob, g)
     print(f"classification: {report.classification}")
     sums = report.partial_sums

@@ -35,10 +35,9 @@ from .errors import DomainError, NumericalError
 from .quadrature import QuadConfig, SingularMode, gauss_legendre
 from .solver import (
     ChoiceRule,
-    CompositeSource,
     RegularizationChoice,
-    SeparableSource,
     Source,
+    Term,
     TimeFractionalProblem,
     backward_reconstruct,
     choose_t,
@@ -185,10 +184,12 @@ class PaperProblem:
     finals: Mapping[float, SpectralField]
 
 
-def _benchmark_source() -> SeparableSource:
-    return SeparableSource(
-        lambda x, y: math.sin(x) * math.sin(y),
-        lambda s: (2.0 - _PI2) * math.exp(-_PI2 * s),
+def _benchmark_source() -> Source:
+    return Source(
+        Term(
+            lambda x, y: math.sin(x) * math.sin(y),
+            lambda s: (2.0 - _PI2) * math.exp(-_PI2 * s),
+        )
     )
 
 
@@ -211,18 +212,6 @@ def paper_problem(cfg: ExperimentConfig = ExperimentConfig()) -> PaperProblem:
         problems[a] = prob
         finals[a] = final_value(prob, u0)
     return PaperProblem(cfg, ms, quad, u0, problems, finals)
-
-
-class _ArraySource(Source):
-    """Time-independent source given by a fixed coefficient vector."""
-
-    def __init__(self, coeffs: np.ndarray):
-        self.coeffs = np.asarray(coeffs, dtype=np.float64)
-
-    def coefficient_batch(self, modeset, quad, s):
-        if self.coeffs.size != modeset.size:
-            raise DomainError("_ArraySource: coefficient count != modeset size")
-        return np.repeat(self.coeffs[:, None], len(s), axis=1)
 
 
 def _seeded_coeffs(size: int, level: float, seed: int, stream: int) -> np.ndarray:
@@ -252,11 +241,10 @@ def noisy_source(
     if eps == 0.0:
         return source
     if mode is NoiseMode.PAPER_CONSTANT:
-        shift = SeparableSource(lambda x, y: 1.0, lambda s, _e=float(eps): _e / 2.0)
-        return CompositeSource((source, shift))
-    return CompositeSource(
-        (source, _ArraySource(_seeded_coeffs(modeset.size, float(eps), seed, 0)))
-    )
+        noise = Term(lambda x, y: 1.0, lambda s, _e=float(eps): _e / 2.0)
+    else:
+        noise = Term(_seeded_coeffs(modeset.size, float(eps), seed, 0), lambda s: 1.0)
+    return Source(*source.terms, noise)
 
 
 def noisy_data(
@@ -339,8 +327,8 @@ def _column_errors_noisy(
 
 
 def _run_columns(cfg, pp, levels, worker, table_id, threads):
-    if threads is None or threads < 1:
-        threads = 1
+    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
+        raise DomainError(f"threads must be an integer >= 1, got {threads!r}")
     if threads == 1 or len(cfg.alphas) == 1:
         cols = [worker(pp, a, levels) for a in cfg.alphas]
     else:

@@ -1,14 +1,16 @@
 """Composite Gauss-Legendre quadrature and the weakly singular time integral.
 
 The public entry points are :func:`gauss_legendre` (tabulated rules for
-2..8 points), :func:`integrate_1d` / :func:`integrate_2d` (composite rules
-with ``N`` equal subintervals), and :func:`integrate_singular` for
-``int_0^t (t-s)^(alpha-1) g(s) ds``.  The singular integral supports two
-modes: ``paper_direct`` applies the composite rule to the full integrand
-(interior nodes never touch the endpoint singularity, so the value is
-finite but carries an O(1) low-order error component near s = t), while
-``graded_substitution`` removes the singularity exactly via u = (t-s)^alpha
-and is the mode used by verification paths.
+2..8 points), :func:`composite_nodes` (the nodes and weights of the
+composite rule with ``N`` equal subintervals), and :func:`singular_nodes`
+(nodes and effective weights for ``int_0^t (t-s)^(alpha-1) g(s) ds``).
+Callers reduce ``w * g(s)`` over the returned arrays themselves.  The
+singular integral supports two modes: ``paper_direct`` applies the
+composite rule to the full integrand (interior nodes never touch the
+endpoint singularity, so the value is finite but carries an O(1)
+low-order error component near s = t), while ``graded_substitution``
+removes the singularity exactly via u = (t-s)^alpha and is the mode used
+by verification paths.
 
 Node and weight values are stored as 17-significant-digit literals so
 results are bit-identical across platforms; the test suite validates them
@@ -20,20 +22,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 
 __all__ = [
     "QuadRule",
     "QuadConfig",
     "SingularMode",
     "gauss_legendre",
-    "integrate_1d",
-    "integrate_2d",
-    "integrate_singular",
     "composite_nodes",
     "singular_nodes",
 ]
@@ -125,7 +123,7 @@ class QuadRule:
 
 
 class SingularMode(str, Enum):
-    """How integrate_singular treats the (t-s)^(alpha-1) kernel."""
+    """How singular_nodes treats the (t-s)^(alpha-1) kernel."""
 
     PAPER_DIRECT = "paper_direct"
     GRADED_SUBSTITUTION = "graded_substitution"
@@ -190,44 +188,6 @@ def composite_nodes(
     return pts, wts
 
 
-def _reduce(fv: Sequence[float], wts: np.ndarray, what: str) -> float:
-    terms = []
-    for v, w in zip(fv, wts):
-        v = float(v)
-        if math.isnan(v):
-            raise NumericalError(f"{what}: integrand returned NaN")
-        terms.append(w * v)
-    return math.fsum(terms)
-
-
-def integrate_1d(
-    f: Callable[[float], float], a: float, b: float, cfg: QuadConfig
-) -> float:
-    """Composite Gauss-Legendre approximation of int_a^b f(x) dx."""
-    if a == b:
-        return 0.0
-    pts, wts = composite_nodes(a, b, cfg)
-    return _reduce([f(float(x)) for x in pts], wts, "integrate_1d")
-
-
-def integrate_2d(
-    f: Callable[[float, float], float],
-    box: tuple[tuple[float, float], tuple[float, float]] = ((0.0, math.pi), (0.0, math.pi)),
-    cfg: QuadConfig = QuadConfig(),
-) -> float:
-    """Tensor-product composite rule for int f(x, y) over box."""
-    (ax, bx), (ay, by) = box
-    px, wx = composite_nodes(ax, bx, cfg)
-    py, wy = composite_nodes(ay, by, cfg)
-    vals = []
-    wts = []
-    for x, u in zip(px, wx):
-        for y, v in zip(py, wy):
-            vals.append(f(float(x), float(y)))
-            wts.append(u * v)
-    return _reduce(vals, np.asarray(wts), "integrate_2d")
-
-
 def singular_nodes(
     t: float, alpha: float, cfg: QuadConfig, subintervals: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -238,11 +198,11 @@ def singular_nodes(
     callers only evaluate the smooth factor g on the returned nodes.
     """
     if not (isinstance(t, (int, float)) and math.isfinite(t)):
-        raise DomainError(f"integrate_singular: t must be finite, got {t!r}")
+        raise DomainError(f"singular_nodes: t must be finite, got {t!r}")
     if t <= 0.0:
-        raise DomainError(f"integrate_singular: need t > 0, got {t}")
+        raise DomainError(f"singular_nodes: need t > 0, got {t}")
     if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"integrate_singular: alpha must be in (0, 1], got {alpha}")
+        raise DomainError(f"singular_nodes: alpha must be in (0, 1], got {alpha}")
     if cfg.singular_mode is SingularMode.PAPER_DIRECT:
         pts, wts = composite_nodes(0.0, t, cfg, subintervals)
         if alpha != 1.0:
@@ -253,10 +213,3 @@ def singular_nodes(
     pts = t - u ** (1.0 / alpha)
     return pts, wu / alpha
 
-
-def integrate_singular(
-    g: Callable[[float], float], t: float, alpha: float, cfg: QuadConfig
-) -> float:
-    """Approximate int_0^t (t-s)^(alpha-1) g(s) ds per cfg.singular_mode."""
-    pts, wts = singular_nodes(t, alpha, cfg)
-    return _reduce([g(float(s)) for s in pts], wts, "integrate_singular")

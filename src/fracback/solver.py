@@ -13,10 +13,11 @@ reconstruction at time t is
     R_t g_n = E_{alpha,1}(-lambda_n t^alpha)
               [g_n - F_n(tau)] / E_{alpha,1}(-lambda_n tau^alpha) + F_n(t).
 
-The memory integral F uses :func:`fracback.quadrature.integrate_singular`
-with the problem's quadrature config (default: 4-point composite rule on
-4 subintervals applied directly to the weakly singular integrand); a
-graded high-subinterval config serves as the verification oracle.
+The memory integral F is a weighted sum over the nodes and weights of
+:func:`fracback.quadrature.singular_nodes` for the problem's quadrature
+config (default: 4-point composite rule on 4 subintervals applied
+directly to the weakly singular integrand); a graded high-subinterval
+config serves as the verification oracle.
 
 All per-mode reductions happen in fixed ModeSet order, so results are
 bit-identical across runs and thread counts.
@@ -39,18 +40,12 @@ from .special import ml_array
 from .spectral import Mode, ModeSet, SpectralField, project
 
 __all__ = [
+    "Term",
     "Source",
-    "ZeroSource",
-    "PointwiseSource",
-    "SeparableSource",
-    "SpectralSource",
-    "CompositeSource",
     "TimeFractionalProblem",
     "ChoiceRule",
     "RegularizationChoice",
     "SolvabilityReport",
-    "source_coefficient",
-    "memory_term",
     "forward_solve",
     "final_value",
     "backward_reconstruct",
@@ -61,71 +56,32 @@ __all__ = [
 ]
 
 
-class Source:
-    """Time-dependent source term, seen through its mode coefficients.
+class Term:
+    """One separable source term: spatial(point) * temporal(s).
 
-    Subclasses implement :meth:`coefficient_batch`; the scalar accessor is
-    derived from it so both paths produce bit-identical values.
-    """
-
-    def coefficient_batch(
-        self, modeset: ModeSet, quad: QuadConfig, s: np.ndarray
-    ) -> np.ndarray:
-        """(f(., s_j), phi_k) for every mode k and time s_j; shape (modes, len(s))."""
-        raise NotImplementedError
-
-    def coefficient(
-        self, modeset: ModeSet, quad: QuadConfig, mode: Mode, s: float
-    ) -> float:
-        col = self.coefficient_batch(modeset, quad, np.array([float(s)]))
-        return float(col[modeset.index_of(mode), 0])
-
-
-class ZeroSource(Source):
-    """f = 0."""
-
-    def coefficient_batch(self, modeset, quad, s):
-        return np.zeros((modeset.size, len(s)))
-
-
-class PointwiseSource(Source):
-    """f given pointwise as fn(x, s) in d=1 or fn(x, y, s) in d=2.
-
-    Every requested time performs a full spatial projection; prefer
-    SeparableSource when the space/time dependence factorizes.
-    """
-
-    def __init__(self, fn: Callable[..., float]):
-        self.fn = fn
-
-    def coefficient_batch(self, modeset, quad, s):
-        cols = []
-        for sj in s:
-            sj = float(sj)
-            if modeset.dimension == 1:
-                f = project(lambda x: self.fn(x, sj), modeset, quad)
-            else:
-                f = project(lambda x, y: self.fn(x, y, sj), modeset, quad)
-            cols.append(f.coeffs)
-        return np.stack(cols, axis=1) if cols else np.zeros((modeset.size, 0))
-
-
-class SeparableSource(Source):
-    """f(point, s) = spatial(point) * temporal(s).
-
-    The spatial factor is projected once per (modeset, quad) and reused,
-    which is what makes repeated memory-term quadratures affordable.
+    ``spatial`` is a pointwise function (fn(x) in d=1, fn(x, y) in d=2) or
+    a coefficient vector in mode order.  A function is projected once per
+    (modeset, quad) and reused, which is what makes repeated memory-term
+    quadratures affordable.
     """
 
     def __init__(
-        self, spatial: Callable[..., float], temporal: Callable[[float], float]
+        self,
+        spatial: Callable[..., float] | np.ndarray,
+        temporal: Callable[[float], float],
     ):
+        if not callable(spatial):
+            spatial = np.asarray(spatial, dtype=np.float64)
         self.spatial = spatial
         self.temporal = temporal
         self._proj: dict[tuple[ModeSet, QuadConfig], np.ndarray] = {}
         self._lock = threading.Lock()
 
     def _spatial_coeffs(self, modeset: ModeSet, quad: QuadConfig) -> np.ndarray:
+        if not callable(self.spatial):
+            if self.spatial.shape != (modeset.size,):
+                raise DomainError("Term: coefficient count != modeset size")
+            return self.spatial
         key = (modeset, quad)
         with self._lock:
             cached = self._proj.get(key)
@@ -135,40 +91,32 @@ class SeparableSource(Source):
                 cached = self._proj.setdefault(key, cached)
         return cached
 
-    def coefficient_batch(self, modeset, quad, s):
+    def coefficient_batch(
+        self, modeset: ModeSet, quad: QuadConfig, s: np.ndarray
+    ) -> np.ndarray:
+        """(term(., s_j), phi_k) for every mode k and time s_j; shape (modes, len(s))."""
         spatial = self._spatial_coeffs(modeset, quad)
         tvals = np.array([float(self.temporal(float(sj))) for sj in s])
         if np.isnan(tvals).any():
-            raise NumericalError("SeparableSource: temporal factor returned NaN")
+            raise NumericalError("Term: temporal factor returned NaN")
         return spatial[:, None] * tvals[None, :]
 
 
-class SpectralSource(Source):
-    """f given directly by exact mode coefficients fn(mode, s)."""
+class Source:
+    """Time-dependent source f = sum of separable terms; Source() is f = 0."""
 
-    def __init__(self, fn: Callable[[Mode, float], float]):
-        self.fn = fn
+    def __init__(self, *terms: Term):
+        if not all(isinstance(term, Term) for term in terms):
+            raise DomainError("Source: every term must be a Term instance")
+        self.terms = terms
 
-    def coefficient_batch(self, modeset, quad, s):
-        out = np.empty((modeset.size, len(s)))
-        for i, mode in enumerate(modeset.modes):
-            for j, sj in enumerate(s):
-                out[i, j] = float(self.fn(mode, float(sj)))
-        if np.isnan(out).any():
-            raise NumericalError("SpectralSource: coefficient returned NaN")
-        return out
-
-
-class CompositeSource(Source):
-    """Sum of sources (e.g. exact source plus a noise term)."""
-
-    def __init__(self, parts: tuple[Source, ...] | list[Source]):
-        self.parts = tuple(parts)
-
-    def coefficient_batch(self, modeset, quad, s):
+    def coefficient_batch(
+        self, modeset: ModeSet, quad: QuadConfig, s: np.ndarray
+    ) -> np.ndarray:
+        """(f(., s_j), phi_k) for every mode k and time s_j; shape (modes, len(s))."""
         out = np.zeros((modeset.size, len(s)))
-        for part in self.parts:
-            out = out + part.coefficient_batch(modeset, quad, s)
+        for term in self.terms:
+            out = out + term.coefficient_batch(modeset, quad, s)
         return out
 
 
@@ -268,41 +216,13 @@ def _check_field(f: SpectralField, prob: TimeFractionalProblem, what: str) -> No
         raise DomainError(f"{what}: field modeset does not match the problem's")
 
 
-def source_coefficient(
-    prob: TimeFractionalProblem, mode: Mode, s: float
-) -> float:
-    """(f(., s), phi_mode) for the problem's source."""
-    s = _check_time(s, prob.tau, "source_coefficient")
-    return prob.source.coefficient(prob.modeset, prob.quad, mode, s)
-
-
-def _memory_nodes(
-    prob: TimeFractionalProblem, t: float
-) -> tuple[np.ndarray, np.ndarray]:
-    return singular_nodes(
-        t, prob.alpha, prob.quad, subintervals=prob.temporal_subintervals
-    )
-
-
-def memory_term(prob: TimeFractionalProblem, mode: Mode, t: float) -> float:
-    """F_n(t) = int_0^t (t-s)^(alpha-1) E_{a,a}(-lambda (t-s)^alpha) c_n(s) ds."""
-    t = _check_time(t, prob.tau, "memory_term")
-    if t == 0.0:
-        return 0.0
-    pts, wts = _memory_nodes(prob, t)
-    lam = mode.eigenvalue
-    c = np.array(
-        [prob.source.coefficient(prob.modeset, prob.quad, mode, float(s)) for s in pts]
-    )
-    E = ml_array(prob.alpha, prob.alpha, -lam * (t - pts) ** prob.alpha)
-    return float(np.einsum("s,s->", E * c, wts, optimize=False))
-
-
 def _memory_batch(prob: TimeFractionalProblem, t: float) -> np.ndarray:
     """F_n(t) for every mode at once (vectorized memory quadrature)."""
     if t == 0.0:
         return np.zeros(prob.modeset.size)
-    pts, wts = _memory_nodes(prob, t)
+    pts, wts = singular_nodes(
+        t, prob.alpha, prob.quad, subintervals=prob.temporal_subintervals
+    )
     C = prob.source.coefficient_batch(prob.modeset, prob.quad, pts)
     lam = prob.modeset.eigenvalues
     X = -np.outer(lam, (t - pts) ** prob.alpha)

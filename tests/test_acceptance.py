@@ -41,9 +41,10 @@ from fracback import (
     Mode,
     ModeSet,
     QuadConfig,
-    SeparableSource,
     SingularMode,
+    Source,
     SpectralField,
+    Term,
     TimeFractionalProblem,
     backward_reconstruct,
     final_value,
@@ -69,10 +70,12 @@ def fig4_run(default_config):
     return fig, fit, time.perf_counter() - start
 
 
-def _bench_source() -> SeparableSource:
-    return SeparableSource(
-        lambda x, y: math.sin(x) * math.sin(y),
-        lambda s: (2.0 - PI2) * math.exp(-PI2 * s),
+def _bench_source() -> Source:
+    return Source(
+        Term(
+            lambda x, y: math.sin(x) * math.sin(y),
+            lambda s: (2.0 - PI2) * math.exp(-PI2 * s),
+        )
     )
 
 

@@ -209,6 +209,23 @@ class TestForwardBackward:
         assert "underflow" in capsys.readouterr().err
 
 
+class TestFlagValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["backward", "--t", "0.01", "--eps", "-1"],
+            ["backward", "--t", "0.01", "--delta", "nan"],
+            ["forward", "--eps", "-0.5"],
+            ["diagnose", "--delta", "-2"],
+            ["table", "--id", "1", "--threads", "-3"],
+        ],
+    )
+    def test_bad_level_or_thread_count_exit_2(self, argv, cfg_file, tmp_path, capsys):
+        cfg = cfg_file(REDUCED)
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "fracback: " in capsys.readouterr().err
+
+
 class TestOutResolution:
     def test_flag_beats_config_and_env(self, cfg_file, tmp_path, monkeypatch):
         flag, cfgdir, envdir = (tmp_path / n for n in ("flag", "cfgd", "envd"))

@@ -24,6 +24,7 @@ from fracback import (
     ParameterChoiceError,
     QuadConfig,
     SingularMode,
+    Source,
     emit_csv,
     emit_plot_script,
     emit_surface,
@@ -203,6 +204,13 @@ class TestNoise:
         g = pp.finals[0.5]
         assert noisy_data(g, 0.0, self.QUAD) is g
 
+    def test_noisy_source_shares_base_terms(self):
+        src = self.base_source()
+        for mode in NoiseMode:
+            noisy = noisy_source(src, 1e-3, self.MS, mode=mode)
+            assert len(noisy.terms) == len(src.terms) + 1
+            assert all(a is b for a, b in zip(noisy.terms, src.terms))
+
     def test_negative_levels_rejected(self):
         src = self.base_source()
         pp = paper_problem(small_config())
@@ -230,11 +238,9 @@ class TestNoise:
             assert abs(added) < 1e-10, idx
 
     def test_constant_source_shift_matches_and_is_static(self):
-        from fracback import ZeroSource
-
         eps = 0.01
-        # pure shift: composite over a zero base exposes it exactly
-        shift_only = noisy_source(ZeroSource(), eps, self.MS)
+        # pure shift: a shift over the zero source exposes it exactly
+        shift_only = noisy_source(Source(), eps, self.MS)
         cols = shift_only.coefficient_batch(self.MS, self.QUAD, np.array([0.1, 0.9]))
         assert np.array_equal(cols[:, 0], cols[:, 1])  # time-independent
         k13 = self.MS.index_of(Mode((1, 3)))

@@ -8,23 +8,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracback import (
     ChoiceRule,
-    CompositeSource,
     DomainError,
     Mode,
     ModeSet,
+    NumericalError,
     ParameterChoiceError,
-    PointwiseSource,
     QuadConfig,
     RegularizationChoice,
-    SeparableSource,
     SingularMode,
+    Source,
     SpectralField,
-    SpectralSource,
+    Term,
     TimeFractionalProblem,
-    ZeroSource,
     amplification_factor,
     backward_reconstruct,
     choose_t,
@@ -32,12 +32,10 @@ from fracback import (
     forward_solve,
     l2_error,
     l2_norm,
-    memory_term,
     ml,
     project,
     reconstruct_noisy,
     solvability_diagnostic,
-    source_coefficient,
 )
 
 PI2 = math.pi**2
@@ -45,10 +43,12 @@ MS8 = ModeSet(dimension=2, truncation=8)
 GRADED = QuadConfig(singular_mode=SingularMode.GRADED_SUBSTITUTION)
 
 
-def bench_source() -> SeparableSource:
-    return SeparableSource(
-        lambda x, y: math.sin(x) * math.sin(y),
-        lambda s: (2.0 - PI2) * math.exp(-PI2 * s),
+def bench_source() -> Source:
+    return Source(
+        Term(
+            lambda x, y: math.sin(x) * math.sin(y),
+            lambda s: (2.0 - PI2) * math.exp(-PI2 * s),
+        )
     )
 
 
@@ -77,7 +77,7 @@ class TestProblemValidation:
     def test_tau_positive(self):
         with pytest.raises(DomainError):
             TimeFractionalProblem(
-                alpha=0.5, tau=0.0, modeset=MS8, source=ZeroSource()
+                alpha=0.5, tau=0.0, modeset=MS8, source=Source()
             )
 
     def test_temporal_subintervals(self):
@@ -85,51 +85,62 @@ class TestProblemValidation:
             problem(0.5, nt=0)
 
 
+def source_coeff(prob: TimeFractionalProblem, mode: Mode, s: float) -> float:
+    """(f(., s), phi_mode) through the batch path."""
+    col = prob.source.coefficient_batch(prob.modeset, prob.quad, np.array([s]))
+    return float(col[prob.modeset.index_of(mode), 0])
+
+
+def memory(prob: TimeFractionalProblem, t: float) -> float:
+    """F_(1,1)(t): the forward solution from u0 = 0 is the memory term."""
+    zero = SpectralField(prob.modeset, np.zeros(prob.modeset.size))
+    return forward_solve(prob, zero, t).coeff(Mode((1, 1)))
+
+
 class TestSourceCoefficient:
     def test_benchmark_mode_11(self):
         prob = problem(0.5)
         for s in (0.0, 0.3, 1.0):
             want = (2.0 - PI2) * (math.pi / 2.0) * math.exp(-PI2 * s)
-            got = source_coefficient(prob, Mode((1, 1)), s)
+            got = source_coeff(prob, Mode((1, 1)), s)
             assert abs(got - want) <= 1e-10 * abs(want)
 
     def test_benchmark_mode_12_orthogonal(self):
         prob = problem(0.5)
-        assert abs(source_coefficient(prob, Mode((1, 2)), 0.4)) <= 1e-10
+        assert abs(source_coeff(prob, Mode((1, 2)), 0.4)) <= 1e-10
 
     def test_zero_source(self):
-        prob = problem(0.5, source=ZeroSource())
-        assert source_coefficient(prob, Mode((2, 2)), 0.5) == 0.0
+        prob = problem(0.5, source=Source())
+        assert source_coeff(prob, Mode((2, 2)), 0.5) == 0.0
 
-    def test_s_outside_horizon(self):
-        prob = problem(0.5)
-        for s in (-0.1, 1.1):
-            with pytest.raises(DomainError):
-                source_coefficient(prob, Mode((1, 1)), s)
+    def test_source_sums_terms(self):
+        one = Term(np.ones(MS8.size), lambda s: 1.0)
+        two = Term(np.full(MS8.size, 2.0), lambda s: 1.0)
+        prob = problem(0.5, source=Source(one, two))
+        assert source_coeff(prob, Mode((3, 3)), 0.1) == 3.0
 
-    def test_batch_matches_scalar_bitwise(self):
-        prob = problem(0.5)
-        ss = np.array([0.0, 0.25, 0.7, 1.0])
-        batch = prob.source.coefficient_batch(prob.modeset, prob.quad, ss)
-        for j, s in enumerate(ss):
-            for k, mode in enumerate(prob.modeset.modes[:5]):
-                assert batch[k, j] == source_coefficient(prob, mode, float(s))
+    def test_pointwise_term_projected_once_and_shared(self, monkeypatch):
+        import fracback.solver as solver
 
-    def test_pointwise_source_matches_separable(self):
-        sep = problem(0.5)
-        pw = problem(0.5, source=PointwiseSource(
-            lambda x, y, s: math.sin(x) * math.sin(y) * (2.0 - PI2) * math.exp(-PI2 * s)
-        ))
-        for s in (0.0, 0.6):
-            a = source_coefficient(sep, Mode((1, 1)), s)
-            b = source_coefficient(pw, Mode((1, 1)), s)
-            assert abs(a - b) <= 1e-12 * abs(a)
+        calls = []
+        monkeypatch.setattr(
+            solver, "project", lambda *a: calls.append(a) or project(*a)
+        )
+        base = bench_source()
+        noisy = Source(*base.terms, Term(np.ones(MS8.size), lambda s: 1.0))
+        for src in (base, noisy, base):
+            src.coefficient_batch(MS8, QuadConfig(), np.array([0.0, 0.5]))
+        assert len(calls) == 1
 
-    def test_composite_source_sums_parts(self):
-        one = SpectralSource(lambda mode, s: 1.0)
-        two = SpectralSource(lambda mode, s: 2.0)
-        prob = problem(0.5, source=CompositeSource((one, two)))
-        assert source_coefficient(prob, Mode((3, 3)), 0.1) == 3.0
+    def test_bad_terms_rejected(self):
+        with pytest.raises(DomainError):
+            Source(lambda x, y: 1.0)
+        short = Source(Term(np.ones(3), lambda s: 1.0))
+        with pytest.raises(DomainError):
+            short.coefficient_batch(MS8, QuadConfig(), np.array([0.5]))
+        nan = Source(Term(np.ones(MS8.size), lambda s: math.nan))
+        with pytest.raises(NumericalError):
+            nan.coefficient_batch(MS8, QuadConfig(), np.array([0.5]))
 
 
 class TestMemoryTerm:
@@ -137,22 +148,22 @@ class TestMemoryTerm:
         return (math.pi / 2.0) * (math.exp(-PI2 * t) - math.exp(-2.0 * t))
 
     def test_t_zero(self):
-        assert memory_term(problem(0.5), Mode((1, 1)), 0.0) == 0.0
+        assert memory(problem(0.5), 0.0) == 0.0
 
     def test_zero_source(self):
-        prob = problem(0.5, source=ZeroSource())
-        assert memory_term(prob, Mode((1, 1)), 0.7) == 0.0
+        prob = problem(0.5, source=Source())
+        assert memory(prob, 0.7) == 0.0
 
     def test_alpha_one_closed_form_default_path(self):
         prob = problem(1.0)
         for t in (0.1, 0.5, 1.0):
-            got = memory_term(prob, Mode((1, 1)), t)
+            got = memory(prob, t)
             assert abs(got - self.closed_form(t)) <= 5e-8, t
 
     def test_alpha_one_closed_form_oracle_path(self):
         prob = problem(1.0, nt=256, quad=GRADED)
         for t in (0.1, 0.5, 1.0):
-            got = memory_term(prob, Mode((1, 1)), t)
+            got = memory(prob, t)
             assert abs(got - self.closed_form(t)) <= 1e-12, t
 
     def test_bound_by_singular_mass(self):
@@ -161,7 +172,7 @@ class TestMemoryTerm:
             prob = problem(alpha, quad=GRADED)
             sup_c = abs((2.0 - PI2) * (math.pi / 2.0))  # |c| max at s=0
             for t in (0.2, 1.0):
-                got = abs(memory_term(prob, Mode((1, 1)), t))
+                got = abs(memory(prob, t))
                 assert got <= sup_c * t**alpha / alpha * (1.0 + 1e-12)
 
 
@@ -173,7 +184,7 @@ class TestForwardSolve:
         assert np.array_equal(out.coeffs, u0.coeffs)
 
     def test_zero_everything(self):
-        prob = problem(0.6, source=ZeroSource())
+        prob = problem(0.6, source=Source())
         z = SpectralField(MS8, np.zeros(MS8.size))
         out = forward_solve(prob, z, 0.8)
         assert float(np.max(np.abs(out.coeffs))) == 0.0
@@ -206,6 +217,40 @@ class TestForwardSolve:
         a = final_value(prob, u0)
         b = forward_solve(prob, u0, prob.tau)
         assert np.array_equal(a.coeffs, b.coeffs)
+
+
+MS4 = ModeSet(dimension=2, truncation=4)
+_unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+_vector = st.lists(_unit, min_size=MS4.size, max_size=MS4.size).map(np.array)
+
+
+@st.composite
+def _vector_terms(draw):
+    """A coefficient-vector term with temporal factor c0 + c1 s."""
+    c0, c1 = draw(_unit), draw(_unit)
+    return Term(draw(_vector), lambda s: c0 + c1 * s)
+
+
+class TestLinearity:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        alpha=st.sampled_from((0.2, 0.4, 0.6, 0.8, 1.0)),
+        t=st.floats(min_value=1e-6, max_value=1.0),
+        u0a=_vector,
+        u0b=_vector,
+        ta=_vector_terms(),
+        tb=_vector_terms(),
+    )
+    def test_forward_linear_in_data_and_source(self, alpha, t, u0a, u0b, ta, tb):
+        def forward(u0, source):
+            prob = problem(alpha, modeset=MS4, source=source)
+            return forward_solve(prob, SpectralField(MS4, u0), t).coeffs
+
+        a = forward(u0a, Source(ta))
+        b = forward(u0b, Source(tb))
+        both = forward(u0a + u0b, Source(ta, tb))
+        assert np.all(np.abs(both - (a + b)) <= 1e-12 * (np.abs(a) + np.abs(b) + 1.0))
+        assert np.all(forward(np.zeros(MS4.size), Source()) == 0.0)
 
 
 class TestBackwardReconstruct:
@@ -338,7 +383,7 @@ class TestSolvability:
         assert sums[-1] > sums[len(sums) // 2] > sums[len(sums) // 4]
 
     def test_zero_data_zero_sums(self):
-        prob = problem(0.5, source=ZeroSource())
+        prob = problem(0.5, source=Source())
         z = SpectralField(MS8, np.zeros(MS8.size))
         report = solvability_diagnostic(prob, z)
         assert all(s == 0.0 for s in report.partial_sums)

@@ -16,7 +16,6 @@ from fracback import (
     SpectralField,
     eigenfunction_eval,
     hp_norm,
-    integrate_2d,
     l2_error,
     l2_norm,
     project,
@@ -25,6 +24,7 @@ from fracback import (
     synthesize_grid,
     write_csv,
 )
+from _quadrature_sums import integrate_2d
 
 MS2 = ModeSet(dimension=2, truncation=30)
 MS1 = ModeSet(dimension=1, truncation=30)
