@@ -115,6 +115,8 @@ class ExperimentConfig:
                 )
         if self.sweep is not None:
             object.__setattr__(self, "sweep", tuple(float(v) for v in self.sweep))
+            if not self.sweep:
+                raise DomainError("ExperimentConfig: sweep must be non-empty or omitted")
         if not isinstance(self.noise_mode, NoiseMode):
             object.__setattr__(self, "noise_mode", NoiseMode(self.noise_mode))
         if not isinstance(self.singular_mode, SingularMode):
@@ -184,20 +186,22 @@ class PaperProblem:
     finals: Mapping[float, SpectralField]
 
 
-def _benchmark_source() -> Source:
-    return Source(
-        Term(
-            lambda x, y: math.sin(x) * math.sin(y),
-            lambda s: (2.0 - _PI2) * math.exp(-_PI2 * s),
-        )
-    )
+def _sin_sin(x: float, y: float) -> float:
+    return math.sin(x) * math.sin(y)
+
+
+def _unit(x: float, y: float) -> float:
+    """The constant 1 behind the noise shift; one function, so one projection."""
+    return 1.0
 
 
 def paper_problem(cfg: ExperimentConfig = ExperimentConfig()) -> PaperProblem:
     """Construct u0, the per-alpha problems, and g = forward value at tau."""
     ms = ModeSet(dimension=2, truncation=cfg.truncation)
     quad = cfg.quad_config()
-    u0 = project(lambda x, y: math.sin(x) * math.sin(y), ms, quad)
+    u0 = project(_sin_sin, ms, quad)
+    # f = (2 - pi^2) e^(-pi^2 s) u0: one source shared by every alpha
+    source = Source(Term(u0.coeffs, lambda s: (2.0 - _PI2) * math.exp(-_PI2 * s)))
     problems = {}
     finals = {}
     for a in cfg.alphas:
@@ -205,7 +209,7 @@ def paper_problem(cfg: ExperimentConfig = ExperimentConfig()) -> PaperProblem:
             alpha=a,
             tau=cfg.tau,
             modeset=ms,
-            source=_benchmark_source(),
+            source=source,
             quad=quad,
             temporal_subintervals=cfg.temporal_subintervals,
         )
@@ -241,7 +245,7 @@ def noisy_source(
     if eps == 0.0:
         return source
     if mode is NoiseMode.PAPER_CONSTANT:
-        noise = Term(lambda x, y: 1.0, lambda s, _e=float(eps): _e / 2.0)
+        noise = Term(_unit, lambda s, _e=float(eps): _e / 2.0)
     else:
         noise = Term(_seeded_coeffs(modeset.size, float(eps), seed, 0), lambda s: 1.0)
     return Source(*source.terms, noise)
@@ -260,7 +264,7 @@ def noisy_data(
     if delta == 0.0:
         return g
     if mode is NoiseMode.PAPER_CONSTANT:
-        ones = project(lambda x, y: 1.0, g.modeset, quad)
+        ones = project(_unit, g.modeset, quad)
         return SpectralField(g.modeset, g.coeffs + (delta / 2.0) * ones.coeffs)
     shift = _seeded_coeffs(g.modeset.size, float(delta), seed, 1)
     return SpectralField(g.modeset, g.coeffs + shift)
@@ -279,7 +283,7 @@ def noise_audit(level: float, modeset: ModeSet, quad: QuadConfig) -> NoiseAudit:
     """Report how far the +level/2 constant shift exceeds the nominal bound."""
     if not (isinstance(level, (int, float)) and math.isfinite(level) and level >= 0.0):
         raise DomainError(f"noise_audit: level must be >= 0, got {level!r}")
-    ones = project(lambda x, y: 1.0, modeset, quad)
+    ones = project(_unit, modeset, quad)
     trunc = (level / 2.0) * math.sqrt(
         math.fsum(float(c) * float(c) for c in ones.coeffs)
     )

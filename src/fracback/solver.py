@@ -19,6 +19,13 @@ config (default: 4-point composite rule on 4 subintervals applied
 directly to the weakly singular integrand); a graded high-subinterval
 config serves as the verification oracle.
 
+Memo policy: E_{alpha,1}(-lambda tau^alpha) and the memory nodes, weights
+and kernel E_{alpha,alpha}(-lambda (tau-s)^alpha) do not depend on the
+source.  A bounded LRU cache keyed by (alpha, tau, modeset, quad,
+temporal_subintervals) holds them, so the problems of all noise levels
+share them.  A time t < tau is used once per table and is not memoized;
+F(tau) is summed per call from the problem's own source.
+
 All per-mode reductions happen in fixed ModeSet order, so results are
 bit-identical across runs and thread counts.
 """
@@ -27,9 +34,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -60,9 +67,9 @@ class Term:
     """One separable source term: spatial(point) * temporal(s).
 
     ``spatial`` is a pointwise function (fn(x) in d=1, fn(x, y) in d=2) or
-    a coefficient vector in mode order.  A function is projected once per
-    (modeset, quad) and reused, which is what makes repeated memory-term
-    quadratures affordable.
+    a coefficient vector in mode order.  A function goes through the
+    value-keyed memo of :func:`fracback.spectral.project`, so every term
+    holding it shares one projection per (modeset, quad).
     """
 
     def __init__(
@@ -74,28 +81,17 @@ class Term:
             spatial = np.asarray(spatial, dtype=np.float64)
         self.spatial = spatial
         self.temporal = temporal
-        self._proj: dict[tuple[ModeSet, QuadConfig], np.ndarray] = {}
-        self._lock = threading.Lock()
-
-    def _spatial_coeffs(self, modeset: ModeSet, quad: QuadConfig) -> np.ndarray:
-        if not callable(self.spatial):
-            if self.spatial.shape != (modeset.size,):
-                raise DomainError("Term: coefficient count != modeset size")
-            return self.spatial
-        key = (modeset, quad)
-        with self._lock:
-            cached = self._proj.get(key)
-        if cached is None:
-            cached = project(self.spatial, modeset, quad).coeffs
-            with self._lock:
-                cached = self._proj.setdefault(key, cached)
-        return cached
 
     def coefficient_batch(
         self, modeset: ModeSet, quad: QuadConfig, s: np.ndarray
     ) -> np.ndarray:
         """(term(., s_j), phi_k) for every mode k and time s_j; shape (modes, len(s))."""
-        spatial = self._spatial_coeffs(modeset, quad)
+        if callable(self.spatial):
+            spatial = project(self.spatial, modeset, quad).coeffs
+        elif self.spatial.shape != (modeset.size,):
+            raise DomainError("Term: coefficient count != modeset size")
+        else:
+            spatial = self.spatial
         tvals = np.array([float(self.temporal(float(sj))) for sj in s])
         if np.isnan(tvals).any():
             raise NumericalError("Term: temporal factor returned NaN")
@@ -161,8 +157,6 @@ class TimeFractionalProblem:
             raise DomainError(
                 "TimeFractionalProblem: source must be a Source instance"
             )
-        object.__setattr__(self, "_cache", {})
-        object.__setattr__(self, "_lock", threading.Lock())
 
 
 class ChoiceRule(str, Enum):
@@ -216,50 +210,56 @@ def _check_field(f: SpectralField, prob: TimeFractionalProblem, what: str) -> No
         raise DomainError(f"{what}: field modeset does not match the problem's")
 
 
-def _memory_batch(prob: TimeFractionalProblem, t: float) -> np.ndarray:
-    """F_n(t) for every mode at once (vectorized memory quadrature)."""
-    if t == 0.0:
-        return np.zeros(prob.modeset.size)
-    pts, wts = singular_nodes(
-        t, prob.alpha, prob.quad, subintervals=prob.temporal_subintervals
-    )
+def _terms_at(
+    alpha: float, t: float, modeset: ModeSet, quad: QuadConfig, subintervals: int
+) -> tuple[np.ndarray, ...]:
+    """E_{alpha,1}(-lambda t^alpha), memory nodes s and weights w, and the
+    kernel E_{alpha,alpha}(-lambda (t-s)^alpha), for every mode at time t."""
+    lam = modeset.eigenvalues
+    pts, wts = singular_nodes(t, alpha, quad, subintervals=subintervals)
+    X = -np.outer(lam, (t - pts) ** alpha)
+    E = ml_array(alpha, alpha, X.ravel()).reshape(X.shape)
+    return ml_array(alpha, 1.0, -lam * t**alpha), pts, wts, E
+
+
+# ~0.1 MB per entry at the benchmark size; 16 holds every alpha of a few configurations.
+@lru_cache(maxsize=16)
+def _tau_terms(*key) -> tuple[np.ndarray, ...]:
+    terms = _terms_at(*key)
+    for arr in terms:
+        arr.flags.writeable = False
+    return terms
+
+
+def _terms(prob: TimeFractionalProblem, t: float) -> tuple[np.ndarray, ...]:
+    key = (prob.alpha, t, prob.modeset, prob.quad, prob.temporal_subintervals)
+    return _tau_terms(*key) if t == prob.tau else _terms_at(*key)
+
+
+def _memory(
+    prob: TimeFractionalProblem, pts: np.ndarray, wts: np.ndarray, E: np.ndarray
+) -> np.ndarray:
+    """F_n(t) for every mode at once, from the kernel at t and the problem's source."""
     C = prob.source.coefficient_batch(prob.modeset, prob.quad, pts)
-    lam = prob.modeset.eigenvalues
-    X = -np.outer(lam, (t - pts) ** prob.alpha)
-    E = ml_array(prob.alpha, prob.alpha, X.ravel()).reshape(X.shape)
     return np.einsum("ns,s->n", E * C, wts, optimize=False)
 
 
-def _cached(prob: TimeFractionalProblem, key: str, build: Callable[[], np.ndarray]):
-    cache = prob._cache  # type: ignore[attr-defined]
-    lock = prob._lock  # type: ignore[attr-defined]
-    with lock:
-        val = cache.get(key)
-    if val is None:
-        val = build()
-        val.flags.writeable = False
-        with lock:
-            val = cache.setdefault(key, val)
-    return val
+def _evolve(prob: TimeFractionalProblem, start: np.ndarray, t: float) -> SpectralField:
+    """E_{alpha,1}(-lambda t^alpha) start + F(t), for a time t > 0."""
+    e1, *kernel = _terms(prob, t)
+    return SpectralField(prob.modeset, e1 * start + _memory(prob, *kernel))
 
 
-def _e_alpha1(prob: TimeFractionalProblem, t: float) -> np.ndarray:
-    return ml_array(prob.alpha, 1.0, -prob.modeset.eigenvalues * t**prob.alpha)
-
-
-def _etau(prob: TimeFractionalProblem) -> np.ndarray:
-    val = _cached(prob, "etau", lambda: _e_alpha1(prob, prob.tau))
-    if np.any(val == 0.0):
-        bad = prob.modeset.modes[int(np.argmax(val == 0.0))]
+def _inverted(prob: TimeFractionalProblem, g: SpectralField) -> np.ndarray:
+    """(g_n - F_n(tau)) / E_{alpha,1}(-lambda_n tau^alpha): the naive inversion."""
+    etau, *kernel = _terms(prob, prob.tau)
+    if np.any(etau == 0.0):
+        bad = prob.modeset.modes[int(np.argmax(etau == 0.0))]
         raise NumericalError(
             "backward_reconstruct: E_{alpha,1}(-lambda tau^alpha) underflowed "
             f"to zero for mode {bad.indices}; the inversion is not representable"
         )
-    return val
-
-
-def _ftau(prob: TimeFractionalProblem) -> np.ndarray:
-    return _cached(prob, "ftau", lambda: _memory_batch(prob, prob.tau))
+    return (g.coeffs - _memory(prob, *kernel)) / etau
 
 
 def forward_solve(
@@ -270,8 +270,7 @@ def forward_solve(
     t = _check_time(t, prob.tau, "forward_solve")
     if t == 0.0:
         return SpectralField(prob.modeset, u0.coeffs)
-    coeffs = _e_alpha1(prob, t) * u0.coeffs + _memory_batch(prob, t)
-    return SpectralField(prob.modeset, coeffs)
+    return _evolve(prob, u0.coeffs, t)
 
 
 def final_value(prob: TimeFractionalProblem, u0: SpectralField) -> SpectralField:
@@ -293,11 +292,10 @@ def backward_reconstruct(
     t = _check_time(t, prob.tau, "backward_reconstruct")
     if t == prob.tau:
         return SpectralField(prob.modeset, g.coeffs)
-    base = (g.coeffs - _ftau(prob)) / _etau(prob)
+    base = _inverted(prob, g)
     if t == 0.0:
         return SpectralField(prob.modeset, base, flags=("unregularized inversion",))
-    coeffs = _e_alpha1(prob, t) * base + _memory_batch(prob, t)
-    return SpectralField(prob.modeset, coeffs)
+    return _evolve(prob, base, t)
 
 
 def reconstruct_noisy(
@@ -307,10 +305,7 @@ def reconstruct_noisy(
     t: float,
 ) -> SpectralField:
     """backward_reconstruct with the memory term built from a noisy source."""
-    if noisy_source is prob.source:
-        return backward_reconstruct(prob, g_noisy, t)
-    noisy_prob = dataclasses.replace(prob, source=noisy_source)
-    return backward_reconstruct(noisy_prob, g_noisy, t)
+    return backward_reconstruct(dataclasses.replace(prob, source=noisy_source), g_noisy, t)
 
 
 def solvability_diagnostic(
@@ -324,7 +319,7 @@ def solvability_diagnostic(
     total (a convergent series has a vanishing tail share), else "bounded".
     """
     _check_field(g, prob, "solvability_diagnostic")
-    base = (g.coeffs - _ftau(prob)) / _etau(prob)
+    base = _inverted(prob, g)
     order = np.argsort(prob.modeset.eigenvalues, kind="stable")
     terms = base[order] ** 2
     sums = np.cumsum(terms)

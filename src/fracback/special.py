@@ -374,12 +374,10 @@ class _GapCheb:
                 0.5 * (lo + hi) + 0.5 * (hi - lo) * math.cos(math.pi * j / (n - 1))
                 for j in range(n)
             ]
-            vals = [f(v) for v in nodes]
-            coeffs = self._fit(vals)
-            checks = [lo + (hi - lo) * (j + 0.5) / 16.0 for j in range(16)]
-            err = max(abs(self._clenshaw(coeffs, v) - f(v)) for v in checks)
+            self.coeffs = self._fit([f(v) for v in nodes])
+            checks = lo + (hi - lo) * (np.arange(16) + 0.5) / 16.0
+            err = max(abs(fv - f(v)) for fv, v in zip(self._clenshaw(checks), checks))
             if err < 1e-11:
-                self.coeffs = coeffs
                 return
             last_err = err
         raise NumericalError(
@@ -403,20 +401,17 @@ class _GapCheb:
         coeffs[n - 1] *= 0.5
         return coeffs
 
-    def _clenshaw(self, coeffs: np.ndarray, v: float) -> float:
-        t = (2.0 * v - self.lo - self.hi) / (self.hi - self.lo)
-        b1 = b2 = 0.0
-        for c in coeffs[:0:-1]:
-            b1, b2 = 2.0 * t * b1 - b2 + c, b1
-        return t * b1 - b2 + coeffs[0]
-
-    def eval(self, v: np.ndarray) -> np.ndarray:
+    def _clenshaw(self, v: np.ndarray) -> np.ndarray:
+        """The fitted series (log E) at every v, by Clenshaw's recurrence."""
         t = (2.0 * v - self.lo - self.hi) / (self.hi - self.lo)
         b1 = np.zeros_like(t)
         b2 = np.zeros_like(t)
         for c in self.coeffs[:0:-1]:
             b1, b2 = 2.0 * t * b1 - b2 + c, b1
-        return np.exp(t * b1 - b2 + self.coeffs[0])
+        return t * b1 - b2 + self.coeffs[0]
+
+    def eval(self, v: np.ndarray) -> np.ndarray:
+        return np.exp(self._clenshaw(v))
 
 
 @lru_cache(maxsize=128)

@@ -116,6 +116,10 @@ class TestConfig:
             main(["forward", "--config", str(tmp_path / "ghost.json"), "--t", "0"])
             == 3
         )
+        empty_sweep = cfg_file({**REDUCED, "sweep": []}, name="empty.json")
+        argv = ["table", "--id", "1", "--config", empty_sweep, "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "sweep" in capsys.readouterr().err
 
 
 class TestForwardBackward:

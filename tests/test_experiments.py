@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from fracback import (
+    ChoiceRule,
     DomainError,
     ErrorTable,
     ExperimentConfig,
@@ -23,20 +24,25 @@ from fracback import (
     NumericalError,
     ParameterChoiceError,
     QuadConfig,
+    RegularizationChoice,
     SingularMode,
     Source,
+    choose_t,
     emit_csv,
     emit_plot_script,
     emit_surface,
     fit_rate,
+    ml_array,
     noise_audit,
     noisy_data,
     noisy_source,
     paper_problem,
+    reconstruct_noisy,
     run_fig4,
     run_table1,
     run_table2,
     run_table3,
+    singular_nodes,
 )
 from _benchmark_oracle import direct_rule_error, exact_error
 
@@ -79,6 +85,12 @@ class TestExperimentConfig:
             ExperimentConfig(tau=0.0)
         with pytest.raises(DomainError):
             ExperimentConfig(seed=True)
+
+    def test_empty_sweep_rejected(self):
+        # an empty sweep used to fall back silently to the default levels
+        for sweep in ((), []):
+            with pytest.raises(DomainError):
+                ExperimentConfig(sweep=sweep)
 
     def test_enum_coercion_from_strings(self):
         cfg = ExperimentConfig(
@@ -195,7 +207,7 @@ class TestNoise:
     QUAD = QuadConfig()
 
     def base_source(self):
-        return paper_problem(small_config()).problems[0.5].source
+        return paper_problem(small_config(truncation=6)).problems[0.5].source
 
     def test_zero_levels_are_identity(self):
         src = self.base_source()
@@ -287,6 +299,43 @@ class TestNoise:
     def test_noise_audit_rejects_negative(self):
         with pytest.raises(DomainError):
             noise_audit(-0.1, self.MS, self.QUAD)
+
+    def test_noise_levels_share_tau_terms_and_unit_projection(self, monkeypatch):
+        import fracback.experiments as experiments
+        import fracback.solver as solver
+
+        pp = paper_problem(small_config(truncation=6))  # g fills the tau memo
+        prob, g = pp.problems[0.5], pp.finals[0.5]
+        unit_points = []
+
+        def unit(x, y):
+            unit_points.append((x, y))
+            return 1.0
+
+        ml_args = []
+
+        def recording_ml_array(alpha, beta, x):
+            ml_args.append(np.array(x, dtype=np.float64).ravel())
+            return ml_array(alpha, beta, x)
+
+        monkeypatch.setattr(experiments, "_unit", unit)
+        monkeypatch.setattr(solver, "ml_array", recording_ml_array)
+        for eta in (1e-3, 1e-5):
+            t = choose_t(RegularizationChoice(ChoiceRule.PAPER_TABLE2, eta=eta), 0.5)
+            f_eta = noisy_source(prob.source, eta, pp.modeset)
+            reconstruct_noisy(prob, noisy_data(g, eta, pp.quad), f_eta, t)
+            noise_audit(eta, pp.modeset, pp.quad)
+        lam = pp.modeset.eigenvalues
+        pts, _ = singular_nodes(
+            prob.tau, prob.alpha, pp.quad, subintervals=prob.temporal_subintervals
+        )
+        e1_at_tau = -lam * prob.tau**prob.alpha
+        kernel_at_tau = -np.outer(lam, (prob.tau - pts) ** prob.alpha).ravel()
+        at_tau = np.concatenate([e1_at_tau, kernel_at_tau])
+        assert ml_args  # the terms at t < tau are still evaluated
+        assert not any(np.isin(x, at_tau).any() for x in ml_args)
+        per_direction = pp.quad.subintervals * pp.modeset.truncation * pp.quad.rule.n
+        assert len(unit_points) == per_direction**2  # one projection of 1
 
 
 class TestTableRuns:

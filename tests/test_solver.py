@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -119,18 +121,20 @@ class TestSourceCoefficient:
         prob = problem(0.5, source=Source(one, two))
         assert source_coeff(prob, Mode((3, 3)), 0.1) == 3.0
 
-    def test_pointwise_term_projected_once_and_shared(self, monkeypatch):
-        import fracback.solver as solver
-
+    def test_pointwise_term_projected_once_and_shared(self):
         calls = []
-        monkeypatch.setattr(
-            solver, "project", lambda *a: calls.append(a) or project(*a)
-        )
-        base = bench_source()
+
+        def spatial(x, y):
+            calls.append((x, y))
+            return math.sin(x) * math.sin(y)
+
+        base = Source(Term(spatial, lambda s: (2.0 - PI2) * math.exp(-PI2 * s)))
         noisy = Source(*base.terms, Term(np.ones(MS8.size), lambda s: 1.0))
         for src in (base, noisy, base):
             src.coefficient_batch(MS8, QuadConfig(), np.array([0.0, 0.5]))
-        assert len(calls) == 1
+        cfg = QuadConfig()
+        per_direction = cfg.subintervals * MS8.truncation * cfg.rule.n
+        assert len(calls) == per_direction**2  # one projection grid
 
     def test_bad_terms_rejected(self):
         with pytest.raises(DomainError):
@@ -360,6 +364,29 @@ class TestReconstructNoisy:
         gp = SpectralField(MS8, g.coeffs + 1e-3)
         out = reconstruct_noisy(prob, gp, prob.source, 1.0)
         assert np.array_equal(out.coeffs, gp.coeffs)
+
+
+class TestTauMemo:
+    def test_threads_filling_the_memo_see_the_serial_result(self):
+        # problems that differ only in their source share one memo entry;
+        # more threads than cores race to build it on a short switch interval
+        import fracback.solver as solver
+
+        u0 = u0_field()
+        probs = [
+            problem(0.3, source=Source(Term(np.full(MS8.size, float(k)), lambda s: 1.0)))
+            for k in range(8)
+        ]
+        want = [final_value(p, u0).coeffs for p in probs]
+        solver._tau_terms.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda p: final_value(p, u0).coeffs, probs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestSolvability:

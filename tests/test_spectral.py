@@ -305,3 +305,18 @@ class TestCsv:
         path.write_text("m,n,coeff\n1,1,0.5\n1,2,0.3\n", encoding="utf-8")
         with pytest.raises(DomainError):
             read_csv(path)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "1,1,7\n1,1,3\n2,1,0.5\n2,2,0.25\n",  # a repeated mode, M^2 rows
+            "1,1,0.5\n1,2,x\n2,1,0\n2,2,0\n",  # non-numeric coefficient
+            "1,1,0.5\n1,two,0\n2,1,0\n2,2,0\n",  # non-numeric index
+            "",  # header only
+        ],
+    )
+    def test_read_rejects_bad_rows(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("m,n,coeff\n" + body, encoding="utf-8")
+        with pytest.raises(DomainError):
+            read_csv(path)
