@@ -117,6 +117,13 @@ class ExperimentConfig:
             object.__setattr__(self, "sweep", tuple(float(v) for v in self.sweep))
             if not self.sweep:
                 raise DomainError("ExperimentConfig: sweep must be non-empty or omitted")
+            # checked here, not after a whole table run in ErrorTable
+            if not all(math.isfinite(v) and v > 0.0 for v in self.sweep):
+                raise DomainError(f"ExperimentConfig: sweep must be finite and > 0: {self.sweep}")
+            if any(b >= a for a, b in zip(self.sweep, self.sweep[1:])):
+                raise DomainError(
+                    f"ExperimentConfig: sweep must be strictly decreasing: {self.sweep}"
+                )
         if not isinstance(self.noise_mode, NoiseMode):
             object.__setattr__(self, "noise_mode", NoiseMode(self.noise_mode))
         if not isinstance(self.singular_mode, SingularMode):

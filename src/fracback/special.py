@@ -7,15 +7,21 @@ keyed to y = |x|**(1/a):
 * small y: truncated Taylor series in extended (80-bit) precision with
   a term-ratio stopping rule;
 * large y: the divergent asymptotic series sum_{k>=1} (-1)**(k+1)
-  x**(-k) / Gamma(b - a*k), truncated at its globally smallest term,
-  with the reciprocal gamma handled in log space through the
-  reflection formula;
+  x**(-k) / Gamma(b - a*k), truncated at its globally smallest term
+  (Gorenflo, Kilbas, Mainardi & Rogosin 2014, sec. 4.7), with the
+  reciprocal gamma handled in log space through the reflection formula;
+  each argument's term table grows until that term lies over two periods
+  (2/a terms) of the reflection factor's |sin| before the table's end;
 * the intermediate band, where both of the above lose accuracy to
   cancellation: a Chebyshev surrogate of log E fitted once per (a, b)
   against an arbitrary-precision Taylor evaluation built on decimal
   arithmetic and Spouge's gamma approximation.
 
 All paths are deterministic and pure; tables are cached per (a, b).
+A value depends on its argument and at most on the set of the batch's
+arguments (the Taylor stopping rule takes a batch maximum), never on
+their order or count, so ml_array evaluates each distinct argument once
+and scatters the results back, bit-identically.
 """
 
 from __future__ import annotations
@@ -181,55 +187,58 @@ def _asym_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     Term magnitudes decrease and then grow factorially; cutting at the
     global minimum leaves an error of the order of the first omitted
     term.  Bracketing that minimum can take ~|x|**(1/alpha)/alpha terms
-    near the regime boundary, so the term table grows geometrically
-    until either the minimum is interior or the tail is negligible.
+    near the regime boundary, so the term table grows geometrically,
+    row by row, until either the minimum is interior or the tail is
+    negligible.  1/Gamma(beta - alpha*k) carries a |sin(pi*(beta - alpha*k))|
+    factor of period 1/alpha in k, so a minimum within two periods of the
+    table's end may be a dip of that factor, not interior.  Terms past the
+    cut are exact zeros, so a row's value does not depend on the table
+    width or on the rest of the batch.
     """
-    ax = np.abs(x)
-    lx = np.log(ax)
+    lx = np.log(np.abs(x))
     # Gamma(beta - alpha*k) sits on a pole for every k >= beta when alpha = 1
     # and beta is an integer: the series terminates and is exact up to an
     # exponentially small remainder, so there is never a reason to grow it.
     terminates = alpha >= 1.0 - 1e-12 and abs(beta - round(beta)) < 1e-12
+    reach = math.ceil(2.0 / alpha)
+    out = np.empty_like(x)
+    rows = np.arange(len(x))
     kmax = 64
-    while True:
+    while len(rows):
         logs, signs = _asym_table(alpha, beta, kmax)
-        ks = np.arange(1, kmax + 1)
-        # logmag[i, j] = -k_j*log|x_i| + log|1/Gamma(beta - alpha*k_j)|
-        logmag = -np.outer(lx, ks) + logs[None, :]
-        logmag[:, signs == 0.0] = -np.inf
-        finite = np.where(np.isfinite(logmag), logmag, np.inf)
-        kopt = np.argmin(finite, axis=1)
         live = np.flatnonzero(signs != 0.0)
         if len(live) == 0:
             # every term sits on a Gamma pole; the algebraic part vanishes
-            return np.zeros_like(x)
+            out[rows] = 0.0
+            break
+        ks = np.arange(1, kmax + 1)
+        # logmag[i, j] = -k_j*log|x_i| + log|1/Gamma(beta - alpha*k_j)|
+        logmag = -np.outer(lx[rows], ks) + logs[None, :]
+        logmag[:, signs == 0.0] = -np.inf
+        kopt = np.argmin(np.where(np.isfinite(logmag), logmag, np.inf), axis=1)
+        grow = np.zeros(len(rows), dtype=bool)
         if not terminates and kmax < 65536:
-            kpos = np.searchsorted(live, kopt)
-            at_end = kpos >= len(live) - 2
             # a tail already ~e^-45 below the leading term cannot matter
             tail_big = logmag[:, live[-1]] > logmag[:, live[0]] - 45.0
-            if np.any(at_end & tail_big):
-                kmax *= 4
-                continue
-        break
-    mask = ks[None, :] <= ks[kopt][:, None]
-    vals = np.exp(np.where(mask, logmag, -np.inf)) * signs[None, :]
-    out = np.sum(vals, axis=1)
-    # the first omitted non-pole term estimates the truncation error;
-    # refuse to return values the series cannot actually support
-    pos = np.searchsorted(live, kopt, side="right")
-    floor = np.zeros(len(out))
-    has_next = pos < len(live)
-    rows = np.flatnonzero(has_next)
-    if len(rows):
-        floor[rows] = np.exp(logmag[rows, live[pos[rows]]])
-    bad = floor > 3e-10 * np.abs(out)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise NumericalError(
-            f"mittag_leffler: asymptotic series cannot reach the accuracy "
-            f"target for alpha={alpha!r}, beta={beta!r}, x={x[i]!r}"
-        )
+            grow = (kopt >= kmax - 1 - reach) & tail_big
+        done, logmag, kopt = rows[~grow], logmag[~grow], kopt[~grow]
+        mask = ks[None, :] <= ks[kopt][:, None]
+        vals = np.exp(np.where(mask, logmag, -np.inf)) * signs[None, :]
+        out[done] = np.sum(vals, axis=1)
+        # the first omitted non-pole term estimates the truncation error;
+        # refuse to return values the series cannot actually support
+        pos = np.searchsorted(live, kopt, side="right")
+        has_next = np.flatnonzero(pos < len(live))
+        floor = np.zeros(len(done))
+        floor[has_next] = np.exp(logmag[has_next, live[pos[has_next]]])
+        bad = floor > 3e-10 * np.abs(out[done])
+        if np.any(bad):
+            raise NumericalError(
+                f"mittag_leffler: asymptotic series cannot reach the accuracy "
+                f"target for alpha={alpha!r}, beta={beta!r}, x={x[done[np.argmax(bad)]]!r}"
+            )
+        rows = rows[grow]
+        kmax *= 4
     return out
 
 
@@ -436,6 +445,9 @@ def ml_array(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
         raise DomainError("ml_array: arguments must be finite and <= 0")
     if alpha == 1.0 and beta == 1.0:
         return np.exp(x)
+    # each distinct argument once; the same bits (see the module docstring)
+    shape = x.shape
+    x, inv = np.unique(x, return_inverse=True)
     out = np.empty_like(x)
     y = np.abs(x) ** (1.0 / alpha)
     y_t, y_a = _regime_bounds(alpha, beta)
@@ -461,7 +473,7 @@ def ml_array(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
         raise NumericalError(
             f"mittag_leffler: non-finite value for alpha={alpha!r}, beta={beta!r}"
         )
-    return out
+    return out[inv].reshape(shape)
 
 
 def mittag_leffler(query: MLQuery) -> float:

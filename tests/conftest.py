@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 
 import pytest
+from hypothesis import settings
 
 from fracback import (
     ExperimentConfig,
@@ -79,6 +80,14 @@ GROUP_B = frozenset(
         for eta in (1e-6, 1e-7, 1e-8, 1e-9)
     ]
 )
+
+# One profile for every property test: reproducible examples, no example
+# database written to disk, and no per-example deadline (a cold
+# Mittag-Leffler fit can take a second).
+settings.register_profile(
+    "fracback", max_examples=30, derandomize=True, database=None, deadline=None
+)
+settings.load_profile("fracback")
 
 _ACCEPTANCE_LINES: list[str] = []
 

@@ -116,10 +116,11 @@ class TestConfig:
             main(["forward", "--config", str(tmp_path / "ghost.json"), "--t", "0"])
             == 3
         )
-        empty_sweep = cfg_file({**REDUCED, "sweep": []}, name="empty.json")
-        argv = ["table", "--id", "1", "--config", empty_sweep, "--out", str(tmp_path)]
-        assert main(argv) == 2
-        assert "sweep" in capsys.readouterr().err
+        for name, sweep in (("empty", []), ("rising", [1e-4, 1e-3]), ("negative", [-1e-3])):
+            path = cfg_file({**REDUCED, "sweep": sweep}, name=f"{name}.json")
+            argv = ["table", "--id", "1", "--config", path, "--out", str(tmp_path)]
+            assert main(argv) == 2, name
+            assert "sweep" in capsys.readouterr().err
 
 
 class TestForwardBackward:

@@ -92,6 +92,22 @@ class TestExperimentConfig:
             with pytest.raises(DomainError):
                 ExperimentConfig(sweep=sweep)
 
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            (1e-4, 1e-3),
+            (1e-3, 1e-3),
+            (1e-2, 0.0),
+            (1e-2, -1e-3),
+            (math.inf, 1e-3),
+            (1e-2, math.nan),
+        ],
+    )
+    def test_sweep_not_positive_decreasing_rejected(self, sweep):
+        # these used to run the whole table and fail only in ErrorTable
+        with pytest.raises(DomainError, match="sweep"):
+            ExperimentConfig(sweep=sweep)
+
     def test_enum_coercion_from_strings(self):
         cfg = ExperimentConfig(
             noise_mode="seeded_random", singular_mode="graded_substitution"
@@ -368,7 +384,15 @@ class TestTableRuns:
         assert t2.column(0.8)[0] == pytest.approx(0.4776975206495476, rel=1e-12)
         assert t3.column(0.8)[0] == pytest.approx(0.47269123929659435, rel=1e-12)
 
-    def test_frozen_hashes(self, table1_run, table2_run, table3_run):
+    def test_frozen_hashes(
+        self,
+        table1_run,
+        table2_run,
+        table3_run,
+        table1_six_point_run,
+        table2_six_point_run,
+        table3_six_point_run,
+    ):
         # full-table byte-level regression pins (sha256 over the CSV text)
         assert table1_run[0].content_hash == (
             "2def2ba4531a7f6233af46dff0662ee045a971b78b829d53855e3b60c6cee356"
@@ -378,6 +402,16 @@ class TestTableRuns:
         )
         assert table3_run[0].content_hash == (
             "5d198d9d1fb5ba60b4109ac0d1b83fdfeac26b670b19416c756db63391465e4b"
+        )
+        # the 6-point configuration of the printed tables
+        assert table1_six_point_run[0].content_hash == (
+            "38add2751764191112407a7d540e5ae476b3a3edf31c29171fa6dc5d445d95ea"
+        )
+        assert table2_six_point_run[0].content_hash == (
+            "ca14e828c37f64c2d7ee681babd41b686829f6a881cc993a356a36f5f206b4be"
+        )
+        assert table3_six_point_run[0].content_hash == (
+            "4f1bce54df788fc8f2b2a2819906b28810bec2fe1eeb146585d5c649df1fe5c1"
         )
 
     def test_config_echo(self, table1_run, default_config):

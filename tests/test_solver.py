@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from fracback import (
@@ -236,7 +236,6 @@ def _vector_terms(draw):
 
 
 class TestLinearity:
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(
         alpha=st.sampled_from((0.2, 0.4, 0.6, 0.8, 1.0)),
         t=st.floats(min_value=1e-6, max_value=1.0),

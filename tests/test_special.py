@@ -8,8 +8,21 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from fracback import DomainError, MLQuery, gamma_fn, ml, ml_array, mittag_leffler
+import fracback.solver as solver
+import fracback.special as special
+from fracback import (
+    DomainError,
+    ExperimentConfig,
+    MLQuery,
+    ModeSet,
+    gamma_fn,
+    ml,
+    ml_array,
+    mittag_leffler,
+)
 
 from _ml_reference import ml_asymptotic, ml_ref, ml_taylor
 
@@ -186,3 +199,73 @@ class TestMLProperties:
     def test_scalar_matches_array_path(self):
         for alpha, beta, x in ((0.3, 1.0, -7.5), (0.8, 0.8, -120.0), (1.0, 1.0, -2.0)):
             assert ml(alpha, beta, x) == float(ml_array(alpha, beta, np.array([x]))[0])
+
+
+class TestAsymptoticBracketing:
+    # 1/Gamma(b - a*k) dips with period 1/a in k, so the smallest term of a
+    # 64-term table could look interior while the true minimum lay far past
+    # it: alone, these raised NumericalError or came out 6.6e-11 off
+    @pytest.mark.parametrize(
+        "alpha, beta, y",
+        [(0.2, 0.2, 36.6), (0.2, 0.2, 40.0), (0.1, 0.1, 40.0), (0.1, 1.0, 30.0)],
+    )
+    def test_alone_matches_reference(self, alpha, beta, y):
+        x = -(y**alpha)
+        assert special._regime_bounds(alpha, beta)[1] <= y
+        want = ml_ref(alpha, beta, x)
+        assert abs(ml(alpha, beta, x) - want) <= 1e-10 * abs(want)
+
+
+_PAIRS = tuple((a, b) for a in (0.1, 0.2, 0.4, 0.6, 0.8) for b in (a, 1.0))
+
+
+def _past_taylor(alpha: float, beta: float, u: np.ndarray) -> np.ndarray:
+    """Arguments whose y = |x|**(1/alpha) runs log-uniformly over the gap and
+    asymptotic bands, from 1.001 y_taylor to 1e3, as u runs over [0, 1]."""
+    lo = math.log(1.001 * special._regime_bounds(alpha, beta)[0])
+    return -(np.exp(lo + u * (math.log(1e3) - lo)) ** alpha)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBatchInvariance:
+    @given(
+        u=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12),
+        data=st.data(),
+    )
+    def test_value_depends_on_the_argument_only(self, u, data):
+        perm = np.array(data.draw(st.permutations(range(len(u)))))
+        dup = np.array(data.draw(st.lists(st.integers(0, len(u) - 1), min_size=1)))
+        for alpha, beta in _PAIRS:
+            x = _past_taylor(alpha, beta, np.array(u))
+            out = ml_array(alpha, beta, x)
+            alone = np.array([ml_array(alpha, beta, x[i : i + 1])[0] for i in range(len(x))])
+            assert _same_bits(out, alone), (alpha, beta)
+            assert _same_bits(ml_array(alpha, beta, x[perm]), out[perm]), (alpha, beta)
+            assert _same_bits(
+                ml_array(alpha, beta, np.concatenate([x, x[dup]])),
+                np.concatenate([out, out[dup]]),
+            ), (alpha, beta)
+
+    def test_kernel_build_evaluates_distinct_arguments(self, monkeypatch):
+        # truncation 30 has 900 modes but 387 distinct eigenvalues; a kernel
+        # build asks for E at 16 memory nodes and at t itself
+        cfg = ExperimentConfig()
+        ms = ModeSet(dimension=2, truncation=cfg.truncation)
+        assert len(np.unique(ms.eigenvalues)) == 387
+        counted = []
+
+        def counting(fn):
+            def wrapper(*args):
+                counted.append(len(args[-1]))
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(special, "_taylor_vec", counting(special._taylor_vec))
+        monkeypatch.setattr(special, "_asym_vec", counting(special._asym_vec))
+        monkeypatch.setattr(special._GapCheb, "eval", counting(special._GapCheb.eval))
+        solver._terms_at(0.6, cfg.tau, ms, cfg.quad_config(), cfg.temporal_subintervals)
+        assert 0 < sum(counted) <= 387 * 17
