@@ -1,126 +1,27 @@
 """Spectral solver and regularized backward reconstruction for
 time-fractional diffusion on a box, with the special functions,
-quadrature, and experiment drivers that support it."""
+quadrature, and experiment drivers that support it.
 
-from .errors import DomainError, NumericalError, ParameterChoiceError
-from .experiments import (
-    ErrorTable,
-    ExperimentConfig,
-    FitResult,
-    NoiseAudit,
-    NoiseMode,
-    PaperProblem,
-    emit_csv,
-    emit_plot_script,
-    emit_surface,
-    fit_rate,
-    noise_audit,
-    noisy_data,
-    noisy_source,
-    paper_problem,
-    run_fig4,
-    run_table1,
-    run_table2,
-    run_table3,
-)
-from .quadrature import (
-    QuadConfig,
-    QuadRule,
-    SingularMode,
-    composite_nodes,
-    gauss_legendre,
-    singular_nodes,
-)
-from .solver import (
-    ChoiceRule,
-    RegularizationChoice,
-    SolvabilityReport,
-    Source,
-    Term,
-    TimeFractionalProblem,
-    amplification_factor,
-    backward_reconstruct,
-    choose_t,
-    final_value,
-    forward_solve,
-    reconstruct_noisy,
-    solvability_diagnostic,
-)
-from .special import MLQuery, gamma_fn, ml, ml_array, mittag_leffler
-from .spectral import (
-    Mode,
-    ModeSet,
-    SpectralField,
-    eigenfunction_eval,
-    hp_norm,
-    l2_error,
-    l2_norm,
-    project,
-    read_csv,
-    synthesize,
-    synthesize_grid,
-    write_csv,
-)
+Each submodule's ``__all__`` is the one list of its public names; the
+package re-exports them all.  The CLI front end stays in ``fracback.cli``.
+"""
+
+from . import errors, experiments, quadrature, solver, special, spectral
+from .errors import *
+from .experiments import *
+from .quadrature import *
+from .solver import *
+from .special import *
+from .spectral import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChoiceRule",
-    "DomainError",
-    "ErrorTable",
-    "ExperimentConfig",
-    "FitResult",
-    "MLQuery",
-    "Mode",
-    "ModeSet",
-    "NoiseAudit",
-    "NoiseMode",
-    "NumericalError",
-    "PaperProblem",
-    "ParameterChoiceError",
-    "QuadConfig",
-    "QuadRule",
-    "RegularizationChoice",
-    "SingularMode",
-    "SolvabilityReport",
-    "Source",
-    "SpectralField",
-    "Term",
-    "TimeFractionalProblem",
-    "amplification_factor",
-    "backward_reconstruct",
-    "choose_t",
-    "composite_nodes",
-    "emit_csv",
-    "emit_plot_script",
-    "emit_surface",
-    "eigenfunction_eval",
-    "final_value",
-    "fit_rate",
-    "forward_solve",
-    "gamma_fn",
-    "gauss_legendre",
-    "hp_norm",
-    "l2_error",
-    "l2_norm",
-    "ml",
-    "ml_array",
-    "mittag_leffler",
-    "noise_audit",
-    "noisy_data",
-    "noisy_source",
-    "paper_problem",
-    "project",
-    "read_csv",
-    "reconstruct_noisy",
-    "run_fig4",
-    "run_table1",
-    "run_table2",
-    "run_table3",
-    "singular_nodes",
-    "solvability_diagnostic",
-    "synthesize",
-    "synthesize_grid",
-    "write_csv",
+    *errors.__all__,
+    *experiments.__all__,
+    *quadrature.__all__,
+    *solver.__all__,
+    *special.__all__,
+    *spectral.__all__,
     "__version__",
 ]

@@ -4,6 +4,8 @@ The CLI maps these onto stable exit codes: domain and parameter-choice
 errors exit 2, I/O errors exit 3, numerical failures exit 4.
 """
 
+__all__ = ["DomainError", "NumericalError", "ParameterChoiceError"]
+
 
 class DomainError(ValueError):
     """An argument lies outside the documented domain of an operation."""

@@ -44,7 +44,7 @@ from .solver import (
     final_value,
     reconstruct_noisy,
 )
-from .spectral import ModeSet, SpectralField, l2_error, project, synthesize_grid
+from .spectral import ModeSet, SpectralField, l2_error, project
 
 __all__ = [
     "NoiseMode",
@@ -64,7 +64,6 @@ __all__ = [
     "fit_rate",
     "emit_csv",
     "emit_plot_script",
-    "emit_surface",
 ]
 
 _PI2 = math.pi * math.pi
@@ -450,8 +449,13 @@ def run_fig4(
     """Table 3 rebadged for the rate figure, plus its sqrt_const fit."""
     t3 = run_table3(cfg, threads)
     fig = ErrorTable("fig4", t3.levels, t3.alphas, t3.rows, cfg)
-    fit_alpha = 0.8 if 0.8 in cfg.alphas else cfg.alphas[-1]
-    return fig, fit_rate(fig, "sqrt_const", alpha=fit_alpha)
+    return fig, _fig4_fit(fig)
+
+
+def _fig4_fit(fig: ErrorTable) -> FitResult:
+    """The rate figure's sqrt_const fit: alpha = 0.8 if run, else the last alpha."""
+    alpha = 0.8 if 0.8 in fig.alphas else fig.alphas[-1]
+    return fit_rate(fig, "sqrt_const", alpha=alpha)
 
 
 def emit_csv(table: ErrorTable, path: str | Path) -> None:
@@ -485,8 +489,7 @@ def emit_plot_script(
         for j, a in enumerate(table.alphas)
     ]
     if table.table_id == "fig4":
-        fit_alpha = 0.8 if 0.8 in table.alphas else table.alphas[-1]
-        C = fit_rate(table, "sqrt_const", alpha=fit_alpha).value(fit_alpha)
+        C = _fig4_fit(table).estimates[0][1]
         lines.append(f"C = {C!r}")
         curves.append("C*sqrt(x) with lines dashtype 2 title sprintf('%.3g*sqrt(eta)', C)")
     lines.append("plot \\")
@@ -497,28 +500,3 @@ def emit_plot_script(
     except OSError as exc:
         raise OSError(f"emit_plot_script: cannot write {path}: {exc}") from exc
 
-
-def emit_surface(
-    f: SpectralField, data_path: str | Path, script_path: str | Path, npts: int = 64
-) -> None:
-    """Write a synthesized surface grid and its gnuplot splot script."""
-    xs = np.linspace(0.0, math.pi, npts)
-    grid = synthesize_grid(f, xs, xs)
-    lines = []
-    for i, x in enumerate(xs):
-        for j, y in enumerate(xs):
-            lines.append(f"{float(x)!r} {float(y)!r} {float(grid[i, j])!r}")
-        lines.append("")
-    try:
-        Path(data_path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-        script = [
-            f"# gnuplot surface script; data: {Path(data_path).name}",
-            "set hidden3d",
-            "set xlabel 'x'",
-            "set ylabel 'y'",
-            f"splot '{Path(data_path).name}' using 1:2:3 with lines notitle",
-            "pause -1",
-        ]
-        Path(script_path).write_text("\n".join(script) + "\n", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise OSError(f"emit_surface: cannot write surface artifacts: {exc}") from exc

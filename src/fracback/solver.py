@@ -44,7 +44,7 @@ import numpy as np
 from .errors import DomainError, NumericalError, ParameterChoiceError
 from .quadrature import QuadConfig, singular_nodes
 from .special import ml_array
-from .spectral import Mode, ModeSet, SpectralField, project
+from .spectral import ModeSet, SpectralField, project
 
 __all__ = [
     "Term",
@@ -58,7 +58,6 @@ __all__ = [
     "backward_reconstruct",
     "reconstruct_noisy",
     "solvability_diagnostic",
-    "amplification_factor",
     "choose_t",
 ]
 
@@ -328,18 +327,6 @@ def solvability_diagnostic(
     tail = float(sums[-1] - sums[q - 1]) if L > 1 else float(sums[-1])
     verdict = "growing" if tail > 0.01 * float(sums[-1]) else "bounded"
     return SolvabilityReport(tuple(float(v) for v in sums), verdict)
-
-
-def amplification_factor(mode: Mode, tau: float, alpha: float) -> float:
-    """1 / E_{alpha,1}(-lambda tau^alpha): noise gain of the naive inversion."""
-    if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0.0):
-        raise DomainError(f"amplification_factor: tau must be positive, got {tau!r}")
-    denom = float(ml_array(float(alpha), 1.0, np.array([-mode.eigenvalue * tau**alpha]))[0])
-    if denom == 0.0:
-        raise NumericalError(
-            f"amplification_factor: E underflowed for mode {mode.indices}"
-        )
-    return 1.0 / denom
 
 
 def choose_t(

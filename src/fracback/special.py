@@ -27,7 +27,6 @@ and scatters the results back, bit-identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
 
@@ -38,7 +37,7 @@ from .errors import DomainError, NumericalError
 _LD = np.longdouble
 _LD_EPS = float(np.finfo(np.longdouble).eps)
 
-__all__ = ["MLQuery", "gamma_fn", "mittag_leffler", "ml", "ml_array"]
+__all__ = ["gamma_fn", "ml", "ml_array"]
 
 
 # ---------------------------------------------------------------------------
@@ -79,29 +78,6 @@ def _inv_gamma_log_sign(t: float) -> tuple[float, float]:
     if near % 2:
         s = -s
     return math.lgamma(1.0 - t) + math.log(abs(s)) - math.log(math.pi), math.copysign(1.0, s)
-
-
-# ---------------------------------------------------------------------------
-# query type and validation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MLQuery:
-    """Validated argument triple for the Mittag-Leffler function."""
-
-    alpha: float
-    beta: float
-    x: float
-
-    def __post_init__(self) -> None:
-        a, b, x = self.alpha, self.beta, self.x
-        if not (math.isfinite(a) and 0.0 < a <= 1.0):
-            raise DomainError(f"MLQuery: alpha must lie in (0, 1], got {a!r}")
-        if not (math.isfinite(b) and b > 0.0):
-            raise DomainError(f"MLQuery: beta must be positive, got {b!r}")
-        if not (math.isfinite(x) and x <= 0.0):
-            raise DomainError(f"MLQuery: x must be finite and <= 0, got {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +133,7 @@ def _taylor_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
         k += 1
         if k > _TAYLOR_CAP:
             raise NumericalError(
-                f"mittag_leffler: Taylor series did not converge within {_TAYLOR_CAP} "
+                f"ml_array: Taylor series did not converge within {_TAYLOR_CAP} "
                 f"terms for alpha={alpha!r}, beta={beta!r}"
             )
     return acc.astype(np.float64)
@@ -234,7 +210,7 @@ def _asym_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
         bad = floor > 3e-10 * np.abs(out[done])
         if np.any(bad):
             raise NumericalError(
-                f"mittag_leffler: asymptotic series cannot reach the accuracy "
+                f"ml_array: asymptotic series cannot reach the accuracy "
                 f"target for alpha={alpha!r}, beta={beta!r}, x={x[done[np.argmax(bad)]]!r}"
             )
         rows = rows[grow]
@@ -319,7 +295,7 @@ class _DecimalSeries:
             k = k + max(1, k // 8)
             if k > 200_000:
                 raise NumericalError(
-                    f"mittag_leffler: series length cap exceeded for "
+                    f"ml_array: series length cap exceeded for "
                     f"alpha={a!r}, beta={b!r}, |x|={absx!r}"
                 )
 
@@ -355,7 +331,7 @@ class _DecimalSeries:
                 s = s * xd + c
             if s <= 0:
                 raise NumericalError(
-                    f"mittag_leffler: extended-precision sum non-positive for "
+                    f"ml_array: extended-precision sum non-positive for "
                     f"alpha={self.alpha!r}, beta={self.beta!r}, x={x!r}"
                 )
             return float(s.ln())
@@ -390,7 +366,7 @@ class _GapCheb:
                 return
             last_err = err
         raise NumericalError(
-            f"mittag_leffler: gap surrogate failed to reach 1e-11 for "
+            f"ml_array: gap surrogate failed to reach 1e-11 for "
             f"alpha={alpha!r}, beta={beta!r} (best {last_err:.2e})"
         )
 
@@ -437,12 +413,18 @@ def _gap_cheb(alpha: float, beta: float) -> _GapCheb:
 
 def ml_array(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     """Vectorized E_{alpha,beta} over an array of non-positive arguments."""
-    MLQuery(alpha, beta, 0.0)  # validate the orders once
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError(f"ml_array: alpha must lie in (0, 1], got {alpha!r}")
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise DomainError(f"ml_array: beta must be positive, got {beta!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 0:
         x = x[None]
-    if not np.all(np.isfinite(x)) or np.any(x > 0.0):
-        raise DomainError("ml_array: arguments must be finite and <= 0")
+    bad = ~np.isfinite(x) | (x > 0.0)
+    if np.any(bad):
+        raise DomainError(
+            f"ml_array: arguments must be finite and <= 0, got {float(x[bad][0])!r}"
+        )
     if alpha == 1.0 and beta == 1.0:
         return np.exp(x)
     # each distinct argument once; the same bits (see the module docstring)
@@ -471,16 +453,11 @@ def ml_array(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
             out[m_g] = cheb.eval(np.log(y[m_g]))
     if not np.all(np.isfinite(out)):
         raise NumericalError(
-            f"mittag_leffler: non-finite value for alpha={alpha!r}, beta={beta!r}"
+            f"ml_array: non-finite value for alpha={alpha!r}, beta={beta!r}"
         )
     return out[inv].reshape(shape)
 
 
-def mittag_leffler(query: MLQuery) -> float:
-    """E_{alpha,beta}(x) for a validated query; see the module docstring."""
-    return float(ml_array(query.alpha, query.beta, np.array([query.x]))[0])
-
-
 def ml(alpha: float, beta: float, x: float) -> float:
-    """Convenience wrapper building the query in place."""
-    return mittag_leffler(MLQuery(float(alpha), float(beta), float(x)))
+    """E_{alpha,beta}(x) at one argument; see the module docstring."""
+    return float(ml_array(alpha, beta, np.array([x]))[0])

@@ -1,8 +1,8 @@
 """Sine eigen-system of the Dirichlet Laplacian on (0, pi)^d, d in {1, 2}.
 
-Provides modes and eigenvalues (lambda = m^2 or m^2 + n^2), normalized
-eigenfunctions, projection of pointwise functions onto a truncated mode
-set, synthesis back to point values, and the spectral L2 / H^p norms.
+Provides modes and eigenvalues (lambda = m^2 or m^2 + n^2), projection of
+pointwise functions onto the normalized eigenfunctions of a truncated mode
+set, the spectral L2 distance and H^p norm, and CSV output of a field.
 
 Projection detail: a composite rule with the configured subinterval count
 cannot resolve the highest retained modes (with 4 subintervals the mode-23
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -31,16 +31,10 @@ __all__ = [
     "Mode",
     "ModeSet",
     "SpectralField",
-    "eigenvalue",
-    "eigenfunction_eval",
     "project",
-    "synthesize",
-    "synthesize_grid",
-    "l2_norm",
     "l2_error",
     "hp_norm",
     "write_csv",
-    "read_csv",
 ]
 
 _DOMAIN_HI = math.pi
@@ -63,15 +57,6 @@ class Mode:
     @property
     def dimension(self) -> int:
         return len(self.indices)
-
-    @property
-    def eigenvalue(self) -> float:
-        return float(sum(i * i for i in self.indices))
-
-
-def eigenvalue(mode: Mode) -> float:
-    """Dirichlet Laplacian eigenvalue of the mode: m^2 (+ n^2 in d=2)."""
-    return mode.eigenvalue
 
 
 @dataclass(frozen=True)
@@ -155,32 +140,6 @@ class SpectralField:
         return float(self.coeffs[self.modeset.index_of(mode)])
 
 
-def _check_point(point: Sequence[float], dim: int) -> tuple[float, ...]:
-    pt = tuple(float(v) for v in (point if isinstance(point, Iterable) else (point,)))
-    if len(pt) != dim:
-        raise DomainError(f"point has {len(pt)} coordinates, expected {dim}")
-    for v in pt:
-        if not 0.0 <= v <= _DOMAIN_HI:
-            raise DomainError(f"point {pt} outside the closed box [0, pi]^{dim}")
-    return pt
-
-
-def eigenfunction_eval(mode: Mode, point: Sequence[float]) -> float:
-    """Normalized eigenfunction at a point of the closed box.
-
-    d=2: (2/pi) sin(m x) sin(n y); d=1: sqrt(2/pi) sin(m x).  On the
-    boundary the Dirichlet condition is honored exactly (sin(m*pi) in
-    floating point is only approximately zero).
-    """
-    pt = _check_point(point, mode.dimension)
-    if any(v == 0.0 or v == _DOMAIN_HI for v in pt):
-        return 0.0
-    if mode.dimension == 1:
-        return math.sqrt(2.0 / math.pi) * math.sin(mode.indices[0] * pt[0])
-    m, n = mode.indices
-    return (2.0 / math.pi) * math.sin(m * pt[0]) * math.sin(n * pt[1])
-
-
 # One entry per (function, grid); the benchmark uses two per configuration.
 @lru_cache(maxsize=32)
 def project(
@@ -211,55 +170,8 @@ def project(
     return SpectralField(modeset, coeffs.ravel())
 
 
-def synthesize(field: SpectralField, point: Sequence[float]) -> float:
-    """Evaluate the truncated series sum_k coeff[k] phi_k at one point."""
-    ms = field.modeset
-    pt = _check_point(point, ms.dimension)
-    M = ms.truncation
-    ks = np.arange(1, M + 1, dtype=np.float64)
-    if ms.dimension == 1:
-        phis = math.sqrt(2.0 / math.pi) * np.sin(ks * pt[0])
-    else:
-        phis = (
-            (2.0 / math.pi)
-            * np.outer(np.sin(ks * pt[0]), np.sin(ks * pt[1]))
-        ).ravel()
-    return math.fsum(c * p for c, p in zip(field.coeffs, phis))
-
-
-def synthesize_grid(
-    field: SpectralField, xs: np.ndarray, ys: np.ndarray | None = None
-) -> np.ndarray:
-    """Evaluate the truncated series on a tensor grid (for plots)."""
-    ms = field.modeset
-    M = ms.truncation
-    ks = np.arange(1, M + 1, dtype=np.float64)
-    xs = np.asarray(xs, dtype=np.float64)
-    if np.any(xs < 0.0) or np.any(xs > _DOMAIN_HI):
-        raise DomainError("synthesize_grid: x values outside [0, pi]")
-    sx = np.sin(np.outer(ks, xs))
-    if ms.dimension == 1:
-        return math.sqrt(2.0 / math.pi) * np.einsum(
-            "m,mi->i", field.coeffs, sx, optimize=False
-        )
-    if ys is None:
-        raise DomainError("synthesize_grid: ys required for a 2D field")
-    ys = np.asarray(ys, dtype=np.float64)
-    if np.any(ys < 0.0) or np.any(ys > _DOMAIN_HI):
-        raise DomainError("synthesize_grid: y values outside [0, pi]")
-    sy = np.sin(np.outer(ks, ys))
-    C = field.coeffs.reshape(M, M)
-    tmp = np.einsum("mn,mi->ni", C, sx, optimize=False)
-    return (2.0 / math.pi) * np.einsum("ni,nj->ij", tmp, sy, optimize=False)
-
-
-def l2_norm(field: SpectralField) -> float:
-    """Parseval norm sqrt(sum coeff^2)."""
-    return math.sqrt(math.fsum(float(c) * float(c) for c in field.coeffs))
-
-
 def l2_error(a: SpectralField, b: SpectralField) -> float:
-    """l2_norm of the coefficient difference; modesets must match."""
+    """Parseval norm of the coefficient difference; modesets must match."""
     if a.modeset != b.modeset:
         raise DomainError("l2_error: fields live on different modesets")
     return math.sqrt(
@@ -268,7 +180,7 @@ def l2_error(a: SpectralField, b: SpectralField) -> float:
 
 
 def hp_norm(field: SpectralField, p: float) -> float:
-    """Spectral Sobolev norm sqrt(sum lambda^(2p) coeff^2); p=0 is l2_norm."""
+    """Spectral Sobolev norm sqrt(sum lambda^(2p) coeff^2); p=0 gives the L2 norm."""
     if not (isinstance(p, (int, float)) and math.isfinite(p)):
         raise DomainError(f"hp_norm: p must be finite, got {p!r}")
     if p < 0.0:
@@ -291,39 +203,3 @@ def write_csv(field: SpectralField, path: str | Path) -> None:
         lines.append(f"{idx},{float(c):.17g}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
-
-def read_csv(path: str | Path) -> SpectralField:
-    """Inverse of write_csv; infers dimension and truncation from the rows."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise DomainError(f"read_csv: {path} is empty")
-    header = lines[0].strip()
-    if header == "m,n,coeff":
-        dim = 2
-    elif header == "m,coeff":
-        dim = 1
-    else:
-        raise DomainError(f"read_csv: unrecognized header {header!r}")
-    rows: dict[tuple[int, ...], float] = {}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != dim + 1:
-            raise DomainError(f"read_csv: malformed row {ln!r}")
-        try:
-            idx, c = tuple(int(p) for p in parts[:dim]), float(parts[-1])
-        except ValueError:
-            raise DomainError(f"read_csv: non-numeric field in row {ln!r}") from None
-        if idx in rows:
-            raise DomainError(f"read_csv: mode {idx} appears more than once")
-        rows[idx] = c
-    M = max((max(idx) for idx in rows), default=0)  # no rows: ModeSet rejects 0
-    ms = ModeSet(dimension=dim, truncation=M)
-    if len(rows) != ms.size:
-        raise DomainError(
-            f"read_csv: expected {ms.size} rows for truncation {M}, got {len(rows)}"
-        )
-    coeffs = np.zeros(ms.size)
-    for idx, c in rows.items():
-        coeffs[ms.index_of(Mode(idx))] = c
-    return SpectralField(ms, coeffs)

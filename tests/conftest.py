@@ -10,10 +10,13 @@ configuration that the fidelity criteria compare with the printed tables.
 
 from __future__ import annotations
 
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from fracback import (
     ExperimentConfig,
@@ -88,6 +91,9 @@ settings.register_profile(
     "fracback", max_examples=30, derandomize=True, database=None, deadline=None
 )
 settings.load_profile("fracback")
+# hypothesis also caches the literals of the test modules under its home
+# directory, ./.hypothesis by default; keep that out of the work tree.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "fracback-hypothesis")
 
 _ACCEPTANCE_LINES: list[str] = []
 

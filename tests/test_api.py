@@ -1,5 +1,6 @@
-"""Public-API guard: every exported name resolves, and every function the
-traced benchmark wraps still exists where it looks for it."""
+"""Public-API guard: every exported name resolves, the package exports
+exactly its submodules' ``__all__`` lists, and every name the benchmark
+imports or wraps still exists where it looks for it."""
 
 from __future__ import annotations
 
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import fracback
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+SUBMODULES = ("errors", "experiments", "quadrature", "solver", "special", "spectral")
 
 
 def test_all_names_resolve():
@@ -17,8 +20,34 @@ def test_all_names_resolve():
     assert [n for n in fracback.__all__ if not hasattr(fracback, n)] == []
 
 
+def test_package_exports_the_submodule_lists():
+    names = [
+        n for m in SUBMODULES for n in importlib.import_module(f"fracback.{m}").__all__
+    ]
+    assert len(set(names)) == len(names)  # no name is public in two modules
+    assert sorted(fracback.__all__) == sorted(names + ["__version__"])
+
+
+def test_benchmark_imports_resolve():
+    # parsed, not imported: the benchmark modules are read, never run
+    imported = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fracback"):
+                imported += [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [
+                    (alias.name, None)
+                    for alias in node.names
+                    if alias.name.startswith("fracback")
+                ]
+    assert any(name for _, name in imported)
+    for module, name in imported:
+        mod = importlib.import_module(module)
+        assert name is None or hasattr(mod, name), (module, name)
+
+
 def test_traced_benchmark_targets_exist():
-    # parsed, not imported: the benchmark module is read, never run
     tree = ast.parse(TRACING.read_text(encoding="utf-8"))
     targets = next(
         ast.literal_eval(node.value)

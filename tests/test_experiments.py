@@ -30,7 +30,6 @@ from fracback import (
     choose_t,
     emit_csv,
     emit_plot_script,
-    emit_surface,
     fit_rate,
     ml_array,
     noise_audit,
@@ -571,11 +570,3 @@ class TestEmit:
         emit_plot_script(table1_run[0], p, csv_name="custom.csv")
         assert "'custom.csv'" in p.read_text(encoding="utf-8")
 
-    def test_emit_surface(self, benchmark_problem, tmp_path):
-        dp, sp = tmp_path / "u0.dat", tmp_path / "u0.gp"
-        emit_surface(benchmark_problem.u0, dp, sp, npts=6)
-        lines = dp.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 6 * 7  # 6 blocks of 6 points + blank separators
-        assert lines[0].startswith("0.0 0.0 ")
-        script = sp.read_text(encoding="utf-8")
-        assert "splot" in script and "u0.dat" in script

@@ -16,12 +16,10 @@ import fracback.special as special
 from fracback import (
     DomainError,
     ExperimentConfig,
-    MLQuery,
     ModeSet,
     gamma_fn,
     ml,
     ml_array,
-    mittag_leffler,
 )
 
 from _ml_reference import ml_asymptotic, ml_ref, ml_taylor
@@ -62,28 +60,34 @@ class TestGamma:
 
 
 class TestMLQueryDomain:
+    """The (alpha, beta, x) domain that ml and ml_array both enforce."""
+
+    @staticmethod
+    def _rejected(alpha, beta, x):
+        with pytest.raises(DomainError):
+            ml(alpha, beta, x)
+        with pytest.raises(DomainError):
+            ml_array(alpha, beta, np.array([-1.0, x]))
+
     def test_alpha_out_of_range(self):
-        for alpha in (0.0, -0.3, 1.5, 2.0):
-            with pytest.raises(DomainError):
-                MLQuery(alpha, 1.0, -1.0)
+        for alpha in (0.0, -0.3, 1.5, 2.0, math.nan, math.inf):
+            self._rejected(alpha, 1.0, -1.0)
 
     def test_beta_out_of_range(self):
-        for beta in (0.0, -1.0):
-            with pytest.raises(DomainError):
-                MLQuery(0.5, beta, -1.0)
+        for beta in (0.0, -1.0, math.nan, math.inf):
+            self._rejected(0.5, beta, -1.0)
 
     def test_positive_argument_rejected(self):
-        with pytest.raises(DomainError):
-            MLQuery(0.5, 1.0, 1e-8)
+        self._rejected(0.5, 1.0, 1e-8)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(DomainError):
-            MLQuery(0.5, 1.0, -math.inf)
+        for x in (-math.inf, math.nan):
+            self._rejected(0.5, 1.0, x)
 
 
 class TestMLExamples:
     def test_at_zero(self):
-        assert mittag_leffler(MLQuery(0.7, 1.0, 0.0)) == 1.0
+        assert ml(0.7, 1.0, 0.0) == 1.0
 
     def test_exponential_point(self):
         v = ml(1.0, 1.0, -1.0)

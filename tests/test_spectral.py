@@ -1,4 +1,4 @@
-"""Spectral-basis tests: modes, projection, synthesis, norms, CSV."""
+"""Spectral-basis tests: modes, projection, norms, CSV."""
 
 from __future__ import annotations
 
@@ -14,14 +14,9 @@ from fracback import (
     NumericalError,
     QuadConfig,
     SpectralField,
-    eigenfunction_eval,
     hp_norm,
     l2_error,
-    l2_norm,
     project,
-    read_csv,
-    synthesize,
-    synthesize_grid,
     write_csv,
 )
 from _quadrature_sums import integrate_2d
@@ -29,6 +24,13 @@ from _quadrature_sums import integrate_2d
 MS2 = ModeSet(dimension=2, truncation=30)
 MS1 = ModeSet(dimension=1, truncation=30)
 CFG = QuadConfig()
+ZERO2 = SpectralField(MS2, np.zeros(900))
+
+
+def _phi(indices: tuple[int, int]):
+    """Normalized eigenfunction (2/pi) sin(m x) sin(n y) of a 2-D mode."""
+    m, n = indices
+    return lambda x, y: (2.0 / math.pi) * math.sin(m * x) * math.sin(n * y)
 
 
 def _field_with(modeset: ModeSet, mode_indices: tuple, value: float) -> SpectralField:
@@ -39,9 +41,10 @@ def _field_with(modeset: ModeSet, mode_indices: tuple, value: float) -> Spectral
 
 class TestMode:
     def test_eigenvalues(self):
-        assert Mode((1, 1)).eigenvalue == 2.0
-        assert Mode((2, 3)).eigenvalue == 13.0
-        assert Mode((4,)).eigenvalue == 16.0
+        ms2, ms1 = ModeSet(dimension=2, truncation=4), ModeSet(dimension=1, truncation=4)
+        assert ms2.eigenvalues[ms2.index_of(Mode((1, 1)))] == 2.0
+        assert ms2.eigenvalues[ms2.index_of(Mode((2, 3)))] == 13.0
+        assert ms1.eigenvalues[ms1.index_of(Mode((4,)))] == 16.0
 
     def test_invalid_indices(self):
         for bad in ((0, 1), (-2,), (1, 2, 3), ()):
@@ -82,28 +85,7 @@ class TestModeSet:
         ev = MS2.eigenvalues
         assert ev.shape == (900,)
         for k in (0, 100, 899):
-            assert ev[k] == MS2.modes[k].eigenvalue
-
-
-class TestEigenfunction:
-    def test_center_values(self):
-        c = math.pi / 2.0
-        assert abs(eigenfunction_eval(Mode((1, 1)), (c, c)) - 2.0 / math.pi) <= 1e-15
-        assert abs(eigenfunction_eval(Mode((2, 1)), (c, c))) <= 1e-15
-
-    def test_boundary_zero(self):
-        for pt in ((0.0, 1.0), (math.pi, 1.0), (1.0, 0.0), (1.0, math.pi)):
-            assert eigenfunction_eval(Mode((3, 2)), pt) == 0.0
-
-    def test_d1_normalization(self):
-        v = eigenfunction_eval(Mode((1,)), (math.pi / 2.0,))
-        assert abs(v - math.sqrt(2.0 / math.pi)) <= 1e-15
-
-    def test_outside_domain_rejected(self):
-        with pytest.raises(DomainError):
-            eigenfunction_eval(Mode((1, 1)), (-0.1, 1.0))
-        with pytest.raises(DomainError):
-            eigenfunction_eval(Mode((1,)), (3.2,))
+            assert ev[k] == sum(i * i for i in MS2.modes[k].indices)
 
 
 class TestSpectralField:
@@ -159,53 +141,28 @@ class TestProjection:
         with pytest.raises(NumericalError):
             project(lambda x, y: math.nan, MS2, CFG)
 
-
-class TestSynthesis:
-    def test_single_term(self):
-        f = _field_with(MS2, (1, 1), math.pi / 2.0)
-        got = synthesize(f, (math.pi / 2.0, math.pi / 2.0))
-        assert abs(got - 1.0) <= 1e-14
-
-    def test_zero_field(self):
-        f = SpectralField(MS2, np.zeros(900))
-        assert synthesize(f, (1.0, 2.0)) == 0.0
-
-    def test_round_trip_of_eigenfunction(self):
-        f = project(lambda x, y: eigenfunction_eval(Mode((1, 1)), (x, y)), MS2, CFG)
-        for pt in ((0.3, 2.2), (math.pi / 2, math.pi / 2), (2.9, 0.4)):
-            want = eigenfunction_eval(Mode((1, 1)), pt)
-            assert abs(synthesize(f, pt) - want) <= 1e-9
-
-    def test_grid_matches_pointwise(self):
-        f = _field_with(MS2, (2, 3), 1.25)
-        xs = np.linspace(0.0, math.pi, 7)
-        grid = synthesize_grid(f, xs, xs)
-        assert grid.shape == (7, 7)
-        for i in (0, 3, 6):
-            for j in (1, 4):
-                want = synthesize(f, (float(xs[i]), float(xs[j])))
-                assert abs(grid[i, j] - want) <= 1e-14
-
-    def test_outside_domain_rejected(self):
-        f = SpectralField(MS2, np.zeros(900))
-        with pytest.raises(DomainError):
-            synthesize(f, (4.0, 1.0))
+    def test_eigenfunction_projects_to_unit_vector(self):
+        for indices in ((1, 1), (2, 3), (7, 30)):
+            f = project(_phi(indices), MS2, CFG)
+            want = np.zeros(MS2.size)
+            want[MS2.index_of(Mode(indices))] = 1.0
+            assert float(np.max(np.abs(f.coeffs - want))) <= 1e-9, indices
 
 
 class TestNorms:
     def test_unit_coefficient(self):
         f = _field_with(MS2, (5, 6), 1.0)
-        assert l2_norm(f) == 1.0
+        assert l2_error(f, ZERO2) == 1.0
 
     def test_projected_sine_norm(self):
         f = project(lambda x, y: math.sin(x) * math.sin(y), MS2, CFG)
-        assert abs(l2_norm(f) - math.pi / 2.0) <= 1e-10
+        assert abs(l2_error(f, ZERO2) - math.pi / 2.0) <= 1e-10
 
     def test_error_identities(self):
         f = project(lambda x, y: math.sin(x) * math.sin(y), MS2, CFG)
         assert l2_error(f, f) == 0.0
         g = SpectralField(MS2, np.zeros(900))
-        assert abs(l2_error(f, g) - l2_norm(f)) <= 1e-15
+        assert abs(l2_error(f, g) - math.sqrt(np.sum(f.coeffs**2))) <= 1e-15
 
     def test_modeset_mismatch(self):
         f = SpectralField(MS2, np.zeros(900))
@@ -215,7 +172,7 @@ class TestNorms:
 
     def test_hp_examples(self):
         f = project(lambda x, y: math.sin(x) * math.sin(y), MS2, CFG)
-        assert hp_norm(f, 0.0) == l2_norm(f)
+        assert hp_norm(f, 0.0) == l2_error(f, ZERO2)
         assert abs(hp_norm(f, 1.0) - math.pi) <= 1e-9
         z = SpectralField(MS2, np.zeros(900))
         assert hp_norm(z, 2.0) == 0.0
@@ -239,12 +196,8 @@ class TestOrthonormality:
         pairs = [((1, 1), (1, 1)), ((1, 2), (1, 2)), ((10, 10), (10, 10)),
                  ((1, 1), (2, 1)), ((3, 4), (4, 3)), ((10, 9), (9, 10))]
         for a, b in pairs:
-            ma, mb = Mode(a), Mode(b)
-            got = integrate_2d(
-                lambda x, y: eigenfunction_eval(ma, (x, y))
-                * eigenfunction_eval(mb, (x, y)),
-                cfg=cfg,
-            )
+            pa, pb = _phi(a), _phi(b)
+            got = integrate_2d(lambda x, y: pa(x, y) * pb(x, y), cfg=cfg)
             want = 1.0 if a == b else 0.0
             assert abs(got - want) <= 1e-9, (a, b)
 
@@ -254,10 +207,8 @@ class TestOrthonormality:
         # asserted accurate: it exposes the benchmark recipe's coarse rule.
         # (Note some modes, e.g. (10,10), are integrated exactly by node
         # symmetry; (7,7) is not.)
-        m = Mode((7, 7))
-        got = integrate_2d(
-            lambda x, y: eigenfunction_eval(m, (x, y)) ** 2, cfg=QuadConfig()
-        )
+        p = _phi((7, 7))
+        got = integrate_2d(lambda x, y: p(x, y) ** 2, cfg=QuadConfig())
         assert math.isfinite(got)
         assert 0.0 < got < 2.0
 
@@ -268,18 +219,20 @@ class TestOrthonormality:
         ):
             pf = project(f, MS2, CFG)
             mass = integrate_2d(lambda x, y: f(x, y) ** 2, cfg=QuadConfig(subintervals=16))
-            assert l2_norm(pf) ** 2 <= mass + 1e-8
+            assert np.sum(pf.coeffs**2) <= mass + 1e-8
 
 
 class TestCsv:
     def test_round_trip_and_bytes(self, tmp_path):
+        # 17 significant digits round-trip every double exactly
         rng = np.random.default_rng(11)
         f = SpectralField(MS2, rng.normal(size=900))
         p1 = tmp_path / "f1.csv"
         p2 = tmp_path / "f2.csv"
         write_csv(f, p1)
-        g = read_csv(p1)
-        assert g.modeset == f.modeset
+        rows = [ln.split(",") for ln in p1.read_text(encoding="utf-8").splitlines()[1:]]
+        assert [tuple(int(i) for i in r[:2]) for r in rows] == [m.indices for m in MS2.modes]
+        g = SpectralField(MS2, [float(r[2]) for r in rows])
         assert np.array_equal(g.coeffs, f.coeffs)
         write_csv(g, p2)
         assert p1.read_bytes() == p2.read_bytes()
@@ -298,25 +251,3 @@ class TestCsv:
         path = tmp_path / "f1d.csv"
         write_csv(f, path)
         assert path.read_text(encoding="utf-8").splitlines()[0] == "m,coeff"
-
-    def test_read_rejects_malformed(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        # two rows cannot be a complete M^2 block for any integer M
-        path.write_text("m,n,coeff\n1,1,0.5\n1,2,0.3\n", encoding="utf-8")
-        with pytest.raises(DomainError):
-            read_csv(path)
-
-    @pytest.mark.parametrize(
-        "body",
-        [
-            "1,1,7\n1,1,3\n2,1,0.5\n2,2,0.25\n",  # a repeated mode, M^2 rows
-            "1,1,0.5\n1,2,x\n2,1,0\n2,2,0\n",  # non-numeric coefficient
-            "1,1,0.5\n1,two,0\n2,1,0\n2,2,0\n",  # non-numeric index
-            "",  # header only
-        ],
-    )
-    def test_read_rejects_bad_rows(self, tmp_path, body):
-        path = tmp_path / "bad.csv"
-        path.write_text("m,n,coeff\n" + body, encoding="utf-8")
-        with pytest.raises(DomainError):
-            read_csv(path)
