@@ -357,8 +357,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads a value such as -1e-3 or -inf as an option string, so
+# "--x -1e-3" would fail with "expected one argument"; "--x=-1e-3" does not.
+_FLOAT_FLAGS = frozenset({"--alpha", "--beta", "--x", "--t", "--eps", "--delta"})
+
+
+def _join_float_values(argv: Sequence[str]) -> list[str]:
+    """Join each float flag to a following token that float() accepts."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _FLOAT_FLAGS:
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except DomainError as exc:  # includes ParameterChoiceError

@@ -13,11 +13,11 @@ keyed to y = |x|**(1/a):
   each argument's term table grows until that term lies over two periods
   (2/a terms) of the reflection factor's |sin| before the table's end;
 * the intermediate band, where both of the above lose accuracy to
-  cancellation: a Chebyshev surrogate of log E fitted once per (a, b)
-  against an arbitrary-precision Taylor evaluation built on decimal
-  arithmetic and Spouge's gamma approximation.
+  cancellation: a Chebyshev surrogate of log E fitted to the Taylor series
+  summed in decimal arithmetic (Spouge's gamma for its coefficients).  The
+  fit is a pure, memoized function of (a, b), safe to call from threads.
 
-All paths are deterministic and pure; tables are cached per (a, b).
+All paths are deterministic and pure, and no cached value is ever mutated.
 A value depends on its argument and at most on the set of the batch's
 arguments (the Taylor stopping rule takes a batch maximum), never on
 their order or count, so ml_array evaluates each distinct argument once
@@ -269,141 +269,92 @@ def _dec_gamma(w: Decimal, a: int, coeffs: tuple[Decimal, ...]) -> Decimal:
     return ((z + half) * (z + a).ln() - (z + a)).exp() * acc
 
 
-class _DecimalSeries:
-    """Arbitrary-precision Taylor evaluation of E_{a,b} on x <= 0.
+def _decimal_log_ml(alpha: float, beta: float, xs: list[float]) -> list[float]:
+    """log E_{a,b}(x) for every x <= 0 in xs, by the Taylor series in decimal.
 
-    Coefficients 1/Gamma(a*k + b) are built once per (a, b) at the
-    precision demanded by the worst cancellation seen so far and reused
-    for every evaluation.
+    The worst cancellation, at the largest |x|, sets the working precision
+    of the whole batch and of its coefficients 1/Gamma(a*k + b); each x is
+    summed over the number of terms its own accuracy target needs.
     """
-
-    def __init__(self, alpha: float, beta: float) -> None:
-        self.alpha = alpha
-        self.beta = beta
-        self.digits = 0
-        self.work = 0
-        self.coeffs: list[Decimal] = []
-
-    def _nterms(self, absx: float, digits: int) -> int:
-        a, b = self.alpha, self.beta
-        lx = math.log(absx) if absx > 0 else -math.inf
-        target = -(digits + 8) * math.log(10.0)
-        k = 1
-        while True:
-            if k * lx - math.lgamma(a * k + b) < target and (a * k + b) ** a > absx:
-                return k
+    digits = [int(0.87 * abs(x) ** (1.0 / alpha)) + 30 for x in xs]
+    nterms = []
+    for x, d in zip(xs, digits):
+        lx, target, k = math.log(-x), -(d + 8) * math.log(10.0), 1
+        while k * lx - math.lgamma(alpha * k + beta) >= target or (alpha * k + beta) ** alpha <= -x:
             k = k + max(1, k // 8)
             if k > 200_000:
                 raise NumericalError(
                     f"ml_array: series length cap exceeded for "
-                    f"alpha={a!r}, beta={b!r}, |x|={absx!r}"
+                    f"alpha={alpha!r}, beta={beta!r}, |x|={abs(x)!r}"
                 )
-
-    def _ensure(self, digits: int, nterms: int) -> None:
-        if digits > self.digits:
-            self.digits = digits
-            spouge_a = math.ceil(1.26 * (digits + 10))
-            self.work = digits + math.ceil(0.56 * spouge_a) + 12
-            self.coeffs = []
-        if len(self.coeffs) >= nterms:
-            return
-        spouge_a = math.ceil(1.26 * (self.digits + 10))
-        coeffs = _spouge_coeffs(spouge_a, self.work)
-        da, db = Decimal(self.alpha), Decimal(self.beta)
-        with localcontext() as ctx:
-            ctx.prec = self.work
-            one = Decimal(1)
-            for k in range(len(self.coeffs), nterms):
-                self.coeffs.append(one / _dec_gamma(da * k + db, spouge_a, coeffs))
-
-    def log_eval(self, x: float) -> float:
-        """log E_{a,b}(x) for x <= 0, via the decimal series."""
-        absx = abs(x)
-        y = absx ** (1.0 / self.alpha)
-        digits = int(0.87 * y) + 30
-        nterms = self._nterms(absx, digits)
-        self._ensure(digits, nterms)
-        with localcontext() as ctx:
-            ctx.prec = self.work
-            xd = Decimal(x)
-            s = Decimal(0)
-            for c in reversed(self.coeffs[:nterms]):
+        nterms.append(k)
+    spouge_a = math.ceil(1.26 * (max(digits) + 10))
+    work = max(digits) + math.ceil(0.56 * spouge_a) + 12
+    spouge = _spouge_coeffs(spouge_a, work)
+    da, db = Decimal(alpha), Decimal(beta)
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = work
+        coeffs = [1 / _dec_gamma(da * k + db, spouge_a, spouge) for k in range(max(nterms))]
+        for x, n in zip(xs, nterms):
+            xd, s = Decimal(x), Decimal(0)
+            for c in reversed(coeffs[:n]):
                 s = s * xd + c
             if s <= 0:
                 raise NumericalError(
                     f"ml_array: extended-precision sum non-positive for "
-                    f"alpha={self.alpha!r}, beta={self.beta!r}, x={x!r}"
+                    f"alpha={alpha!r}, beta={beta!r}, x={x!r}"
                 )
-            return float(s.ln())
+            out.append(float(s.ln()))
+    return out
+
+
+def _cheb_fit(vals: list[float]) -> np.ndarray:
+    """Chebyshev coefficients of the values at the n Chebyshev-Lobatto nodes."""
+    n = len(vals)
+    coeffs = np.empty(n)
+    for k in range(n):
+        terms = [(0.5 if j in (0, n - 1) else 1.0) * vals[j] * math.cos(math.pi * k * j / (n - 1))
+                 for j in range(n)]
+        coeffs[k] = 2.0 * math.fsum(terms) / (n - 1)
+    coeffs[[0, n - 1]] *= 0.5
+    return coeffs
+
+
+def _clenshaw(fit: tuple[float, float, np.ndarray], v: np.ndarray) -> np.ndarray:
+    """The fitted series (log E) at every v, by Clenshaw's recurrence."""
+    lo, hi, coeffs = fit
+    t = (2.0 * v - lo - hi) / (hi - lo)
+    b1 = b2 = np.zeros_like(t)
+    for c in coeffs[:0:-1]:
+        b1, b2 = 2.0 * t * b1 - b2 + c, b1
+    return t * b1 - b2 + coeffs[0]
 
 
 @lru_cache(maxsize=128)
-def _decimal_series(alpha: float, beta: float) -> _DecimalSeries:
-    return _DecimalSeries(alpha, beta)
+def _gap_fit(alpha: float, beta: float) -> tuple[float, float, np.ndarray]:
+    """Chebyshev fit (lo, hi, coeffs) of v -> log E_{a,b}(-exp(a*v)) on the gap band.
 
-
-class _GapCheb:
-    """Chebyshev fit of v -> log E_{a,b}(-exp(a*v)) on the gap band."""
-
-    def __init__(self, alpha: float, beta: float, lo: float, hi: float) -> None:
-        self.lo = lo  # in v = log y
-        self.hi = hi
-        series = _decimal_series(alpha, beta)
-
-        def f(v: float) -> float:
-            return series.log_eval(-math.exp(alpha * v))
-
-        last_err = math.inf
-        for n in (65, 129, 257):
-            nodes = [
-                0.5 * (lo + hi) + 0.5 * (hi - lo) * math.cos(math.pi * j / (n - 1))
-                for j in range(n)
-            ]
-            self.coeffs = self._fit([f(v) for v in nodes])
-            checks = lo + (hi - lo) * (np.arange(16) + 0.5) / 16.0
-            err = max(abs(fv - f(v)) for fv, v in zip(self._clenshaw(checks), checks))
-            if err < 1e-11:
-                return
-            last_err = err
-        raise NumericalError(
-            f"ml_array: gap surrogate failed to reach 1e-11 for "
-            f"alpha={alpha!r}, beta={beta!r} (best {last_err:.2e})"
-        )
-
-    @staticmethod
-    def _fit(vals: list[float]) -> np.ndarray:
-        n = len(vals)
-        coeffs = np.empty(n)
-        for k in range(n):
-            terms = [
-                (0.5 if j in (0, n - 1) else 1.0)
-                * vals[j]
-                * math.cos(math.pi * k * j / (n - 1))
-                for j in range(n)
-            ]
-            coeffs[k] = 2.0 * math.fsum(terms) / (n - 1)
-        coeffs[0] *= 0.5
-        coeffs[n - 1] *= 0.5
-        return coeffs
-
-    def _clenshaw(self, v: np.ndarray) -> np.ndarray:
-        """The fitted series (log E) at every v, by Clenshaw's recurrence."""
-        t = (2.0 * v - self.lo - self.hi) / (self.hi - self.lo)
-        b1 = np.zeros_like(t)
-        b2 = np.zeros_like(t)
-        for c in self.coeffs[:0:-1]:
-            b1, b2 = 2.0 * t * b1 - b2 + c, b1
-        return t * b1 - b2 + self.coeffs[0]
-
-    def eval(self, v: np.ndarray) -> np.ndarray:
-        return np.exp(self._clenshaw(v))
-
-
-@lru_cache(maxsize=128)
-def _gap_cheb(alpha: float, beta: float) -> _GapCheb:
+    v = log y runs over [lo, hi]; coeffs is read-only.  The fit grows from
+    65 to 257 nodes until 16 check points agree with the decimal series.
+    """
     y_t, y_a = _regime_bounds(alpha, beta)
     margin = 1.02  # overlap the fit domain slightly past both thresholds
-    return _GapCheb(alpha, beta, math.log(y_t / margin), math.log(y_a * margin))
+    lo, hi = math.log(y_t / margin), math.log(y_a * margin)
+    checks = lo + (hi - lo) * (np.arange(16) + 0.5) / 16.0
+    for n in (65, 129, 257):
+        nodes = [0.5 * (lo + hi) + 0.5 * (hi - lo) * math.cos(math.pi * j / (n - 1))
+                 for j in range(n)]
+        vals = _decimal_log_ml(alpha, beta, [-math.exp(alpha * v) for v in nodes + list(checks)])
+        fit = (lo, hi, _cheb_fit(vals[:n]))
+        fit[2].flags.writeable = False
+        err = max(abs(fv - f) for fv, f in zip(_clenshaw(fit, checks), vals[n:]))
+        if err < 1e-11:
+            return fit
+    raise NumericalError(
+        f"ml_array: gap surrogate failed to reach 1e-11 for "
+        f"alpha={alpha!r}, beta={beta!r} (best {err:.2e})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +400,7 @@ def ml_array(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
                 alpha, alpha + beta, x[m_g]
             )
         else:
-            cheb = _gap_cheb(alpha, beta)
-            out[m_g] = cheb.eval(np.log(y[m_g]))
+            out[m_g] = np.exp(_clenshaw(_gap_fit(alpha, beta), np.log(y[m_g])))
     if not np.all(np.isfinite(out)):
         raise NumericalError(
             f"ml_array: non-finite value for alpha={alpha!r}, beta={beta!r}"

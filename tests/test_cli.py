@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from fracback import DomainError
+from fracback import DomainError, ml
 from fracback.cli import CliConfig, load_config, main
 
 REDUCED = {"alphas": [0.4, 0.8], "truncation": 8, "sweep": [1e-2, 1e-3]}
@@ -45,6 +45,11 @@ class TestMl:
         err = capsys.readouterr().err
         assert "fracback:" in err
         assert "alpha" in err and "(0, 1]" in err
+
+    def test_exponent_form_negative_value(self, capsys):
+        # argparse alone would read "-1e-3" as an option string
+        assert main(["ml", "--alpha", "0.5", "--beta", "1", "--x", "-1e-3"]) == 0
+        assert capsys.readouterr().out == f"{ml(0.5, 1, -1e-3):.15g}\n"
 
     def test_positive_x_rejected(self, capsys):
         assert main(["ml", "--alpha", "0.5", "--beta", "1", "--x", "2.0"]) == 2
@@ -223,11 +228,14 @@ class TestFlagValidation:
             ["forward", "--eps", "-0.5"],
             ["diagnose", "--delta", "-2"],
             ["table", "--id", "1", "--threads", "-3"],
+            ["ml", "--alpha", "0.5", "--beta", "1", "--x", "-inf"],
+            ["backward", "--t", "0.01", "--eps", "-1e-3"],
+            ["backward", "--t", "-1e-05"],
         ],
     )
     def test_bad_level_or_thread_count_exit_2(self, argv, cfg_file, tmp_path, capsys):
-        cfg = cfg_file(REDUCED)
-        assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 2
+        common = ["--config", cfg_file(REDUCED), "--out", str(tmp_path)]
+        assert main(argv if argv[0] == "ml" else argv + common) == 2
         assert "fracback: " in capsys.readouterr().err
 
 

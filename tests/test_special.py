@@ -4,6 +4,7 @@ and agreement with the independent extended-precision reference."""
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -268,8 +269,26 @@ class TestBatchInvariance:
 
             return wrapper
 
+        # fit the gap band first, so its 16 check points are not counted
+        special._gap_fit(0.6, 0.6)
+        special._gap_fit(0.6, 1.0)
         monkeypatch.setattr(special, "_taylor_vec", counting(special._taylor_vec))
         monkeypatch.setattr(special, "_asym_vec", counting(special._asym_vec))
-        monkeypatch.setattr(special._GapCheb, "eval", counting(special._GapCheb.eval))
+        monkeypatch.setattr(special, "_clenshaw", counting(special._clenshaw))
         solver._terms_at(0.6, cfg.tau, ms, cfg.quad_config(), cfg.temporal_subintervals)
         assert 0 < sum(counted) <= 387 * 17
+
+
+class TestGapFit:
+    def test_cold_fit_on_threads_gives_the_serial_bits(self):
+        # the gap fit is built on first use, so four threads that all find it
+        # missing build it at once; each must see the serial values
+        alpha = beta = 0.3
+        y_t, y_a = special._regime_bounds(alpha, beta)
+        x = -(np.geomspace(1.01 * y_t, 0.99 * y_a, 20) ** alpha)
+        special._gap_fit.cache_clear()
+        want = ml_array(alpha, beta, x)
+        special._gap_fit.cache_clear()
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda _: ml_array(alpha, beta, x), range(4), timeout=60))
+        assert all(_same_bits(g, want) for g in got)
