@@ -104,8 +104,8 @@ class ExperimentConfig:
             raise DomainError("ExperimentConfig: alphas must be non-empty")
         if any(not 0.0 < a <= 1.0 for a in self.alphas):
             raise DomainError(f"ExperimentConfig: alphas must be in (0, 1]: {self.alphas}")
-        if not (isinstance(self.tau, (int, float)) and self.tau > 0.0):
-            raise DomainError(f"ExperimentConfig: tau must be positive, got {self.tau!r}")
+        if not (isinstance(self.tau, (int, float)) and math.isfinite(self.tau) and self.tau > 0):
+            raise DomainError(f"ExperimentConfig: tau must be finite and positive: {self.tau!r}")
         for name in ("truncation", "subintervals", "points", "temporal_subintervals"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:

@@ -141,7 +141,7 @@ class TimeFractionalProblem:
             and self.tau > 0.0
         ):
             raise DomainError(
-                f"TimeFractionalProblem: tau must be positive, got {self.tau!r}"
+                f"TimeFractionalProblem: tau must be finite and positive, got {self.tau!r}"
             )
         if (
             not isinstance(self.temporal_subintervals, int)
@@ -213,12 +213,13 @@ def _terms_at(
     alpha: float, t: float, modeset: ModeSet, quad: QuadConfig, subintervals: int
 ) -> tuple[np.ndarray, ...]:
     """E_{alpha,1}(-lambda t^alpha), memory nodes s and weights w, and the
-    kernel E_{alpha,alpha}(-lambda (t-s)^alpha), for every mode at time t."""
-    lam = modeset.eigenvalues
+    kernel E_{alpha,alpha}(-lambda (t-s)^alpha), for every mode at time t,
+    evaluated once per distinct eigenvalue (387 of 900 at truncation 30)."""
+    lam, inv = np.unique(modeset.eigenvalues, return_inverse=True)
     pts, wts = singular_nodes(t, alpha, quad, subintervals=subintervals)
     X = -np.outer(lam, (t - pts) ** alpha)
-    E = ml_array(alpha, alpha, X.ravel()).reshape(X.shape)
-    return ml_array(alpha, 1.0, -lam * t**alpha), pts, wts, E
+    E = ml_array(alpha, alpha, X.ravel()).reshape(X.shape)[inv]
+    return ml_array(alpha, 1.0, -lam * t**alpha)[inv], pts, wts, E
 
 
 # ~0.1 MB per entry at the benchmark size; 16 holds every alpha of a few configurations.

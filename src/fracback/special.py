@@ -5,13 +5,15 @@ evaluated for a in (0, 1], b > 0 and x <= 0 with a three-regime scheme
 keyed to y = |x|**(1/a):
 
 * small y: truncated Taylor series in extended (80-bit) precision with
-  a term-ratio stopping rule;
+  a term-ratio stopping rule, summed over |x|**k with the odd terms
+  subtracted, which rounds exactly as the signed series;
 * large y: the divergent asymptotic series sum_{k>=1} (-1)**(k+1)
   x**(-k) / Gamma(b - a*k), truncated at its globally smallest term
   (Gorenflo, Kilbas, Mainardi & Rogosin 2014, sec. 4.7), with the
   reciprocal gamma handled in log space through the reflection formula;
   each argument's term table grows until that term lies over two periods
-  (2/a terms) of the reflection factor's |sin| before the table's end;
+  (2/a terms) of the reflection factor's |sin| before the table's end,
+  and rows are summed in cache-sized blocks, each over its own width;
 * the intermediate band, where both of the above lose accuracy to
   cancellation: a Chebyshev surrogate of log E fitted to the Taylor series
   summed in decimal arithmetic (Spouge's gamma for its coefficients).  The
@@ -108,24 +110,34 @@ _TAYLOR_CAP = 50_000
 
 
 def _taylor_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
-    """Taylor sum for a batch of non-positive x with small |x|**(1/alpha)."""
-    xl = x.astype(_LD)
-    acc = np.zeros_like(xl)
-    pw = np.ones_like(xl)
-    run = np.full_like(xl, 1e-300)
+    """Taylor sum for a batch of non-positive x with small |x|**(1/alpha).
+
+    Sums |x|**k/Gamma(alpha*k + beta) and subtracts the odd terms: rounding
+    to nearest is sign-symmetric (fl(|p|*|x|) = |fl(p*x)|, acc - |t| = acc + t),
+    so each partial sum has the bits of the signed series.  The stopping
+    rule takes the largest term ratio of the whole batch.
+    """
+    ax = np.abs(x).astype(_LD)
+    acc = np.zeros_like(ax)
+    pw = np.ones_like(ax)
+    run = np.full_like(ax, 1e-300)
+    term = np.empty_like(ax)
     k = 0
     prev_bound = math.inf
     while True:
         g = math.lgamma(alpha * k + beta)
         if g > 11300.0:  # term underflows even extended precision
             break
-        term = pw * np.exp(_LD(-g))
-        acc += term
-        at = np.abs(term)
-        run = np.maximum(run, at)
-        pw *= xl
+        np.multiply(pw, np.exp(_LD(-g)), out=term)
+        if k % 2:
+            acc -= term
+        else:
+            acc += term
+        np.maximum(run, term, out=run)
+        pw *= ax
         if k >= 4:
-            bound = float(np.max(at / run))
+            np.divide(term, run, out=term)
+            bound = float(term.max())
             ratio = min(bound / prev_bound if prev_bound > 0 else 0.0, 0.999)
             if bound / max(1.0 - ratio, 1e-3) < _LD_EPS * 1e-2:
                 break
@@ -157,6 +169,9 @@ def _asym_table(alpha: float, beta: float, kmax: int) -> tuple[np.ndarray, np.nd
     return logs, signs
 
 
+_ASYM_BLOCK = 1024  # rows x 64 columns x 8 B = 512 KB per temporary: fits in L2
+
+
 def _asym_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     """Asymptotic series truncated at the globally smallest term.
 
@@ -168,8 +183,9 @@ def _asym_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     negligible.  1/Gamma(beta - alpha*k) carries a |sin(pi*(beta - alpha*k))|
     factor of period 1/alpha in k, so a minimum within two periods of the
     table's end may be a dip of that factor, not interior.  Terms past the
-    cut are exact zeros, so a row's value does not depend on the table
-    width or on the rest of the batch.
+    cut and on poles are exact zeros, and a row's width is set by its own
+    growth alone, so a row's value does not depend on the rest of the batch
+    and rows are summed in blocks of _ASYM_BLOCK, bit for bit.
     """
     lx = np.log(np.abs(x))
     # Gamma(beta - alpha*k) sits on a pole for every k >= beta when alpha = 1
@@ -182,38 +198,48 @@ def _asym_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     kmax = 64
     while len(rows):
         logs, signs = _asym_table(alpha, beta, kmax)
-        live = np.flatnonzero(signs != 0.0)
+        pole = signs == 0.0
+        live = np.flatnonzero(~pole)
         if len(live) == 0:
             # every term sits on a Gamma pole; the algebraic part vanishes
             out[rows] = 0.0
             break
         ks = np.arange(1, kmax + 1)
-        # logmag[i, j] = -k_j*log|x_i| + log|1/Gamma(beta - alpha*k_j)|
-        logmag = -np.outer(lx[rows], ks) + logs[None, :]
-        logmag[:, signs == 0.0] = -np.inf
-        kopt = np.argmin(np.where(np.isfinite(logmag), logmag, np.inf), axis=1)
-        grow = np.zeros(len(rows), dtype=bool)
-        if not terminates and kmax < 65536:
-            # a tail already ~e^-45 below the leading term cannot matter
-            tail_big = logmag[:, live[-1]] > logmag[:, live[0]] - 45.0
-            grow = (kopt >= kmax - 1 - reach) & tail_big
-        done, logmag, kopt = rows[~grow], logmag[~grow], kopt[~grow]
-        mask = ks[None, :] <= ks[kopt][:, None]
-        vals = np.exp(np.where(mask, logmag, -np.inf)) * signs[None, :]
-        out[done] = np.sum(vals, axis=1)
-        # the first omitted non-pole term estimates the truncation error;
-        # refuse to return values the series cannot actually support
-        pos = np.searchsorted(live, kopt, side="right")
-        has_next = np.flatnonzero(pos < len(live))
-        floor = np.zeros(len(done))
-        floor[has_next] = np.exp(logmag[has_next, live[pos[has_next]]])
-        bad = floor > 3e-10 * np.abs(out[done])
-        if np.any(bad):
-            raise NumericalError(
-                f"ml_array: asymptotic series cannot reach the accuracy "
-                f"target for alpha={alpha!r}, beta={beta!r}, x={x[done[np.argmax(bad)]]!r}"
-            )
-        rows = rows[grow]
+        # poles are the only non-finite logs: +inf keeps them out of the
+        # argmin, and a rank past every k keeps them out of the sum
+        logs = np.where(pole, np.inf, logs)
+        rank = np.where(pole, kmax + 1, ks)
+        regrow = []
+        for start in range(0, len(rows), _ASYM_BLOCK):
+            blk = rows[start:start + _ASYM_BLOCK]
+            # logmag[i, j] = -k_j*log|x_i| + log|1/Gamma(beta - alpha*k_j)|
+            logmag = np.multiply.outer(-lx[blk], ks)
+            logmag += logs
+            kopt = np.argmin(logmag, axis=1)
+            if not terminates and kmax < 65536:
+                # a tail already ~e^-45 below the leading term cannot matter
+                tail_big = logmag[:, live[-1]] > logmag[:, live[0]] - 45.0
+                grow = (kopt >= kmax - 1 - reach) & tail_big
+                if np.any(grow):
+                    regrow.append(blk[grow])
+                    blk, logmag, kopt = blk[~grow], logmag[~grow], kopt[~grow]
+            vals = np.where(rank <= ks[kopt][:, None], logmag, -np.inf)
+            np.exp(vals, out=vals)
+            vals *= signs
+            out[blk] = np.sum(vals, axis=1)
+            # the first omitted non-pole term estimates the truncation error;
+            # refuse to return values the series cannot actually support
+            pos = np.searchsorted(live, kopt, side="right")
+            has_next = np.flatnonzero(pos < len(live))
+            floor = np.zeros(len(blk))
+            floor[has_next] = np.exp(logmag[has_next, live[pos[has_next]]])
+            bad = floor > 3e-10 * np.abs(out[blk])
+            if np.any(bad):
+                raise NumericalError(
+                    f"ml_array: asymptotic series cannot reach the accuracy "
+                    f"target for alpha={alpha!r}, beta={beta!r}, x={x[blk[np.argmax(bad)]]!r}"
+                )
+        rows = np.concatenate(regrow) if regrow else rows[:0]
         kmax *= 4
     return out
 
@@ -382,7 +408,8 @@ def ml_array(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     shape = x.shape
     x, inv = np.unique(x, return_inverse=True)
     out = np.empty_like(x)
-    y = np.abs(x) ** (1.0 / alpha)
+    with np.errstate(over="ignore"):  # y = inf is a valid asymptotic-band argument
+        y = np.abs(x) ** (1.0 / alpha)
     y_t, y_a = _regime_bounds(alpha, beta)
     m_t = y <= y_t
     m_a = y >= y_a

@@ -154,15 +154,16 @@ def project(
     pts, wts = composite_nodes(0.0, _DOMAIN_HI, cfg, subintervals=nsub)
     ks = np.arange(1, modeset.truncation + 1, dtype=np.float64)
     sw = np.sin(np.outer(ks, pts)) * wts[None, :]
+    grid = pts.tolist()  # f gets Python floats
     if modeset.dimension == 1:
-        vals = np.array([float(f(float(x))) for x in pts])
+        vals = np.array([f(x) for x in grid], dtype=np.float64)
         if np.isnan(vals).any():
             raise NumericalError("project: integrand returned NaN")
         coeffs = math.sqrt(2.0 / math.pi) * np.einsum(
             "mi,i->m", sw, vals, optimize=False
         )
         return SpectralField(modeset, coeffs)
-    vals = np.array([[float(f(float(x), float(y))) for y in pts] for x in pts])
+    vals = np.array([[f(x, y) for y in grid] for x in grid], dtype=np.float64)
     if np.isnan(vals).any():
         raise NumericalError("project: integrand returned NaN")
     tmp = np.einsum("mi,ij->mj", sw, vals, optimize=False)
@@ -174,9 +175,8 @@ def l2_error(a: SpectralField, b: SpectralField) -> float:
     """Parseval norm of the coefficient difference; modesets must match."""
     if a.modeset != b.modeset:
         raise DomainError("l2_error: fields live on different modesets")
-    return math.sqrt(
-        math.fsum((float(u) - float(v)) ** 2 for u, v in zip(a.coeffs, b.coeffs))
-    )
+    # Python's d ** 2 (libm pow), not numpy's d * d: the two differ in the last bit
+    return math.sqrt(math.fsum(d ** 2 for d in (a.coeffs - b.coeffs).tolist()))
 
 
 def hp_norm(field: SpectralField, p: float) -> float:

@@ -7,6 +7,8 @@ reduced configuration file so the suite stays fast.
 from __future__ import annotations
 
 import json
+import math
+import warnings
 
 import pytest
 
@@ -50,6 +52,15 @@ class TestMl:
         # argparse alone would read "-1e-3" as an option string
         assert main(["ml", "--alpha", "0.5", "--beta", "1", "--x", "-1e-3"]) == 0
         assert capsys.readouterr().out == f"{ml(0.5, 1, -1e-3):.15g}\n"
+
+    def test_overflowing_argument_warns_nothing(self, capsys):
+        # |x|**(1/alpha) overflows to inf, which is still an asymptotic-band y
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["ml", "--alpha", "0.5", "--beta", "1", "--x", "-1e300"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == f"{ml(0.5, 1, -1e300):.15g}\n"
 
     def test_positive_x_rejected(self, capsys):
         assert main(["ml", "--alpha", "0.5", "--beta", "1", "--x", "2.0"]) == 2
@@ -126,6 +137,10 @@ class TestConfig:
             argv = ["table", "--id", "1", "--config", path, "--out", str(tmp_path)]
             assert main(argv) == 2, name
             assert "sweep" in capsys.readouterr().err
+        # json reads Infinity; it used to fail later, as "tau must be positive"
+        inf_tau = cfg_file({**REDUCED, "tau": math.inf}, name="inf_tau.json")
+        assert main(["forward", "--config", inf_tau, "--t", "0"]) == 2
+        assert "tau must be finite and positive" in capsys.readouterr().err
 
 
 class TestForwardBackward:

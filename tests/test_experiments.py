@@ -80,8 +80,9 @@ class TestExperimentConfig:
             ExperimentConfig(alphas=(0.5, 1.5))
 
     def test_tau_and_seed_validation(self):
-        with pytest.raises(DomainError):
-            ExperimentConfig(tau=0.0)
+        for tau in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="finite and positive"):
+                ExperimentConfig(tau=tau)
         with pytest.raises(DomainError):
             ExperimentConfig(seed=True)
 

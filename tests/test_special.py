@@ -3,7 +3,9 @@ and agreement with the independent extended-precision reference."""
 
 from __future__ import annotations
 
+import hashlib
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
@@ -204,6 +206,39 @@ class TestMLProperties:
     def test_scalar_matches_array_path(self):
         for alpha, beta, x in ((0.3, 1.0, -7.5), (0.8, 0.8, -120.0), (1.0, 1.0, -2.0)):
             assert ml(alpha, beta, x) == float(ml_array(alpha, beta, np.array([x]))[0])
+
+
+class TestKernelBits:
+    def test_frozen_table_pairs(self):
+        # every bit of E at the eight (alpha, beta) pairs of the tables, one
+        # batch per pair; a kernel change that moves any bit fails here
+        y = np.logspace(-6, 5, 3000)
+        h = hashlib.sha256()
+        for alpha in (0.2, 0.4, 0.6, 0.8):
+            for beta in (alpha, 1.0):
+                h.update(ml_array(alpha, beta, -(y**alpha)).tobytes())
+        assert h.hexdigest() == (
+            "7b03bf13790ecb3bf5106ced7a3dd84fa3a50c493322d14edf8cac4675c1dfd1"
+        )
+
+    def test_asymptotic_blocks_match_lone_arguments(self):
+        # 2 blocks + 1 row; near y_asym most rows grow their table, so rows
+        # regrow from every block and the regrown rows span two blocks
+        alpha = beta = 0.2
+        n = 2 * special._ASYM_BLOCK + 1
+        y_a = special._regime_bounds(alpha, beta)[1]
+        x = -(np.geomspace(y_a, 10.0 * y_a, n) ** alpha)
+        alone = np.array([ml_array(alpha, beta, x[i : i + 1])[0] for i in range(n)])
+        assert _same_bits(ml_array(alpha, beta, x), alone)
+
+    def test_overflowing_y_warns_nothing(self):
+        # |x|**(1/alpha) = 1e600 overflows to inf, an asymptotic-band y;
+        # exp(-log|x| + ...) holds ~|log x| * 2**-53 ~ 8e-14 relative there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ml(0.5, 1.0, -1e300)
+        want = 1.0 / (math.sqrt(math.pi) * 1e300)
+        assert abs(got - want) <= 1e-13 * want
 
 
 class TestAsymptoticBracketing:

@@ -164,6 +164,29 @@ class TestNorms:
         g = SpectralField(MS2, np.zeros(900))
         assert abs(l2_error(f, g) - math.sqrt(np.sum(f.coeffs**2))) <= 1e-15
 
+    def test_error_keeps_the_bits_of_python_squares(self):
+        # Python's d ** 2 (libm pow) and numpy's d * d differ in the last bit
+        # for ~1 in 1,200 doubles, and a short sum can carry that to the norm
+        def reference(a, b):
+            return math.sqrt(
+                math.fsum((float(u) - float(v)) ** 2 for u, v in zip(a.coeffs, b.coeffs))
+            )
+
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            a, b = (SpectralField(MS2, rng.standard_normal(900)) for _ in range(2))
+            assert l2_error(a, b) == reference(a, b)
+        d = rng.standard_normal(200_000)
+        odd = np.array([v for v in d.tolist() if v**2 != v * v])
+        ms3 = ModeSet(dimension=1, truncation=3)
+        zero3 = SpectralField(ms3, np.zeros(3))
+        moved = 0
+        for trio in odd[: 3 * (len(odd) // 3)].reshape(-1, 3):
+            f = SpectralField(ms3, trio)
+            assert l2_error(f, zero3) == reference(f, zero3)
+            moved += l2_error(f, zero3) != math.sqrt(math.fsum((trio * trio).tolist()))
+        assert moved > 0  # these inputs tell the two squares apart
+
     def test_modeset_mismatch(self):
         f = SpectralField(MS2, np.zeros(900))
         g = SpectralField(ModeSet(dimension=2, truncation=10), np.zeros(100))
