@@ -20,10 +20,10 @@ keyed to y = |x|**(1/a):
   fit is a pure, memoized function of (a, b), safe to call from threads.
 
 All paths are deterministic and pure, and no cached value is ever mutated.
-A value depends on its argument and at most on the set of the batch's
-arguments (the Taylor stopping rule takes a batch maximum), never on
-their order or count, so ml_array evaluates each distinct argument once
-and scatters the results back, bit-identically.
+A value depends on its argument and at most on the batch's largest |x|
+(the Taylor stopping rule takes a batch maximum), never on the other
+arguments, their order or count, so ml_array evaluates each distinct
+argument once and scatters the results back, bit-identically.
 """
 
 from __future__ import annotations
@@ -107,6 +107,53 @@ def _regime_bounds(alpha: float, beta: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 _TAYLOR_CAP = 50_000
+_TAYLOR_CHUNK = 64  # terms per step of the stopping rule
+
+
+@lru_cache(maxsize=32)  # <= 32 tables of <= _TAYLOR_CAP + 1 terms: 26 MB at most
+def _taylor_coeffs(alpha: float, beta: float, kmax: int) -> np.ndarray:
+    """1/Gamma(alpha*k + beta) in extended precision for k < kmax, cut
+    before the first k whose term underflows even extended precision."""
+    logs = np.array([math.lgamma(alpha * k + beta) for k in range(kmax)])
+    cut = np.flatnonzero(logs > 11300.0)
+    coeffs = np.exp(-logs[: cut[0] if len(cut) else kmax].astype(_LD))
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+def _taylor_stop(alpha: float, beta: float, top: np.ndarray) -> tuple[int, np.ndarray]:
+    """(n, coeffs): the stopping rule's term count on the rows |x| = `top`
+    and at least n coefficients, in memory of rows x _TAYLOR_CHUNK terms.
+    multiply.accumulate is sequential: each power has a k-loop's bits."""
+    pw, run = np.ones_like(top), np.full_like(top, 1e-300)
+    k0, kmax, prev = 0, _TAYLOR_CHUNK, math.inf
+    while True:
+        coeffs = _taylor_coeffs(alpha, beta, kmax)
+        k1 = min(k0 + _TAYLOR_CHUNK, len(coeffs))
+        if k1 == k0:
+            if len(coeffs) < kmax:  # the next term underflows
+                return k0, coeffs
+            if kmax > _TAYLOR_CAP:
+                raise NumericalError(
+                    f"ml_array: Taylor series did not converge within {_TAYLOR_CAP} "
+                    f"terms for alpha={alpha!r}, beta={beta!r}"
+                )
+            kmax = min(4 * kmax, _TAYLOR_CAP + 1)
+            continue
+        pows = np.multiply.accumulate(np.vstack([pw] + [top] * (k1 - k0)), axis=0)
+        terms = pows[:-1] * coeffs[k0:k1, None]
+        runs = np.maximum.accumulate(np.vstack((run, terms)), axis=0)
+        pw, run = pows[-1], runs[-1]
+        ks = np.arange(k0, k1)
+        bound = (terms / runs[1:]).max(axis=1).astype(np.float64)
+        prevs = np.concatenate(([prev], bound[:-1]))
+        prevs[ks == 4] = math.inf  # the rule starts at k = 4
+        ratio = np.divide(bound, prevs, out=np.zeros_like(bound), where=prevs > 0.0)
+        ratio = np.minimum(ratio, 0.999)
+        stop = (bound / np.maximum(1.0 - ratio, 1e-3) < _LD_EPS * 1e-2) & (ks >= 4)
+        if stop.any():
+            return k0 + int(np.argmax(stop)) + 1, coeffs
+        k0, prev = k1, float(bound[-1])
 
 
 def _taylor_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
@@ -114,40 +161,21 @@ def _taylor_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
 
     Sums |x|**k/Gamma(alpha*k + beta) and subtracts the odd terms: rounding
     to nearest is sign-symmetric (fl(|p|*|x|) = |fl(p*x)|, acc - |t| = acc + t),
-    so each partial sum has the bits of the signed series.  The stopping
-    rule takes the largest term ratio of the whole batch.
+    so each partial sum has the bits of the signed series.  Every row gets
+    the n terms of a batch-wide stopping rule on the largest ratio
+    term_k / max(1e-300, term_0..term_k).  With c_k = 1/Gamma(alpha*k + beta)
+    that ratio is min(|x|**k c_k/1e-300, min_j |x|**(k-j) c_k/c_j), which
+    grows with |x|, and is computed to (2k+3)*2**-64 < 1e-14 relative: rows
+    below (1 - 1e-13) max|x| cannot hold the maximum (a ratio of exactly 1
+    ties), so n is decided on the rows above, from the batch's largest |x|.
     """
     ax = np.abs(x).astype(_LD)
-    acc = np.zeros_like(ax)
-    pw = np.ones_like(ax)
-    run = np.full_like(ax, 1e-300)
-    term = np.empty_like(ax)
-    k = 0
-    prev_bound = math.inf
-    while True:
-        g = math.lgamma(alpha * k + beta)
-        if g > 11300.0:  # term underflows even extended precision
-            break
-        np.multiply(pw, np.exp(_LD(-g)), out=term)
-        if k % 2:
-            acc -= term
-        else:
-            acc += term
-        np.maximum(run, term, out=run)
+    n, coeffs = _taylor_stop(alpha, beta, ax[ax >= ax.max() * (1.0 - 1e-13)])
+    acc, pw, term = np.zeros_like(ax), np.ones_like(ax), np.empty_like(ax)
+    for k in range(n):
+        np.multiply(pw, coeffs[k], out=term)
+        (np.subtract if k % 2 else np.add)(acc, term, out=acc)
         pw *= ax
-        if k >= 4:
-            np.divide(term, run, out=term)
-            bound = float(term.max())
-            ratio = min(bound / prev_bound if prev_bound > 0 else 0.0, 0.999)
-            if bound / max(1.0 - ratio, 1e-3) < _LD_EPS * 1e-2:
-                break
-            prev_bound = bound
-        k += 1
-        if k > _TAYLOR_CAP:
-            raise NumericalError(
-                f"ml_array: Taylor series did not converge within {_TAYLOR_CAP} "
-                f"terms for alpha={alpha!r}, beta={beta!r}"
-            )
     return acc.astype(np.float64)
 
 

@@ -185,13 +185,14 @@ def hp_norm(field: SpectralField, p: float) -> float:
         raise DomainError(f"hp_norm: p must be finite, got {p!r}")
     if p < 0.0:
         raise DomainError(f"hp_norm: need p >= 0, got {p}")
-    lam = field.modeset.eigenvalues
-    return math.sqrt(
-        math.fsum(
-            float(l) ** (2.0 * p) * float(c) * float(c)
-            for l, c in zip(lam, field.coeffs)
-        )
-    )
+    lam, coeffs = field.modeset.eigenvalues.tolist(), field.coeffs.tolist()
+    try:
+        total = math.fsum(l ** (2.0 * p) * c * c for l, c in zip(lam, coeffs))
+    except OverflowError:  # lambda**(2p) or a partial sum past the double range
+        total = math.inf
+    if not math.isfinite(total):
+        raise NumericalError(f"hp_norm: the norm of order p={p!r} overflows")
+    return math.sqrt(total)
 
 
 def write_csv(field: SpectralField, path: str | Path) -> None:

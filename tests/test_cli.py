@@ -62,6 +62,10 @@ class TestMl:
         assert err == ""
         assert out == f"{ml(0.5, 1, -1e300):.15g}\n"
 
+    def test_taylor_cap_exit_4(self, capsys):
+        assert main(["ml", "--alpha", "1e-300", "--beta", "1", "--x", "-1"]) == 4
+        assert "did not converge within 50000 terms" in capsys.readouterr().err
+
     def test_positive_x_rejected(self, capsys):
         assert main(["ml", "--alpha", "0.5", "--beta", "1", "--x", "2.0"]) == 2
 

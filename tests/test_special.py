@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fracback.solver as solver
@@ -20,6 +21,7 @@ from fracback import (
     DomainError,
     ExperimentConfig,
     ModeSet,
+    NumericalError,
     gamma_fn,
     ml,
     ml_array,
@@ -221,6 +223,25 @@ class TestKernelBits:
             "7b03bf13790ecb3bf5106ced7a3dd84fa3a50c493322d14edf8cac4675c1dfd1"
         )
 
+    def test_frozen_taylor_kernel(self):
+        # every bit of the Taylor kernel over its band, for each pair batched,
+        # every 97th argument alone, and batched with 0, a subnormal and ulp
+        # neighbours of the top; a change to its terms or its stop fails here
+        h = hashlib.sha256()
+        for alpha in _TAYLOR_ALPHAS:
+            for beta in _taylor_betas(alpha):
+                y_t = special._regime_bounds(alpha, beta)[0]
+                x = -(np.geomspace(1e-8, y_t, 1000) ** alpha)
+                below = np.nextafter(x[-1], 0.0)
+                edge = [0.0, -5e-324, below, np.nextafter(below, 0.0), np.nextafter(x[-1], -np.inf)]
+                h.update(special._taylor_vec(alpha, beta, x).tobytes())
+                for xi in x[::97]:
+                    h.update(special._taylor_vec(alpha, beta, np.array([xi])).tobytes())
+                h.update(special._taylor_vec(alpha, beta, np.concatenate([x, edge])).tobytes())
+        assert h.hexdigest() == (
+            "13d1ccb412cc9d424fcfaa197618f6e1d40940438dd82af3bd10cff50b3f0820"
+        )
+
     def test_asymptotic_blocks_match_lone_arguments(self):
         # 2 blocks + 1 row; near y_asym most rows grow their table, so rows
         # regrow from every block and the regrown rows span two blocks
@@ -257,6 +278,11 @@ class TestAsymptoticBracketing:
 
 
 _PAIRS = tuple((a, b) for a in (0.1, 0.2, 0.4, 0.6, 0.8) for b in (a, 1.0))
+_TAYLOR_ALPHAS = tuple(i / 10 for i in range(1, 11))
+
+
+def _taylor_betas(alpha: float) -> tuple[float, ...]:
+    return (alpha, 1.0, alpha + 1.0, 0.05, 2.0, 3.3, 0.7)
 
 
 def _past_taylor(alpha: float, beta: float, u: np.ndarray) -> np.ndarray:
@@ -312,6 +338,98 @@ class TestBatchInvariance:
         monkeypatch.setattr(special, "_clenshaw", counting(special._clenshaw))
         solver._terms_at(0.6, cfg.tau, ms, cfg.quad_config(), cfg.temporal_subintervals)
         assert 0 < sum(counted) <= 387 * 17
+
+
+def _full_batch_taylor(alpha: float, beta: float, x: np.ndarray) -> tuple[int, np.ndarray]:
+    """(term count, values) of the Taylor kernel as one loop over k that
+    takes the stopping rule's bound over every row of the batch."""
+    ax = np.abs(x).astype(np.longdouble)
+    acc = np.zeros_like(ax)
+    pw = np.ones_like(ax)
+    run = np.full_like(ax, 1e-300)
+    k, prev_bound = 0, math.inf
+    while True:
+        g = math.lgamma(alpha * k + beta)
+        if g > 11300.0:
+            return k, acc.astype(np.float64)
+        term = pw * np.exp(np.longdouble(-g))
+        if k % 2:
+            acc -= term
+        else:
+            acc += term
+        np.maximum(run, term, out=run)
+        pw *= ax
+        if k >= 4:
+            bound = float((term / run).max())
+            ratio = min(bound / prev_bound if prev_bound > 0 else 0.0, 0.999)
+            if bound / max(1.0 - ratio, 1e-3) < special._LD_EPS * 1e-2:
+                return k + 1, acc.astype(np.float64)
+            prev_bound = bound
+        k += 1
+        assert k <= special._TAYLOR_CAP
+
+
+@st.composite
+def _taylor_batches(draw):
+    """(alpha, beta, x): Taylor-band arguments, with ulp clusters at the top,
+    zeros and subnormals; beta past 171.6 puts 1/Gamma(beta) under the
+    1e-300 floor of the stopping rule's running maximum."""
+    alpha = draw(st.one_of(st.sampled_from(_TAYLOR_ALPHAS), st.floats(0.05, 1.0)))
+    beta = draw(st.one_of(st.sampled_from(_taylor_betas(alpha)), st.floats(171.7, 400.0)))
+    y_t = special._regime_bounds(alpha, beta)[0]
+    u = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16))
+    x = list(-((np.array(u) * y_t) ** alpha))
+    below = min(x)
+    for _ in range(draw(st.integers(0, 3))):
+        below = np.nextafter(below, 0.0)
+        x.append(below)
+    x += draw(st.lists(st.sampled_from([0.0, -0.0, -5e-324, -1e-310]), max_size=3))
+    return alpha, beta, np.array(x)
+
+
+# E_{1,1}(x) with x**4/24 just under the rule's threshold: the rule stops at
+# k = 4 only if its first ratio of bounds counts as 0
+_FIRST_BOUND_EDGE = -((24.0 * special._LD_EPS * 1e-2) ** 0.25) * (1.0 - 1e-7)
+
+
+class TestTaylorStop:
+    @settings(max_examples=300)
+    @given(batch=_taylor_batches())
+    @example(batch=(1.0, 1.0, np.array([_FIRST_BOUND_EDGE])))
+    def test_top_rows_decide_the_full_batch_stop(self, batch):
+        alpha, beta, x = batch
+        n, want = _full_batch_taylor(alpha, beta, x)
+        ax = np.abs(x).astype(np.longdouble)
+        assert special._taylor_stop(alpha, beta, ax)[0] == n
+        assert special._taylor_stop(alpha, beta, ax[ax >= ax.max() * (1.0 - 1e-13)])[0] == n
+        assert _same_bits(special._taylor_vec(alpha, beta, x), want)
+
+    @given(u=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=12))
+    def test_value_depends_on_the_argument_and_the_batch_top(self, u):
+        for alpha, beta in _PAIRS:
+            y_t = special._regime_bounds(alpha, beta)[0]
+            x = -((0.99 * y_t * np.array(u)) ** alpha)
+            top = x[np.argmax(np.abs(x))]
+            out = ml_array(alpha, beta, x)
+            for i in range(len(x)):
+                pair = ml_array(alpha, beta, np.array([x[i], top]))
+                assert _same_bits(out[i : i + 1], pair[:1]), (alpha, beta, x[i])
+
+    def test_cap_raises_in_bounded_memory(self):
+        # alpha = 1e-300 makes every coefficient 1/Gamma(1 + ~0) = 1, so at
+        # x = -1 no term shrinks and the rule runs into the cap
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalError, match="did not converge within 50000 terms"):
+                ml(1e-300, 1.0, -1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        # the coefficient tables stop growing at the cap, which bounds the memo
+        longest = special._taylor_coeffs(1e-300, 1.0, special._TAYLOR_CAP + 1)
+        assert len(longest) == special._TAYLOR_CAP + 1
+        assert special._taylor_coeffs.cache_info().maxsize * longest.nbytes <= 32 * 2**20
 
 
 class TestGapFit:

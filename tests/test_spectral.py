@@ -211,6 +211,16 @@ class TestNorms:
         with pytest.raises(DomainError):
             hp_norm(f, -0.5)
 
+    def test_overflow_is_numerical_error(self):
+        # 1800**400 overflows a double; so does the product 4 * 1e200**2
+        cases = [
+            (SpectralField(MS2, np.ones(900)), 200.0),
+            (SpectralField(ModeSet(dimension=1, truncation=2), [1e200, 1e200]), 1.0),
+        ]
+        for f, p in cases:
+            with pytest.raises(NumericalError, match="overflows"):
+                hp_norm(f, p)
+
 
 class TestOrthonormality:
     def test_refined_quadrature(self):
