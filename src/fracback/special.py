@@ -16,8 +16,9 @@ keyed to y = |x|**(1/a):
   and rows are summed in cache-sized blocks, each over its own width;
 * the intermediate band, where both of the above lose accuracy to
   cancellation: a Chebyshev surrogate of log E fitted to the Taylor series
-  summed in decimal arithmetic (Spouge's gamma for its coefficients).  The
-  fit is a pure, memoized function of (a, b), safe to call from threads.
+  summed in decimal arithmetic, its coefficients 1/Gamma(a*k + b) one table
+  from Stirling's series.  The fit is a pure, memoized function of (a, b),
+  safe to call from threads.
 
 All paths are deterministic and pure, and no cached value is ever mutated.
 A value depends on its argument and at most on the batch's largest |x|
@@ -29,7 +30,8 @@ argument once and scatters the results back, bit-identically.
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -292,35 +294,60 @@ def _dec_pi() -> Decimal:
     return +s
 
 
-@lru_cache(maxsize=16)
-def _spouge_coeffs(a: int, prec: int) -> tuple[Decimal, ...]:
-    """Spouge coefficients c_0..c_{a-1} computed at `prec` digits."""
-    with localcontext() as ctx:
-        ctx.prec = prec
-        pi = _dec_pi()
-        out = [(2 * pi).sqrt()]
-        e = Decimal(1).exp()
-        fact = Decimal(1)
-        for k in range(1, a):
-            if k > 1:
-                fact *= k - 1
-            amk = Decimal(a - k)
-            c = amk.ln() * (Decimal(k) - Decimal("0.5"))
-            c = c.exp() * (e ** (a - k)) / fact
-            out.append(c if k % 2 else -c)
-    return tuple(out)
+_STIRLING_TERMS = 30
 
 
-def _dec_gamma(w: Decimal, a: int, coeffs: tuple[Decimal, ...]) -> Decimal:
-    """Gamma(w) for w > 0 in the current decimal context via Spouge."""
-    if w < 1:
-        return _dec_gamma(w + 1, a, coeffs) / w
-    z = w - 1
-    acc = coeffs[0]
-    for k in range(1, a):
-        acc += coeffs[k] / (z + k)
-    half = Decimal("0.5")
-    return ((z + half) * (z + a).ln() - (z + a)).exp() * acc
+@lru_cache(maxsize=1)
+def _stirling_coeffs() -> tuple[Fraction, ...]:
+    """B_2m / (2m (2m - 1)) for m = 1.._STIRLING_TERMS + 1, exactly: the terms
+    of Stirling's series log Gamma(z) ~ (z - 1/2) log z - z + log sqrt(2 pi)
+    + sum_m B_2m / (2m (2m - 1) z**(2m - 1))."""
+    b = [Fraction(1)]  # Bernoulli numbers: sum_{j <= n} C(n + 1, j) B_j = 0
+    for n in range(1, 2 * _STIRLING_TERMS + 3):
+        b.append(-sum(math.comb(n + 1, j) * b[j] for j in range(n)) / (n + 1))
+    return tuple(b[2 * m] / (2 * m * (2 * m - 1)) for m in range(1, _STIRLING_TERMS + 2))
+
+
+def _rgamma_table(alpha: float, beta: float, n: int) -> list[Decimal]:
+    """1/Gamma(beta + alpha*k) for k < n in the current decimal context.
+
+    Stirling's series at z = w + s >= Z, where Z puts the first omitted term
+    below 10**-prec, and 1/Gamma(w) = w (w + 1) ... (w + s - 1) / Gamma(z).
+    log z is carried from one z to the next, log z = log z' + 2 atanh(u) with
+    u = (z - z')/(z + z') and |u| <= max(alpha, 1)/(2Z), so the table calls
+    Decimal.ln once and each coefficient costs one exp.
+    """
+    prec = getcontext().prec
+    cs = _stirling_coeffs()
+    zmin = math.ceil(10.0 ** ((prec + math.log10(abs(cs[-1]))) / (2 * _STIRLING_TERMS + 1)))
+    cs = [Decimal(c.numerator) / c.denominator for c in reversed(cs[:-1])]
+    half, scale = Decimal("0.5"), 1 / (2 * _dec_pi()).sqrt()
+    da, db = Decimal(alpha), Decimal(beta)
+    out = []
+    for k in range(n):
+        w = da * k + db
+        s = max(0, math.ceil(zmin - w))
+        z = w + s
+        if k == 0:
+            lz = z.ln()
+        else:
+            u = (z - prev) / (z + prev)
+            u2, t, j, acc, last = u * u, u, 1, u, 0
+            while acc != last:
+                last = acc
+                t *= u2
+                j += 2
+                acc += t / j
+            lz += 2 * acc
+        r, h = 1 / (z * z), Decimal(0)
+        for c in cs:
+            h = h * r + c
+        g = (z - (z - half) * lz - h / z).exp() * scale
+        for i in range(s):
+            g *= w + i
+        out.append(g)
+        prev = z
+    return out
 
 
 def _decimal_log_ml(alpha: float, beta: float, xs: list[float]) -> list[float]:
@@ -342,14 +369,10 @@ def _decimal_log_ml(alpha: float, beta: float, xs: list[float]) -> list[float]:
                     f"alpha={alpha!r}, beta={beta!r}, |x|={abs(x)!r}"
                 )
         nterms.append(k)
-    spouge_a = math.ceil(1.26 * (max(digits) + 10))
-    work = max(digits) + math.ceil(0.56 * spouge_a) + 12
-    spouge = _spouge_coeffs(spouge_a, work)
-    da, db = Decimal(alpha), Decimal(beta)
     out = []
     with localcontext() as ctx:
-        ctx.prec = work
-        coeffs = [1 / _dec_gamma(da * k + db, spouge_a, spouge) for k in range(max(nterms))]
+        ctx.prec = max(digits) + 17  # coefficients to 10**-(max(digits) + 10) relative
+        coeffs = _rgamma_table(alpha, beta, max(nterms))
         for x, n in zip(xs, nterms):
             xd, s = Decimal(x), Decimal(0)
             for c in reversed(coeffs[:n]):

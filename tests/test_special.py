@@ -3,11 +3,14 @@ and agreement with the independent extended-precision reference."""
 
 from __future__ import annotations
 
+import decimal
 import hashlib
 import math
+import re
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -26,6 +29,7 @@ from fracback import (
     ml,
     ml_array,
 )
+from fracback.cli import main
 
 from _ml_reference import ml_asymptotic, ml_ref, ml_taylor
 
@@ -445,3 +449,80 @@ class TestGapFit:
         with ThreadPoolExecutor(max_workers=4) as pool:
             got = list(pool.map(lambda _: ml_array(alpha, beta, x), range(4), timeout=60))
         assert all(_same_bits(g, want) for g in got)
+
+    def test_frozen_gap_fits(self):
+        # every coefficient of five cold fits, taken before the 1/Gamma table
+        # moved from Spouge to Stirling, over all three _regime_bounds
+        # branches: beta = alpha, beta in [0.5, 2.5], beta < 0.5 or > 2.5
+        h = hashlib.sha256()
+        for alpha, beta in ((0.2, 0.2), (0.5, 0.5), (0.8, 1.0), (0.4, 0.45), (0.9, 3.3)):
+            h.update(special._gap_fit.__wrapped__(alpha, beta)[2].tobytes())
+        assert h.hexdigest() == (
+            "8289d7a53cd25bcf174dc4e4251c44c4cec71245f2525c0927cb6ce7837a2bfc"
+        )
+
+    def test_reciprocal_gamma_table_matches_mpmath(self, monkeypatch):
+        # the table of a real (0.2, 0.2) fit, at the precision the fit chose,
+        # holds 10**-(D + 10) relative, D = 61 the digits of its largest |x|
+        # (0.87 * 1.02 * 36 + 30): no worse than the Spouge bound it replaced
+        calls = []
+        table = special._rgamma_table
+
+        def spy(alpha, beta, n):
+            calls.append((decimal.getcontext().prec, n, table(alpha, beta, n)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(special, "_rgamma_table", spy)
+        special._gap_fit.__wrapped__(0.2, 0.2)
+        (prec, n, got), = calls
+        with decimal.localcontext() as ctx:
+            ctx.prec = prec
+            low = special._rgamma_table(0.2, 0.05, 64)  # w = 0.05 + 0.2k < 13
+        tol = mp.mpf(10) ** -(61 + 10)
+        # Stirling's series starts at z = 66 here: k < 329 are shifted up to
+        # it, larger k are not; the largest k has the largest |log Gamma|
+        cases = [(0.2, k, got[k]) for k in [*range(0, n, 29), n - 1]]
+        cases += [(0.05, k, c) for k, c in enumerate(low)]
+        with mp.workdps(prec + 30):
+            for beta, k, c in cases:
+                want = mp.rgamma(mp.mpf(0.2) * k + mp.mpf(beta))
+                assert abs(mp.mpf(str(c)) / want - 1) <= tol, (beta, k)
+
+    @pytest.fixture()
+    def fresh_fits(self, monkeypatch):
+        # a private memo, so a fit another test cached cannot skip the code
+        monkeypatch.setattr(special, "_gap_fit", lru_cache(maxsize=128)(special._gap_fit.__wrapped__))
+
+    @staticmethod
+    def _fails(capsys, alpha, y, message):
+        x = -(y**alpha)
+        with pytest.raises(NumericalError, match=message):
+            ml(alpha, 1.0, x)
+        assert main(["ml", "--alpha", repr(alpha), "--beta", "1", "--x", repr(x)]) == 4
+        assert re.search(message, capsys.readouterr().err)
+
+    def test_series_length_cap_raises_before_decimal_work(self, monkeypatch, fresh_fits, capsys):
+        # alpha = 1e-4: the terms shrink only once alpha*k + 1 > y, which at
+        # the fit's first node (y = 1.02 * 28) takes k > 275,000, past the cap
+        def table(*args):
+            raise AssertionError("decimal work started")
+
+        monkeypatch.setattr(special, "_rgamma_table", table)
+        self._fails(capsys, 1e-4, 10.0, "series length cap exceeded")
+
+    def test_non_positive_sum_raises(self, monkeypatch, fresh_fits, capsys):
+        table = special._rgamma_table
+        monkeypatch.setattr(special, "_rgamma_table", lambda *args: [-c for c in table(*args)])
+        self._fails(capsys, 0.9, 10.0, "extended-precision sum non-positive")
+
+    def test_fit_that_misses_the_target_at_257_nodes_raises(self, monkeypatch, fresh_fits, capsys):
+        sizes = []
+        clenshaw = special._clenshaw
+
+        def off(fit, v):
+            sizes.append(len(fit[2]))
+            return clenshaw(fit, v) + 1e-10
+
+        monkeypatch.setattr(special, "_clenshaw", off)
+        self._fails(capsys, 0.9, 10.0, r"failed to reach 1e-11 .* \(best 1\.00e-10\)")
+        assert sizes == [65, 129, 257] * 2
