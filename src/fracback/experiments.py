@@ -44,7 +44,7 @@ from .solver import (
     final_value,
     reconstruct_noisy,
 )
-from .spectral import ModeSet, SpectralField, l2_error, project
+from .spectral import ModeSet, SpectralField, hp_norm, l2_error, project
 
 __all__ = [
     "NoiseMode",
@@ -74,6 +74,17 @@ class NoiseMode(str, Enum):
 
     PAPER_CONSTANT = "paper_constant"
     SEEDED_RANDOM = "seeded_random"
+
+
+def _noise_recipe(where: str, mode: NoiseMode | str, seed: int) -> NoiseMode:
+    """mode as a NoiseMode, after checking it and the seed (an integer >= 0)."""
+    try:
+        mode = NoiseMode(mode)
+    except ValueError:
+        raise DomainError(f"{where}: unknown noise mode {mode!r}") from None
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise DomainError(f"{where}: seed must be an integer >= 0, got {seed!r}")
+    return mode
 
 
 @dataclass(frozen=True)
@@ -123,12 +134,10 @@ class ExperimentConfig:
                 raise DomainError(
                     f"ExperimentConfig: sweep must be strictly decreasing: {self.sweep}"
                 )
-        if not isinstance(self.noise_mode, NoiseMode):
-            object.__setattr__(self, "noise_mode", NoiseMode(self.noise_mode))
+        mode = _noise_recipe("ExperimentConfig", self.noise_mode, self.seed)
+        object.__setattr__(self, "noise_mode", mode)
         if not isinstance(self.singular_mode, SingularMode):
             object.__setattr__(self, "singular_mode", SingularMode(self.singular_mode))
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise DomainError(f"ExperimentConfig: seed must be an integer, got {self.seed!r}")
 
     def quad_config(self) -> QuadConfig:
         return QuadConfig(
@@ -248,6 +257,7 @@ def noisy_source(
     """
     if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps >= 0.0):
         raise DomainError(f"noisy_source: eps must be >= 0, got {eps!r}")
+    mode = _noise_recipe("noisy_source", mode, seed)
     if eps == 0.0:
         return source
     if mode is NoiseMode.PAPER_CONSTANT:
@@ -267,6 +277,7 @@ def noisy_data(
     """Final data perturbed at level delta (constant +delta/2, or random)."""
     if not (isinstance(delta, (int, float)) and math.isfinite(delta) and delta >= 0.0):
         raise DomainError(f"noisy_data: delta must be >= 0, got {delta!r}")
+    mode = _noise_recipe("noisy_data", mode, seed)
     if delta == 0.0:
         return g
     if mode is NoiseMode.PAPER_CONSTANT:
@@ -289,14 +300,10 @@ def noise_audit(level: float, modeset: ModeSet, quad: QuadConfig) -> NoiseAudit:
     """Report how far the +level/2 constant shift exceeds the nominal bound."""
     if not (isinstance(level, (int, float)) and math.isfinite(level) and level >= 0.0):
         raise DomainError(f"noise_audit: level must be >= 0, got {level!r}")
-    ones = project(_unit, modeset, quad)
-    trunc = (level / 2.0) * math.sqrt(
-        math.fsum(float(c) * float(c) for c in ones.coeffs)
-    )
     return NoiseAudit(
         nominal=float(level),
         function_norm=(level / 2.0) * math.pi,
-        truncated_norm=trunc,
+        truncated_norm=(level / 2.0) * hp_norm(project(_unit, modeset, quad), 0.0),
     )
 
 

@@ -4,9 +4,10 @@ The Mittag-Leffler function E_{a,b}(x) = sum_k x^k / Gamma(a*k + b) is
 evaluated for a in (0, 1], b > 0 and x <= 0 with a three-regime scheme
 keyed to y = |x|**(1/a):
 
-* small y: truncated Taylor series in extended (80-bit) precision with
-  a term-ratio stopping rule, summed over |x|**k with the odd terms
-  subtracted, which rounds exactly as the signed series;
+* small y: truncated Taylor series in extended (80-bit) precision,
+  summed over |x|**k with the odd terms subtracted, which rounds exactly
+  as the signed series, in one loop over k that also decides a term-ratio
+  stopping rule on the rows at the batch's largest |x|;
 * large y: the divergent asymptotic series sum_{k>=1} (-1)**(k+1)
   x**(-k) / Gamma(b - a*k), truncated at its globally smallest term
   (Gorenflo, Kilbas, Mainardi & Rogosin 2014, sec. 4.7), with the
@@ -29,6 +30,7 @@ argument once and scatters the results back, bit-identically.
 
 from __future__ import annotations
 
+import itertools
 import math
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
@@ -109,7 +111,6 @@ def _regime_bounds(alpha: float, beta: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 _TAYLOR_CAP = 50_000
-_TAYLOR_CHUNK = 64  # terms per step of the stopping rule
 
 
 @lru_cache(maxsize=32)  # <= 32 tables of <= _TAYLOR_CAP + 1 terms: 26 MB at most
@@ -123,41 +124,6 @@ def _taylor_coeffs(alpha: float, beta: float, kmax: int) -> np.ndarray:
     return coeffs
 
 
-def _taylor_stop(alpha: float, beta: float, top: np.ndarray) -> tuple[int, np.ndarray]:
-    """(n, coeffs): the stopping rule's term count on the rows |x| = `top`
-    and at least n coefficients, in memory of rows x _TAYLOR_CHUNK terms.
-    multiply.accumulate is sequential: each power has a k-loop's bits."""
-    pw, run = np.ones_like(top), np.full_like(top, 1e-300)
-    k0, kmax, prev = 0, _TAYLOR_CHUNK, math.inf
-    while True:
-        coeffs = _taylor_coeffs(alpha, beta, kmax)
-        k1 = min(k0 + _TAYLOR_CHUNK, len(coeffs))
-        if k1 == k0:
-            if len(coeffs) < kmax:  # the next term underflows
-                return k0, coeffs
-            if kmax > _TAYLOR_CAP:
-                raise NumericalError(
-                    f"ml_array: Taylor series did not converge within {_TAYLOR_CAP} "
-                    f"terms for alpha={alpha!r}, beta={beta!r}"
-                )
-            kmax = min(4 * kmax, _TAYLOR_CAP + 1)
-            continue
-        pows = np.multiply.accumulate(np.vstack([pw] + [top] * (k1 - k0)), axis=0)
-        terms = pows[:-1] * coeffs[k0:k1, None]
-        runs = np.maximum.accumulate(np.vstack((run, terms)), axis=0)
-        pw, run = pows[-1], runs[-1]
-        ks = np.arange(k0, k1)
-        bound = (terms / runs[1:]).max(axis=1).astype(np.float64)
-        prevs = np.concatenate(([prev], bound[:-1]))
-        prevs[ks == 4] = math.inf  # the rule starts at k = 4
-        ratio = np.divide(bound, prevs, out=np.zeros_like(bound), where=prevs > 0.0)
-        ratio = np.minimum(ratio, 0.999)
-        stop = (bound / np.maximum(1.0 - ratio, 1e-3) < _LD_EPS * 1e-2) & (ks >= 4)
-        if stop.any():
-            return k0 + int(np.argmax(stop)) + 1, coeffs
-        k0, prev = k1, float(bound[-1])
-
-
 def _taylor_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     """Taylor sum for a batch of non-positive x with small |x|**(1/alpha).
 
@@ -165,19 +131,44 @@ def _taylor_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     to nearest is sign-symmetric (fl(|p|*|x|) = |fl(p*x)|, acc - |t| = acc + t),
     so each partial sum has the bits of the signed series.  Every row gets
     the n terms of a batch-wide stopping rule on the largest ratio
-    term_k / max(1e-300, term_0..term_k).  With c_k = 1/Gamma(alpha*k + beta)
-    that ratio is min(|x|**k c_k/1e-300, min_j |x|**(k-j) c_k/c_j), which
-    grows with |x|, and is computed to (2k+3)*2**-64 < 1e-14 relative: rows
-    below (1 - 1e-13) max|x| cannot hold the maximum (a ratio of exactly 1
-    ties), so n is decided on the rows above, from the batch's largest |x|.
+    term_k / max(1e-300, term_0..term_k), decided in the sum loop itself.
+    With c_k = 1/Gamma(alpha*k + beta) that ratio is min(|x|**k c_k/1e-300,
+    min_j |x|**(k-j) c_k/c_j), which grows with |x|, and is computed to
+    (2k+3)*2**-64 < 1e-14 relative: rows below (1 - 1e-13) max|x| cannot
+    hold the maximum (a ratio of exactly 1 ties), so the rule reads only the
+    few rows above, as scalars, and n follows from the batch's largest |x|.
     """
     ax = np.abs(x).astype(_LD)
-    n, coeffs = _taylor_stop(alpha, beta, ax[ax >= ax.max() * (1.0 - 1e-13)])
+    top = np.flatnonzero(ax >= ax.max() * (1.0 - 1e-13)).tolist()
+    runs = [_LD(1e-300)] * len(top)
     acc, pw, term = np.zeros_like(ax), np.ones_like(ax), np.empty_like(ax)
-    for k in range(n):
+    kmax, prev = 64, math.inf
+    coeffs = _taylor_coeffs(alpha, beta, kmax)
+    for k in itertools.count():
+        if k == kmax:
+            if kmax > _TAYLOR_CAP:
+                raise NumericalError(
+                    f"ml_array: Taylor series did not converge within {_TAYLOR_CAP} "
+                    f"terms for alpha={alpha!r}, beta={beta!r}"
+                )
+            kmax = min(4 * kmax, _TAYLOR_CAP + 1)
+            coeffs = _taylor_coeffs(alpha, beta, kmax)
+        if k == len(coeffs):  # the next term underflows
+            break
         np.multiply(pw, coeffs[k], out=term)
         (np.subtract if k % 2 else np.add)(acc, term, out=acc)
         pw *= ax
+        bound = 0.0
+        for j, i in enumerate(top):
+            t = term[i]
+            if t > runs[j]:
+                runs[j] = t
+            bound = max(bound, float(t / runs[j]))
+        if k >= 4:  # the rule starts at k = 4, where prev = inf makes the ratio 0
+            ratio = min(bound / prev if prev > 0.0 else 0.0, 0.999)
+            if bound / max(1.0 - ratio, 1e-3) < _LD_EPS * 1e-2:
+                break
+            prev = bound
     return acc.astype(np.float64)
 
 

@@ -3,9 +3,11 @@
 The REF_* dictionaries freeze the error tables as printed for the
 benchmark problem.  The expensive table runs are session-scoped so the
 experiment and acceptance tests share them; each is timed for the
-runtime criteria.  Two sets of runs exist: the default configuration,
-which every pin of this implementation is taken on, and the 6-point
-configuration that the fidelity criteria compare with the printed tables.
+runtime criteria.  So are the mpmath Mittag-Leffler references that the
+special-function and acceptance tests both check against.  Two sets of
+runs exist: the default configuration, which every pin of this
+implementation is taken on, and the 6-point configuration that the
+fidelity criteria compare with the printed tables.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import tempfile
 import time
 from pathlib import Path
 
+import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -25,6 +29,8 @@ from fracback import (
     run_table2,
     run_table3,
 )
+
+from _ml_reference import ml_ref
 
 # Printed error values for the benchmark problem, one column per alpha,
 # rows in the order of the default level sweeps (t = 1e-2 .. 1e-9 for
@@ -114,6 +120,35 @@ def _timed_run(run, cfg):
     start = time.perf_counter()
     table = run(cfg, threads=1)
     return table, time.perf_counter() - start
+
+
+@pytest.fixture(scope="session")
+def ml_ref_triples() -> list[tuple[float, float, float, float]]:
+    """200 (alpha, beta, x, reference E_{alpha,beta}(x)) drawn from seed
+    20240817: |x| log-uniform on [1e-6, 1e5] at even draws, uniform on
+    [0, 1e5] at odd ones."""
+    rng = np.random.default_rng(20240817)
+    triples = []
+    for k in range(200):
+        alpha = float(rng.uniform(0.05, 1.0))
+        beta = float(rng.uniform(0.1, 3.8))
+        if k % 2 == 0:
+            x = -float(10.0 ** rng.uniform(-6.0, 5.0))
+        else:
+            x = -float(rng.uniform(0.0, 1e5))
+        triples.append((alpha, beta, x, ml_ref(alpha, beta, x)))
+    return triples
+
+
+@pytest.fixture(scope="session")
+def erfc_refs() -> tuple[np.ndarray, list[float]]:
+    """(xs, E_{1/2,1}(xs)) at 121 points of [-30, 0], E_{1/2,1}(x) =
+    e^{x^2} erfc(-x); the two factors overflow/underflow in doubles, so the
+    product is formed in mpmath."""
+    xs = np.linspace(-30.0, 0.0, 121)
+    with mp.workdps(60):
+        want = [float(mp.exp(mp.mpf(float(x)) ** 2) * mp.erfc(-mp.mpf(float(x)))) for x in xs]
+    return xs, want
 
 
 @pytest.fixture(scope="session")

@@ -145,6 +145,13 @@ class TestConfig:
         inf_tau = cfg_file({**REDUCED, "tau": math.inf}, name="inf_tau.json")
         assert main(["forward", "--config", inf_tau, "--t", "0"]) == 2
         assert "tau must be finite and positive" in capsys.readouterr().err
+        # checked on load: numpy's generators take no negative seed
+        neg_seed = cfg_file(
+            {**REDUCED, "seed": -1, "noise_mode": "seeded_random"}, name="neg_seed.json"
+        )
+        argv = ["backward", "--config", neg_seed, "--eps", "1e-3", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
 
 
 class TestForwardBackward:

@@ -85,6 +85,11 @@ class TestExperimentConfig:
                 ExperimentConfig(tau=tau)
         with pytest.raises(DomainError):
             ExperimentConfig(seed=True)
+        # numpy's generators reject a negative seed only when noise is drawn
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            ExperimentConfig(seed=-1, noise_mode="seeded_random")
+        with pytest.raises(DomainError, match="unknown noise mode"):
+            ExperimentConfig(noise_mode="bogus")
 
     def test_empty_sweep_rejected(self):
         # an empty sweep used to fall back silently to the default levels
@@ -246,6 +251,26 @@ class TestNoise:
             noisy_source(src, -1e-3, self.MS)
         with pytest.raises(DomainError):
             noisy_data(pp.finals[0.5], -1e-3, self.QUAD)
+
+    def test_mode_strings_coerced_and_bad_recipes_rejected(self):
+        # a mode given by its value takes the enum's recipe, bit for bit
+        pp = paper_problem(small_config(truncation=6))
+        g, src, s = pp.finals[0.5], self.base_source(), np.array([0.5])
+        for mode in NoiseMode:
+            want = noisy_data(g, 1e-3, pp.quad, mode=mode, seed=7)
+            got = noisy_data(g, 1e-3, pp.quad, mode=mode.value, seed=7)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes(), mode
+            want = noisy_source(src, 1e-3, self.MS, mode=mode, seed=7)
+            got = noisy_source(src, 1e-3, self.MS, mode=mode.value, seed=7)
+            assert np.array_equal(
+                got.coefficient_batch(self.MS, self.QUAD, s),
+                want.coefficient_batch(self.MS, self.QUAD, s),
+            ), mode
+        for kwargs in ({"mode": "bogus"}, {"seed": -1}, {"mode": "seeded_random", "seed": -1}):
+            with pytest.raises(DomainError):
+                noisy_data(g, 1e-3, pp.quad, **kwargs)
+            with pytest.raises(DomainError):
+                noisy_source(src, 1e-3, self.MS, **kwargs)
 
     def test_constant_data_shift_mode_13(self):
         pp = paper_problem(small_config(truncation=6))
