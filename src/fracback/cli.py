@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, check_int
 from .experiments import (
     ErrorTable,
     ExperimentConfig,
@@ -96,10 +96,7 @@ class CliConfig:
     def __post_init__(self) -> None:
         if self.out is not None and not isinstance(self.out, str):
             raise DomainError(f"config: out must be a string, got {self.out!r}")
-        if not isinstance(self.verbosity, int) or isinstance(self.verbosity, bool):
-            raise DomainError(
-                f"config: verbosity must be an integer, got {self.verbosity!r}"
-            )
+        check_int("config", "verbosity", self.verbosity, lo=0)
 
 
 def load_config(path: str | Path | None) -> CliConfig:

@@ -1,8 +1,17 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the argument checks.
 
 The CLI maps these onto stable exit codes: domain and parameter-choice
 errors exit 2, I/O errors exit 3, numerical failures exit 4.
+
+Counts, real parameters and enum tokens are checked by :func:`check_int`,
+:func:`check_real` and :func:`check_enum`, which raise :class:`DomainError`
+(a ``ValueError``) with the message ``"<where>: <name> must be <want>, got
+<value>"``, or ``"<where>: unknown <name> <value>, must be one of [...]"``
+for an enum token.  A bool is not a number, and NaN fails every range.
 """
+
+import math
+from numbers import Integral, Real
 
 __all__ = ["DomainError", "NumericalError", "ParameterChoiceError"]
 
@@ -25,3 +34,34 @@ class ParameterChoiceError(DomainError):
     The message names the offending noise level so the caller can reduce
     eta or switch rules.
     """
+
+
+# (ok, want) ranges for check_real, shared by every module
+UNIT = (lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and positive")
+NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+
+
+def check_int(where: str, name: str, v, lo: int = 1, hi: float = math.inf) -> int:
+    """v as an int in [lo, hi]; a bool or a non-integer is a DomainError."""
+    if isinstance(v, bool) or not isinstance(v, Integral) or not lo <= v <= hi:
+        want = f"an integer >= {lo}" if hi == math.inf else f"an integer in [{lo}, {hi}]"
+        raise DomainError(f"{where}: {name} must be {want}, got {v!r}")
+    return int(v)
+
+
+def check_real(where: str, name: str, v, ok, want: str) -> float:
+    """float(v) for a real number v with ok(float(v)); a bool, a non-number
+    or NaN is a DomainError."""
+    if isinstance(v, bool) or not isinstance(v, Real) or math.isnan(v) or not ok(float(v)):
+        raise DomainError(f"{where}: {name} must be {want}, got {v!r}")
+    return float(v)
+
+
+def check_enum(where: str, name: str, cls, v):
+    """v as a member of the enum cls, looked up by member or by value."""
+    try:
+        return cls(v)
+    except ValueError:
+        tokens = [m.value for m in cls]
+        raise DomainError(f"{where}: unknown {name} {v!r}, must be one of {tokens}") from None

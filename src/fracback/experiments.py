@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -31,7 +32,16 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import (
+    NONNEGATIVE,
+    POSITIVE,
+    UNIT,
+    DomainError,
+    NumericalError,
+    check_enum,
+    check_int,
+    check_real,
+)
 from .quadrature import QuadConfig, SingularMode, gauss_legendre
 from .solver import (
     ChoiceRule,
@@ -76,15 +86,11 @@ class NoiseMode(str, Enum):
     SEEDED_RANDOM = "seeded_random"
 
 
-def _noise_recipe(where: str, mode: NoiseMode | str, seed: int) -> NoiseMode:
-    """mode as a NoiseMode, after checking it and the seed (an integer >= 0)."""
-    try:
-        mode = NoiseMode(mode)
-    except ValueError:
-        raise DomainError(f"{where}: unknown noise mode {mode!r}") from None
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise DomainError(f"{where}: seed must be an integer >= 0, got {seed!r}")
-    return mode
+def _reals(name: str, vs, ok, want: str) -> tuple[float, ...]:
+    """An ExperimentConfig sequence as floats, each checked by check_real."""
+    if not isinstance(vs, Iterable):
+        raise DomainError(f"ExperimentConfig: {name} must be a sequence, got {vs!r}")
+    return tuple(check_real("ExperimentConfig", name, v, ok, want) for v in vs)
 
 
 @dataclass(frozen=True)
@@ -110,34 +116,26 @@ class ExperimentConfig:
     singular_mode: SingularMode = SingularMode.PAPER_DIRECT
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+        object.__setattr__(self, "alphas", _reals("alphas", self.alphas, *UNIT))
         if not self.alphas:
             raise DomainError("ExperimentConfig: alphas must be non-empty")
-        if any(not 0.0 < a <= 1.0 for a in self.alphas):
-            raise DomainError(f"ExperimentConfig: alphas must be in (0, 1]: {self.alphas}")
-        if not (isinstance(self.tau, (int, float)) and math.isfinite(self.tau) and self.tau > 0):
-            raise DomainError(f"ExperimentConfig: tau must be finite and positive: {self.tau!r}")
+        check_real("ExperimentConfig", "tau", self.tau, *POSITIVE)
         for name in ("truncation", "subintervals", "points", "temporal_subintervals"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise DomainError(
-                    f"ExperimentConfig: {name} must be an integer >= 1, got {v!r}"
-                )
+            check_int("ExperimentConfig", name, getattr(self, name))
         if self.sweep is not None:
-            object.__setattr__(self, "sweep", tuple(float(v) for v in self.sweep))
+            # checked here, not after a whole table run in ErrorTable
+            object.__setattr__(self, "sweep", _reals("sweep", self.sweep, *POSITIVE))
             if not self.sweep:
                 raise DomainError("ExperimentConfig: sweep must be non-empty or omitted")
-            # checked here, not after a whole table run in ErrorTable
-            if not all(math.isfinite(v) and v > 0.0 for v in self.sweep):
-                raise DomainError(f"ExperimentConfig: sweep must be finite and > 0: {self.sweep}")
             if any(b >= a for a, b in zip(self.sweep, self.sweep[1:])):
                 raise DomainError(
                     f"ExperimentConfig: sweep must be strictly decreasing: {self.sweep}"
                 )
-        mode = _noise_recipe("ExperimentConfig", self.noise_mode, self.seed)
+        mode = check_enum("ExperimentConfig", "noise mode", NoiseMode, self.noise_mode)
         object.__setattr__(self, "noise_mode", mode)
-        if not isinstance(self.singular_mode, SingularMode):
-            object.__setattr__(self, "singular_mode", SingularMode(self.singular_mode))
+        check_int("ExperimentConfig", "seed", self.seed, lo=0)
+        mode = check_enum("ExperimentConfig", "singular mode", SingularMode, self.singular_mode)
+        object.__setattr__(self, "singular_mode", mode)
 
     def quad_config(self) -> QuadConfig:
         return QuadConfig(
@@ -163,13 +161,15 @@ class ErrorTable:
             raise DomainError(f"ErrorTable: unknown id {self.table_id!r}")
         if len(self.rows) != len(self.levels):
             raise DomainError("ErrorTable: one row per level required")
+        for v in self.levels:
+            check_real("ErrorTable", "level", v, *POSITIVE)
         if any(b >= a for a, b in zip(self.levels, self.levels[1:])):
             raise DomainError("ErrorTable: levels must be strictly decreasing")
         for row in self.rows:
             if len(row) != len(self.alphas):
                 raise DomainError("ErrorTable: one error per alpha required")
-            if any(not (math.isfinite(v) and v >= 0.0) for v in row):
-                raise DomainError("ErrorTable: errors must be finite and >= 0")
+            for v in row:
+                check_real("ErrorTable", "error", v, *NONNEGATIVE)
         if not self.content_hash:
             digest = hashlib.sha256(self.to_csv().encode("utf-8")).hexdigest()
             object.__setattr__(self, "content_hash", digest)
@@ -255,9 +255,9 @@ def noisy_source(
     recipe adds a time-independent coefficient vector with L2 norm exactly
     eps (so the L-infinity-in-time L2 noise bound holds with equality).
     """
-    if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps >= 0.0):
-        raise DomainError(f"noisy_source: eps must be >= 0, got {eps!r}")
-    mode = _noise_recipe("noisy_source", mode, seed)
+    check_real("noisy_source", "eps", eps, *NONNEGATIVE)
+    mode = check_enum("noisy_source", "noise mode", NoiseMode, mode)
+    check_int("noisy_source", "seed", seed, lo=0)
     if eps == 0.0:
         return source
     if mode is NoiseMode.PAPER_CONSTANT:
@@ -275,9 +275,9 @@ def noisy_data(
     seed: int = 0,
 ) -> SpectralField:
     """Final data perturbed at level delta (constant +delta/2, or random)."""
-    if not (isinstance(delta, (int, float)) and math.isfinite(delta) and delta >= 0.0):
-        raise DomainError(f"noisy_data: delta must be >= 0, got {delta!r}")
-    mode = _noise_recipe("noisy_data", mode, seed)
+    check_real("noisy_data", "delta", delta, *NONNEGATIVE)
+    mode = check_enum("noisy_data", "noise mode", NoiseMode, mode)
+    check_int("noisy_data", "seed", seed, lo=0)
     if delta == 0.0:
         return g
     if mode is NoiseMode.PAPER_CONSTANT:
@@ -298,8 +298,7 @@ class NoiseAudit:
 
 def noise_audit(level: float, modeset: ModeSet, quad: QuadConfig) -> NoiseAudit:
     """Report how far the +level/2 constant shift exceeds the nominal bound."""
-    if not (isinstance(level, (int, float)) and math.isfinite(level) and level >= 0.0):
-        raise DomainError(f"noise_audit: level must be >= 0, got {level!r}")
+    check_real("noise_audit", "level", level, *NONNEGATIVE)
     return NoiseAudit(
         nominal=float(level),
         function_norm=(level / 2.0) * math.pi,
@@ -344,8 +343,7 @@ def _column_errors_noisy(
 
 
 def _run_columns(cfg, pp, levels, worker, table_id, threads):
-    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
-        raise DomainError(f"threads must be an integer >= 1, got {threads!r}")
+    check_int(f"run_{table_id}", "threads", threads)
     if threads == 1 or len(cfg.alphas) == 1:
         cols = [worker(pp, a, levels) for a in cfg.alphas]
     else:
@@ -419,8 +417,7 @@ def fit_rate(
         raise DomainError(f"fit_rate: unknown model {model!r}")
     levels = np.array(table.levels)
     if last is not None:
-        if last < 2:
-            raise DomainError(f"fit_rate: need at least 2 rows, got last={last}")
+        last = check_int("fit_rate", "last", last, lo=2)
         levels = levels[-last:]
     if len(table.levels) < 3:
         raise DomainError("fit_rate: need at least 3 rows")

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import POSITIVE, UNIT, DomainError, check_enum, check_int, check_real
 
 __all__ = [
     "QuadRule",
@@ -94,8 +94,7 @@ class QuadRule:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError(f"QuadRule: point count must be >= 1, got {self.n}")
+        check_int("QuadRule", "point count", self.n)
         if len(self.nodes) != self.n or len(self.weights) != self.n:
             raise DomainError("QuadRule: nodes/weights length mismatch")
         if any(not (-1.0 < v < 1.0) for v in self.nodes):
@@ -131,10 +130,7 @@ class SingularMode(str, Enum):
 
 def gauss_legendre(n: int) -> QuadRule:
     """Return the tabulated n-point Gauss-Legendre rule, 2 <= n <= 8."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise DomainError(f"gauss_legendre: point count must be an integer, got {n!r}")
-    if not 2 <= n <= 8:
-        raise DomainError(f"gauss_legendre: point count must be in [2, 8], got {n}")
+    n = check_int("gauss_legendre", "point count", n, lo=2, hi=8)
     nodes, weights = _RULES[n]
     return QuadRule(n=n, nodes=nodes, weights=weights)
 
@@ -148,18 +144,9 @@ class QuadConfig:
     singular_mode: SingularMode = SingularMode.PAPER_DIRECT
 
     def __post_init__(self) -> None:
-        if not isinstance(self.subintervals, int) or isinstance(self.subintervals, bool):
-            raise DomainError(
-                f"QuadConfig: subintervals must be an integer, got {self.subintervals!r}"
-            )
-        if self.subintervals < 1:
-            raise DomainError(
-                f"QuadConfig: subintervals must be >= 1, got {self.subintervals}"
-            )
-        if not isinstance(self.singular_mode, SingularMode):
-            object.__setattr__(
-                self, "singular_mode", SingularMode(self.singular_mode)
-            )
+        check_int("QuadConfig", "subintervals", self.subintervals)
+        mode = check_enum("QuadConfig", "singular mode", SingularMode, self.singular_mode)
+        object.__setattr__(self, "singular_mode", mode)
 
 
 def composite_nodes(
@@ -171,13 +158,10 @@ def composite_nodes(
     reductions over them are reproducible.  ``subintervals`` overrides
     ``cfg.subintervals`` when given (used by internally refined callers).
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"composite_nodes: endpoints must be finite, got [{a}, {b}]")
-    if a > b:
-        raise DomainError(f"composite_nodes: need a <= b, got a={a}, b={b}")
+    check_real("composite_nodes", "a", a, math.isfinite, "finite")
+    check_real("composite_nodes", "b", b, lambda v: a <= v < math.inf, f"finite and >= a={a}")
     nsub = cfg.subintervals if subintervals is None else subintervals
-    if nsub < 1:
-        raise DomainError(f"composite_nodes: subintervals must be >= 1, got {nsub}")
+    check_int("composite_nodes", "subintervals", nsub)
     ref_x = np.asarray(cfg.rule.nodes)
     ref_w = np.asarray(cfg.rule.weights)
     edges = a + (b - a) * np.arange(nsub + 1) / nsub
@@ -197,17 +181,11 @@ def singular_nodes(
     substitution u = (t-s)^alpha (graded_substitution) into the weights so
     callers only evaluate the smooth factor g on the returned nodes.
     """
-    if not (isinstance(t, (int, float)) and math.isfinite(t)):
-        raise DomainError(f"singular_nodes: t must be finite, got {t!r}")
-    if t <= 0.0:
-        raise DomainError(f"singular_nodes: need t > 0, got {t}")
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"singular_nodes: alpha must be in (0, 1], got {alpha}")
+    check_real("singular_nodes", "t", t, *POSITIVE)
+    check_real("singular_nodes", "alpha", alpha, *UNIT)
     if cfg.singular_mode is SingularMode.PAPER_DIRECT:
         pts, wts = composite_nodes(0.0, t, cfg, subintervals)
-        if alpha != 1.0:
-            wts = wts * (t - pts) ** (alpha - 1.0)
-        return pts, wts
+        return pts, wts * (t - pts) ** (alpha - 1.0)
     # graded: int_0^{t^alpha} g(t - u^(1/alpha)) du / alpha
     u, wu = composite_nodes(0.0, t**alpha, cfg, subintervals)
     pts = t - u ** (1.0 / alpha)

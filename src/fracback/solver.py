@@ -33,7 +33,6 @@ bit-identical across runs and thread counts.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -41,7 +40,17 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ParameterChoiceError
+from .errors import (
+    NONNEGATIVE,
+    POSITIVE,
+    UNIT,
+    DomainError,
+    NumericalError,
+    ParameterChoiceError,
+    check_enum,
+    check_int,
+    check_real,
+)
 from .quadrature import QuadConfig, singular_nodes
 from .special import ml_array
 from .spectral import ModeSet, SpectralField, project
@@ -131,27 +140,9 @@ class TimeFractionalProblem:
     temporal_subintervals: int = 4
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.alpha, (int, float)) and 0.0 < self.alpha <= 1.0):
-            raise DomainError(
-                f"TimeFractionalProblem: alpha must be in (0, 1], got {self.alpha!r}"
-            )
-        if not (
-            isinstance(self.tau, (int, float))
-            and math.isfinite(self.tau)
-            and self.tau > 0.0
-        ):
-            raise DomainError(
-                f"TimeFractionalProblem: tau must be finite and positive, got {self.tau!r}"
-            )
-        if (
-            not isinstance(self.temporal_subintervals, int)
-            or isinstance(self.temporal_subintervals, bool)
-            or self.temporal_subintervals < 1
-        ):
-            raise DomainError(
-                "TimeFractionalProblem: temporal_subintervals must be an "
-                f"integer >= 1, got {self.temporal_subintervals!r}"
-            )
+        check_real("TimeFractionalProblem", "alpha", self.alpha, *UNIT)
+        check_real("TimeFractionalProblem", "tau", self.tau, *POSITIVE)
+        check_int("TimeFractionalProblem", "temporal_subintervals", self.temporal_subintervals)
         if not isinstance(self.source, Source):
             raise DomainError(
                 "TimeFractionalProblem: source must be a Source instance"
@@ -176,16 +167,12 @@ class RegularizationChoice:
     gamma: float = 0.5
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rule, ChoiceRule):
-            object.__setattr__(self, "rule", ChoiceRule(self.rule))
-        if not (isinstance(self.eta, (int, float)) and self.eta >= 0.0):
-            raise DomainError(f"RegularizationChoice: eta must be >= 0, got {self.eta!r}")
-        if not 0.0 < self.p <= 1.0:
-            raise DomainError(f"RegularizationChoice: p must be in (0, 1], got {self.p!r}")
-        if not 0.0 < self.gamma < 1.0:
-            raise DomainError(
-                f"RegularizationChoice: gamma must be in (0, 1), got {self.gamma!r}"
-            )
+        object.__setattr__(
+            self, "rule", check_enum("RegularizationChoice", "rule", ChoiceRule, self.rule)
+        )
+        check_real("RegularizationChoice", "eta", self.eta, *NONNEGATIVE)
+        check_real("RegularizationChoice", "p", self.p, *UNIT)
+        check_real("RegularizationChoice", "gamma", self.gamma, lambda v: 0 < v < 1, "in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -197,11 +184,7 @@ class SolvabilityReport:
 
 
 def _check_time(t: float, tau: float, what: str) -> float:
-    if not (isinstance(t, (int, float)) and math.isfinite(t)):
-        raise DomainError(f"{what}: time must be finite, got {t!r}")
-    if t < 0.0 or t > tau:
-        raise DomainError(f"{what}: time {t} outside [0, {tau}]")
-    return float(t)
+    return check_real(what, "t", t, lambda v: 0.0 <= v <= tau, f"not outside [0, {tau}]")
 
 
 def _check_field(f: SpectralField, prob: TimeFractionalProblem, what: str) -> None:
@@ -334,8 +317,8 @@ def choose_t(
     choice: RegularizationChoice, alpha: float, tau: float = 1.0
 ) -> float:
     """Regularization time t_eta from the rule; must land strictly below tau."""
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"choose_t: alpha must be in (0, 1], got {alpha!r}")
+    check_real("choose_t", "alpha", alpha, *UNIT)
+    check_real("choose_t", "tau", tau, *POSITIVE)
     if choice.eta <= 0.0:
         raise ParameterChoiceError(
             f"choose_t: rule needs a positive noise level, got eta={choice.eta!r}"

@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import POSITIVE, UNIT, DomainError, NumericalError, check_real
 
 _LD = np.longdouble
 _LD_EPS = float(np.finfo(np.longdouble).eps)
@@ -60,9 +60,7 @@ def gamma_fn(x: float) -> float:
     poles (non-positive integers) and OverflowError once the result
     exceeds the double range (x > ~171.62).
     """
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"gamma_fn: argument must be finite, got {x!r}")
+    x = check_real("gamma_fn", "argument", x, math.isfinite, "finite")
     if x <= 0.0 and x == math.floor(x):
         raise DomainError(f"gamma_fn: pole at non-positive integer {x!r}")
     if x > _GAMMA_OVERFLOW:
@@ -432,10 +430,8 @@ def _gap_fit(alpha: float, beta: float) -> tuple[float, float, np.ndarray]:
 
 def ml_array(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     """Vectorized E_{alpha,beta} over an array of non-positive arguments."""
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"ml_array: alpha must lie in (0, 1], got {alpha!r}")
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"ml_array: beta must be positive, got {beta!r}")
+    check_real("ml_array", "alpha", alpha, *UNIT)
+    check_real("ml_array", "beta", beta, *POSITIVE)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 0:
         x = x[None]

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import NONNEGATIVE, DomainError, NumericalError, check_int, check_real
 from .quadrature import QuadConfig, composite_nodes
 
 __all__ = [
@@ -47,12 +47,10 @@ class Mode:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(check_int("Mode", "index", i) for i in self.indices)
         object.__setattr__(self, "indices", idx)
         if len(idx) not in (1, 2):
             raise DomainError(f"Mode: need 1 or 2 indices, got {self.indices!r}")
-        if any(i < 1 for i in idx):
-            raise DomainError(f"Mode: indices must be >= 1, got {self.indices!r}")
 
     @property
     def dimension(self) -> int:
@@ -67,14 +65,8 @@ class ModeSet:
     truncation: int = 30
 
     def __post_init__(self) -> None:
-        if self.dimension not in (1, 2):
-            raise DomainError(f"ModeSet: dimension must be 1 or 2, got {self.dimension}")
-        if not isinstance(self.truncation, int) or isinstance(self.truncation, bool):
-            raise DomainError(
-                f"ModeSet: truncation must be an integer, got {self.truncation!r}"
-            )
-        if self.truncation < 1:
-            raise DomainError(f"ModeSet: truncation must be >= 1, got {self.truncation}")
+        check_int("ModeSet", "dimension", self.dimension, hi=2)
+        check_int("ModeSet", "truncation", self.truncation)
 
     @property
     def size(self) -> int:
@@ -181,10 +173,7 @@ def l2_error(a: SpectralField, b: SpectralField) -> float:
 
 def hp_norm(field: SpectralField, p: float) -> float:
     """Spectral Sobolev norm sqrt(sum lambda^(2p) coeff^2); p=0 gives the L2 norm."""
-    if not (isinstance(p, (int, float)) and math.isfinite(p)):
-        raise DomainError(f"hp_norm: p must be finite, got {p!r}")
-    if p < 0.0:
-        raise DomainError(f"hp_norm: need p >= 0, got {p}")
+    check_real("hp_norm", "p", p, *NONNEGATIVE)
     lam, coeffs = field.modeset.eigenvalues.tolist(), field.coeffs.tolist()
     try:
         total = math.fsum(l ** (2.0 * p) * c * c for l, c in zip(lam, coeffs))

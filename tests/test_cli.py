@@ -152,6 +152,16 @@ class TestConfig:
         argv = ["backward", "--config", neg_seed, "--eps", "1e-3", "--out", str(tmp_path)]
         assert main(argv) == 2
         assert "seed must be an integer >= 0" in capsys.readouterr().err
+        # a bool is not a number: these used to run as 1.0 and exit 0
+        for key, value in (
+            ("tau", True),
+            ("alphas", [True]),
+            ("sweep", [True]),
+            ("alphas", ["x"]),
+        ):
+            path = cfg_file({**REDUCED, key: value}, name=f"{key}.json")
+            assert main(["forward", "--config", path, "--t", "0", "--out", str(tmp_path)]) == 2
+            assert f"{key} must be" in capsys.readouterr().err, (key, value)
 
 
 class TestForwardBackward:

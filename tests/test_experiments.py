@@ -83,8 +83,12 @@ class TestExperimentConfig:
         for tau in (0.0, math.inf, math.nan):
             with pytest.raises(DomainError, match="finite and positive"):
                 ExperimentConfig(tau=tau)
+        with pytest.raises(DomainError, match="finite and positive"):
+            ExperimentConfig(tau=True)
         with pytest.raises(DomainError):
             ExperimentConfig(seed=True)
+        with pytest.raises(DomainError, match="singular mode"):
+            ExperimentConfig(singular_mode="bogus")
         # numpy's generators reject a negative seed only when noise is drawn
         with pytest.raises(DomainError, match="seed must be an integer >= 0"):
             ExperimentConfig(seed=-1, noise_mode="seeded_random")
@@ -151,6 +155,8 @@ class TestErrorTable:
     def test_levels_must_decrease(self):
         with pytest.raises(DomainError):
             self.table(levels=(1e-3, 1e-2, 1e-1))
+        with pytest.raises(DomainError):
+            self.table(levels=(1e-1, math.nan, 1e-3))
 
     def test_ragged_row(self):
         with pytest.raises(DomainError):

@@ -102,6 +102,13 @@ class TestQuadConfig:
     def test_invalid_subintervals(self):
         with pytest.raises(DomainError):
             QuadConfig(subintervals=0)
+        # a fractional count gave weights summing to 1.2, and NaN weights
+        with pytest.raises(DomainError):
+            QuadConfig(subintervals=2.5)
+        with pytest.raises(DomainError):
+            composite_nodes(0.0, 1.0, QuadConfig(), subintervals=2.5)
+        with pytest.raises(DomainError):
+            singular_nodes(1.0, 0.5, QuadConfig(), subintervals=2.5)
 
 
 class TestCompositeNodes:

@@ -454,3 +454,14 @@ class TestChooseT:
             RegularizationChoice(ChoiceRule.PLAIN, eta=1e-3, gamma=1.0)
         with pytest.raises(DomainError):
             choose_t(RegularizationChoice(ChoiceRule.PAPER_TABLE2, eta=1e-3), 1.5)
+        with pytest.raises(DomainError):
+            RegularizationChoice("bogus", eta=1e-3)
+        with pytest.raises(DomainError):
+            RegularizationChoice(ChoiceRule.SOURCE_CONDITION, eta=1e-3, p="x")
+        with pytest.raises(DomainError):
+            RegularizationChoice(ChoiceRule.PAPER_TABLE2, eta=True)
+        choice = RegularizationChoice(ChoiceRule.PAPER_TABLE2, eta=1e-3)
+        with pytest.raises(DomainError):
+            choose_t(choice, 0.5, tau=math.nan)  # returned 0.001
+        with pytest.raises(DomainError):
+            choose_t(choice, "x")
