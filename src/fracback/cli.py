@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import DomainError, NumericalError, check_int
+from .errors import NONNEGATIVE, DomainError, NumericalError, check_int, check_real
 from .experiments import (
     ErrorTable,
     ExperimentConfig,
@@ -49,40 +49,20 @@ from .experiments import (
     run_table3,
 )
 from .quadrature import SingularMode
-from .solver import (
-    ChoiceRule,
-    RegularizationChoice,
-    choose_t,
-    forward_solve,
-    reconstruct_noisy,
-    solvability_diagnostic,
-)
+from .solver import forward_solve, solvability_diagnostic
 from .special import ml
 from .spectral import write_csv
 
 __all__ = ["CliConfig", "load_config", "main"]
 
-# Short flag tokens and the full API tokens are both accepted.
-_SINGULAR_TOKENS = {
+# Short singular-mode tokens; ExperimentConfig checks every other token itself.
+_SINGULAR_ALIASES = {
     "paper": SingularMode.PAPER_DIRECT,
     "graded": SingularMode.GRADED_SUBSTITUTION,
-    "paper_direct": SingularMode.PAPER_DIRECT,
-    "graded_substitution": SingularMode.GRADED_SUBSTITUTION,
 }
 
-_EXPERIMENT_KEYS = (
-    "alphas",
-    "tau",
-    "truncation",
-    "subintervals",
-    "points",
-    "temporal_subintervals",
-    "sweep",
-    "noise_mode",
-    "seed",
-    "singular_mode",
-)
-_CONFIG_KEYS = frozenset(_EXPERIMENT_KEYS) | {"out", "verbosity"}
+_EXPERIMENT_KEYS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
+_CONFIG_KEYS = _EXPERIMENT_KEYS | {"out", "verbosity"}
 
 
 @dataclass(frozen=True)
@@ -117,8 +97,9 @@ def load_config(path: str | Path | None) -> CliConfig:
     if unknown:
         raise DomainError(f"config: unknown keys {unknown} in {path}")
     fields = {k: v for k, v in data.items() if k in _EXPERIMENT_KEYS}
-    if "singular_mode" in fields:
-        fields["singular_mode"] = _parse_singular(fields["singular_mode"])
+    mode = fields.get("singular_mode")
+    if isinstance(mode, str):
+        fields["singular_mode"] = _SINGULAR_ALIASES.get(mode, mode)
     try:
         experiment = ExperimentConfig(**fields)
     except (TypeError, ValueError) as exc:
@@ -130,22 +111,13 @@ def load_config(path: str | Path | None) -> CliConfig:
     )
 
 
-def _parse_singular(value: object) -> SingularMode:
-    try:
-        return _SINGULAR_TOKENS[str(value)]
-    except KeyError:
-        raise DomainError(
-            f"singular mode must be one of {sorted(_SINGULAR_TOKENS)}, got {value!r}"
-        ) from None
-
-
 def _settings(args: argparse.Namespace) -> tuple[ExperimentConfig, Path, int]:
     """Merge config file, flags, and environment into the effective settings."""
     cli = load_config(getattr(args, "config", None))
     ecfg = cli.experiment
     mode = getattr(args, "singular_mode", None)
     if mode is not None:
-        ecfg = dataclasses.replace(ecfg, singular_mode=_parse_singular(mode))
+        ecfg = dataclasses.replace(ecfg, singular_mode=_SINGULAR_ALIASES.get(mode, mode))
     out = getattr(args, "out", None) or cli.out or os.environ.get("FRACBACK_OUT") or "."
     verbosity = cli.verbosity + getattr(args, "verbose", 0)
     return ecfg, Path(out), verbosity
@@ -158,9 +130,13 @@ def _ensure_dir(out: Path) -> None:
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
 
 
-def _write_field(field, path: Path) -> None:
-    write_csv(field, path)
-    print(f"wrote {path}")
+def _write_fields(out: Path, pp: PaperProblem, alpha: float, name: str, field) -> None:
+    """Write u0.csv, g.csv (the exact final data) and <name>.csv, in that order."""
+    _ensure_dir(out)
+    for f, stem in ((pp.u0, "u0"), (pp.finals[alpha], "g"), (field, name)):
+        path = out / f"{stem}.csv"
+        write_csv(f, path)
+        print(f"wrote {path}")
 
 
 def _echo(verbosity: int, message: str) -> None:
@@ -190,51 +166,36 @@ def _cmd_forward(args: argparse.Namespace) -> int:
     )
     prob = dataclasses.replace(prob, source=source)
     t = ecfg.tau if args.t is None else args.t
-    field = forward_solve(prob, pp.u0, t)
-    _ensure_dir(out)
-    _write_field(pp.u0, out / "u0.csv")
-    _write_field(pp.finals[alpha], out / "g.csv")
-    _write_field(field, out / "forward.csv")
+    _write_fields(out, pp, alpha, "forward", forward_solve(prob, pp.u0, t))
     return 0
 
 
 def _cmd_backward(args: argparse.Namespace) -> int:
     ecfg, out, verbosity, pp, alpha = _single_alpha(args)
-    prob = pp.problems[alpha]
-    g = pp.finals[alpha]
-    eps, delta = args.eps, args.delta
-    g_in = noisy_data(g, delta, pp.quad, mode=ecfg.noise_mode, seed=ecfg.seed)
-    source = noisy_source(
-        prob.source, eps, pp.modeset, mode=ecfg.noise_mode, seed=ecfg.seed
-    )
-    if args.t is not None:
-        t = args.t
-    else:
-        eta = max(eps, delta)
-        if eta <= 0.0:
+    eps = check_real("backward", "eps", args.eps, *NONNEGATIVE)
+    delta = check_real("backward", "delta", args.delta, *NONNEGATIVE)
+    eta = max(eps, delta)
+    t = args.t
+    if t is None:
+        if eta == 0.0:
             raise DomainError(
                 "backward: --t is required unless a noise level (--eps/--delta) "
                 "selects it through the parameter-choice rule"
             )
-        t = choose_t(
-            RegularizationChoice(ChoiceRule.PAPER_TABLE2, eta=eta), alpha, tau=ecfg.tau
-        )
+        t = pp.paper_t(alpha, eta)
         _echo(verbosity, f"parameter choice: t = {t!r}")
-    if verbosity >= 1 and max(eps, delta) > 0.0:
-        audit = noise_audit(max(eps, delta), pp.modeset, pp.quad)
+    if verbosity >= 1 and eta > 0.0:
+        audit = noise_audit(eta, pp.modeset, pp.quad)
         _echo(
             verbosity,
             f"noise audit: nominal={audit.nominal!r} "
             f"function_norm={audit.function_norm!r} "
             f"truncated_norm={audit.truncated_norm!r}",
         )
-    field = reconstruct_noisy(prob, g_in, source, t)
+    field = pp.reconstruct(alpha, t, eps=eps, delta=delta)
     if "unregularized inversion" in field.flags:
         print("warning: unregularized inversion (t = 0)", file=sys.stderr)
-    _ensure_dir(out)
-    _write_field(pp.u0, out / "u0.csv")
-    _write_field(g, out / "g.csv")
-    _write_field(field, out / "backward.csv")
+    _write_fields(out, pp, alpha, "backward", field)
     return 0
 
 
@@ -293,7 +254,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--singular-mode",
-        choices=sorted(_SINGULAR_TOKENS),
+        choices=sorted([*_SINGULAR_ALIASES, *(m.value for m in SingularMode)]),
         help="quadrature treatment of the weakly singular kernel",
     )
     sub.add_argument(

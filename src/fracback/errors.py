@@ -3,15 +3,18 @@
 The CLI maps these onto stable exit codes: domain and parameter-choice
 errors exit 2, I/O errors exit 3, numerical failures exit 4.
 
-Counts, real parameters and enum tokens are checked by :func:`check_int`,
-:func:`check_real` and :func:`check_enum`, which raise :class:`DomainError`
-(a ``ValueError``) with the message ``"<where>: <name> must be <want>, got
-<value>"``, or ``"<where>: unknown <name> <value>, must be one of [...]"``
-for an enum token.  A bool is not a number, and NaN fails every range.
+Counts, real parameters, enum tokens and arrays of reals are checked by
+:func:`check_int`, :func:`check_real`, :func:`check_enum` and
+:func:`check_floats`, which raise :class:`DomainError` (a ``ValueError``)
+with the message ``"<where>: <name> must be <want>, got <value>"``, or
+``"<where>: unknown <name> <value>, must be one of [...]"`` for an enum
+token.  A bool is not a number, and NaN fails every range.
 """
 
 import math
 from numbers import Integral, Real
+
+import numpy as np
 
 __all__ = ["DomainError", "NumericalError", "ParameterChoiceError"]
 
@@ -65,3 +68,11 @@ def check_enum(where: str, name: str, cls, v):
     except ValueError:
         tokens = [m.value for m in cls]
         raise DomainError(f"{where}: unknown {name} {v!r}, must be one of {tokens}") from None
+
+
+def check_floats(where: str, name: str, v) -> np.ndarray:
+    """v as a new float64 array; a value numpy cannot convert is a DomainError."""
+    try:
+        return np.array(v, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{where}: {name} must be real numbers ({exc})") from None

@@ -25,7 +25,7 @@ import hashlib
 import math
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Mapping
@@ -42,14 +42,13 @@ from .errors import (
     check_int,
     check_real,
 )
-from .quadrature import QuadConfig, SingularMode, gauss_legendre
+from .quadrature import QuadConfig, SingularMode
 from .solver import (
     ChoiceRule,
     RegularizationChoice,
     Source,
     Term,
     TimeFractionalProblem,
-    backward_reconstruct,
     choose_t,
     final_value,
     reconstruct_noisy,
@@ -120,7 +119,7 @@ class ExperimentConfig:
         if not self.alphas:
             raise DomainError("ExperimentConfig: alphas must be non-empty")
         check_real("ExperimentConfig", "tau", self.tau, *POSITIVE)
-        for name in ("truncation", "subintervals", "points", "temporal_subintervals"):
+        for name in ("truncation", "temporal_subintervals"):
             check_int("ExperimentConfig", name, getattr(self, name))
         if self.sweep is not None:
             # checked here, not after a whole table run in ErrorTable
@@ -134,15 +133,11 @@ class ExperimentConfig:
         mode = check_enum("ExperimentConfig", "noise mode", NoiseMode, self.noise_mode)
         object.__setattr__(self, "noise_mode", mode)
         check_int("ExperimentConfig", "seed", self.seed, lo=0)
-        mode = check_enum("ExperimentConfig", "singular mode", SingularMode, self.singular_mode)
-        object.__setattr__(self, "singular_mode", mode)
+        # QuadConfig checks points, subintervals and the singular mode
+        object.__setattr__(self, "singular_mode", self.quad_config().singular_mode)
 
     def quad_config(self) -> QuadConfig:
-        return QuadConfig(
-            rule=gauss_legendre(self.points),
-            subintervals=self.subintervals,
-            singular_mode=self.singular_mode,
-        )
+        return QuadConfig(self.points, self.subintervals, self.singular_mode)
 
 
 @dataclass(frozen=True)
@@ -199,6 +194,24 @@ class PaperProblem:
     u0: SpectralField
     problems: Mapping[float, TimeFractionalProblem]
     finals: Mapping[float, SpectralField]
+
+    def paper_t(self, alpha: float, eta: float) -> float:
+        """The paper's regularization time for noise level eta: t^alpha = eta^(1/2)."""
+        choice = RegularizationChoice(ChoiceRule.PAPER_TABLE2, eta=eta)
+        return choose_t(choice, alpha, tau=self.config.tau)
+
+    def reconstruct(
+        self, alpha: float, t: float, eps: float = 0.0, delta: float = 0.0
+    ) -> SpectralField:
+        """u(t) from g noised at delta and f noised at eps by the config's
+        noise recipe; eps = delta = 0 reconstructs from exact data."""
+        if alpha not in self.problems:
+            raise DomainError(f"PaperProblem: no problem for alpha={alpha}")
+        cfg = self.config
+        prob = self.problems[alpha]
+        g = noisy_data(self.finals[alpha], delta, self.quad, mode=cfg.noise_mode, seed=cfg.seed)
+        source = noisy_source(prob.source, eps, self.modeset, mode=cfg.noise_mode, seed=cfg.seed)
+        return reconstruct_noisy(prob, g, source, t)
 
 
 def _sin_sin(x: float, y: float) -> float:
@@ -306,84 +319,49 @@ def noise_audit(level: float, modeset: ModeSet, quad: QuadConfig) -> NoiseAudit:
     )
 
 
-def _column_errors_table1(
-    pp: PaperProblem, alpha: float, levels: tuple[float, ...]
-) -> tuple[float, ...]:
-    prob = pp.problems[alpha]
-    g = pp.finals[alpha]
-    return tuple(
-        l2_error(backward_reconstruct(prob, g, t), pp.u0) for t in levels
-    )
+_TIMES = tuple(10.0 ** -(i + 1) for i in range(1, 9))
+_ETAS = tuple(10.0 ** -(i + 2) for i in range(1, 8))
+# table id -> (default levels, the field at one level for one alpha).  A level is
+# the time t in table 1 and the noise level e, with t by the paper rule, in
+# tables 2 (source noise only) and 3 (source and data noise).
+_TABLES = {
+    "table1": (_TIMES, lambda pp, a, t: pp.reconstruct(a, t)),
+    "table2": (_ETAS, lambda pp, a, e: pp.reconstruct(a, pp.paper_t(a, e), eps=e)),
+    "table3": (_ETAS, lambda pp, a, e: pp.reconstruct(a, pp.paper_t(a, e), eps=e, delta=e)),
+}
 
 
-def _column_errors_noisy(
-    pp: PaperProblem, alpha: float, levels: tuple[float, ...], with_delta: bool
-) -> tuple[float, ...]:
-    cfg = pp.config
-    prob = pp.problems[alpha]
-    g = pp.finals[alpha]
-    errs = []
-    for eta in levels:
-        t_eta = choose_t(
-            RegularizationChoice(ChoiceRule.PAPER_TABLE2, eta=eta),
-            alpha,
-            tau=cfg.tau,
-        )
-        f_eps = noisy_source(
-            prob.source, eta, pp.modeset, mode=cfg.noise_mode, seed=cfg.seed
-        )
-        g_in = (
-            noisy_data(g, eta, pp.quad, mode=cfg.noise_mode, seed=cfg.seed)
-            if with_delta
-            else g
-        )
-        rec = reconstruct_noisy(prob, g_in, f_eps, t_eta)
-        errs.append(l2_error(rec, pp.u0))
-    return tuple(errs)
-
-
-def _run_columns(cfg, pp, levels, worker, table_id, threads):
+def _run_table(table_id: str, cfg: ExperimentConfig, threads: int) -> ErrorTable:
+    """The table's error at every (level, alpha); one alpha column per worker."""
     check_int(f"run_{table_id}", "threads", threads)
+    default, request = _TABLES[table_id]
+    levels = cfg.sweep or default
+    pp = paper_problem(cfg)
+
+    def column(alpha: float) -> list[float]:
+        return [l2_error(request(pp, alpha, level), pp.u0) for level in levels]
+
     if threads == 1 or len(cfg.alphas) == 1:
-        cols = [worker(pp, a, levels) for a in cfg.alphas]
+        cols = [column(a) for a in cfg.alphas]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(worker, pp, a, levels) for a in cfg.alphas]
-            cols = [f.result() for f in futures]
-    rows = tuple(
-        tuple(cols[j][i] for j in range(len(cfg.alphas)))
-        for i in range(len(levels))
-    )
-    return ErrorTable(table_id, levels, cfg.alphas, rows, cfg)
+            cols = list(pool.map(column, cfg.alphas))
+    return ErrorTable(table_id, levels, cfg.alphas, tuple(zip(*cols)), cfg)
 
 
-def run_table1(
-    cfg: ExperimentConfig = ExperimentConfig(), threads: int = 1
-) -> ErrorTable:
+def run_table1(cfg: ExperimentConfig = ExperimentConfig(), threads: int = 1) -> ErrorTable:
     """Exact-data reconstruction errors over t = 10^-2 .. 10^-9."""
-    levels = cfg.sweep or tuple(10.0 ** -(i + 1) for i in range(1, 9))
-    pp = paper_problem(cfg)
-    return _run_columns(cfg, pp, levels, _column_errors_table1, "table1", threads)
+    return _run_table("table1", cfg, threads)
 
 
-def run_table2(
-    cfg: ExperimentConfig = ExperimentConfig(), threads: int = 1
-) -> ErrorTable:
+def run_table2(cfg: ExperimentConfig = ExperimentConfig(), threads: int = 1) -> ErrorTable:
     """Source-noise errors (eps only) at t_eps = eps^(1/(2 alpha))."""
-    levels = cfg.sweep or tuple(10.0 ** -(i + 2) for i in range(1, 8))
-    pp = paper_problem(cfg)
-    worker = lambda pp_, a, lv: _column_errors_noisy(pp_, a, lv, with_delta=False)
-    return _run_columns(cfg, pp, levels, worker, "table2", threads)
+    return _run_table("table2", cfg, threads)
 
 
-def run_table3(
-    cfg: ExperimentConfig = ExperimentConfig(), threads: int = 1
-) -> ErrorTable:
+def run_table3(cfg: ExperimentConfig = ExperimentConfig(), threads: int = 1) -> ErrorTable:
     """Source-and-data-noise errors (delta = eps = eta) at t_eta."""
-    levels = cfg.sweep or tuple(10.0 ** -(i + 2) for i in range(1, 8))
-    pp = paper_problem(cfg)
-    worker = lambda pp_, a, lv: _column_errors_noisy(pp_, a, lv, with_delta=True)
-    return _run_columns(cfg, pp, levels, worker, "table3", threads)
+    return _run_table("table3", cfg, threads)
 
 
 @dataclass(frozen=True)
@@ -415,19 +393,17 @@ def fit_rate(
     """
     if model not in ("power_law", "sqrt_const"):
         raise DomainError(f"fit_rate: unknown model {model!r}")
-    levels = np.array(table.levels)
     if last is not None:
         last = check_int("fit_rate", "last", last, lo=2)
-        levels = levels[-last:]
+    rows = slice(None if last is None else -last, None)
+    levels = np.array(table.levels)[rows]
     if len(table.levels) < 3:
         raise DomainError("fit_rate: need at least 3 rows")
     if model == "power_law":
         alphas = table.alphas if alpha is None else (alpha,)
         out = []
         for a in alphas:
-            col = np.array(table.column(a))
-            if last is not None:
-                col = col[-last:]
+            col = np.array(table.column(a))[rows]
             if np.any(col <= 0.0):
                 raise NumericalError(
                     f"fit_rate: non-positive error in alpha={a} column; "
@@ -437,9 +413,7 @@ def fit_rate(
             out.append((a, float(slope)))
         return FitResult("power_law", tuple(out))
     a = 0.8 if alpha is None else alpha
-    col = np.array(table.column(a))
-    if last is not None:
-        col = col[-last:]
+    col = np.array(table.column(a))[rows]
     denom = float(np.sum(levels))
     if denom == 0.0:
         raise NumericalError("fit_rate: degenerate levels for sqrt_const fit")
@@ -451,6 +425,9 @@ def run_fig4(
     cfg: ExperimentConfig = ExperimentConfig(), threads: int = 1
 ) -> tuple[ErrorTable, FitResult]:
     """Table 3 rebadged for the rate figure, plus its sqrt_const fit."""
+    if cfg.sweep is not None and len(cfg.sweep) < 3:
+        # fit_rate needs 3 rows; rejected here, not after a whole table run
+        raise DomainError(f"run_fig4: the rate fit needs at least 3 levels, got sweep={cfg.sweep}")
     t3 = run_table3(cfg, threads)
     fig = ErrorTable("fig4", t3.levels, t3.alphas, t3.rows, cfg)
     return fig, _fig4_fit(fig)

@@ -1,8 +1,9 @@
 """Composite Gauss-Legendre quadrature and the weakly singular time integral.
 
-The public entry points are :func:`gauss_legendre` (tabulated rules for
-2..8 points), :func:`composite_nodes` (the nodes and weights of the
-composite rule with ``N`` equal subintervals), and :func:`singular_nodes`
+The public entry points are :class:`QuadConfig` (the tabulated
+Gauss-Legendre rule with 2..8 points, a subinterval count and a singular
+mode), :func:`composite_nodes` (the nodes and weights of the composite
+rule with ``N`` equal subintervals), and :func:`singular_nodes`
 (nodes and effective weights for ``int_0^t (t-s)^(alpha-1) g(s) ds``).
 Callers reduce ``w * g(s)`` over the returned arrays themselves.  The
 singular integral supports two modes: ``paper_direct`` applies the
@@ -20,18 +21,16 @@ against an independent root-finding computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import POSITIVE, UNIT, DomainError, check_enum, check_int, check_real
+from .errors import POSITIVE, UNIT, check_enum, check_int, check_real
 
 __all__ = [
-    "QuadRule",
     "QuadConfig",
     "SingularMode",
-    "gauss_legendre",
     "composite_nodes",
     "singular_nodes",
 ]
@@ -85,42 +84,6 @@ _RULES: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {
 }
 
 
-@dataclass(frozen=True)
-class QuadRule:
-    """An n-point quadrature rule on the reference interval [-1, 1]."""
-
-    n: int
-    nodes: tuple[float, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        check_int("QuadRule", "point count", self.n)
-        if len(self.nodes) != self.n or len(self.weights) != self.n:
-            raise DomainError("QuadRule: nodes/weights length mismatch")
-        if any(not (-1.0 < v < 1.0) for v in self.nodes):
-            raise DomainError("QuadRule: nodes must lie in (-1, 1)")
-        if any(w <= 0.0 for w in self.weights):
-            raise DomainError("QuadRule: weights must be positive")
-        if any(b <= a for a, b in zip(self.nodes, self.nodes[1:])):
-            raise DomainError("QuadRule: nodes must be strictly increasing")
-        if any(
-            abs(a + b) > 1e-15 for a, b in zip(self.nodes, reversed(self.nodes))
-        ) or any(
-            abs(a - b) > 1e-15 for a, b in zip(self.weights, reversed(self.weights))
-        ):
-            raise DomainError("QuadRule: rule must be symmetric about 0")
-        if abs(math.fsum(self.weights) - 2.0) > 1e-14:
-            raise DomainError("QuadRule: weights must sum to 2")
-        for k in range(2 * self.n):
-            moment = math.fsum(w * x**k for x, w in zip(self.nodes, self.weights))
-            want = 0.0 if k % 2 else 2.0 / (k + 1)
-            if abs(moment - want) > 1e-12:
-                raise DomainError(
-                    f"QuadRule: degree-{k} moment off by {moment - want:.3e}; "
-                    f"rule is not Gaussian to degree {2 * self.n - 1}"
-                )
-
-
 class SingularMode(str, Enum):
     """How singular_nodes treats the (t-s)^(alpha-1) kernel."""
 
@@ -128,22 +91,17 @@ class SingularMode(str, Enum):
     GRADED_SUBSTITUTION = "graded_substitution"
 
 
-def gauss_legendre(n: int) -> QuadRule:
-    """Return the tabulated n-point Gauss-Legendre rule, 2 <= n <= 8."""
-    n = check_int("gauss_legendre", "point count", n, lo=2, hi=8)
-    nodes, weights = _RULES[n]
-    return QuadRule(n=n, nodes=nodes, weights=weights)
-
-
 @dataclass(frozen=True)
 class QuadConfig:
-    """Composite-rule configuration: base rule, subinterval count, singular mode."""
+    """Composite-rule configuration: Gauss-Legendre point count (2..8),
+    subinterval count, singular mode."""
 
-    rule: QuadRule = field(default_factory=lambda: gauss_legendre(4))
+    points: int = 4
     subintervals: int = 4
     singular_mode: SingularMode = SingularMode.PAPER_DIRECT
 
     def __post_init__(self) -> None:
+        check_int("QuadConfig", "points", self.points, lo=2, hi=8)
         check_int("QuadConfig", "subintervals", self.subintervals)
         mode = check_enum("QuadConfig", "singular mode", SingularMode, self.singular_mode)
         object.__setattr__(self, "singular_mode", mode)
@@ -162,8 +120,7 @@ def composite_nodes(
     check_real("composite_nodes", "b", b, lambda v: a <= v < math.inf, f"finite and >= a={a}")
     nsub = cfg.subintervals if subintervals is None else subintervals
     check_int("composite_nodes", "subintervals", nsub)
-    ref_x = np.asarray(cfg.rule.nodes)
-    ref_w = np.asarray(cfg.rule.weights)
+    ref_x, ref_w = (np.asarray(v) for v in _RULES[cfg.points])
     edges = a + (b - a) * np.arange(nsub + 1) / nsub
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])

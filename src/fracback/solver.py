@@ -48,6 +48,7 @@ from .errors import (
     NumericalError,
     ParameterChoiceError,
     check_enum,
+    check_floats,
     check_int,
     check_real,
 )
@@ -86,7 +87,9 @@ class Term:
         temporal: Callable[[float], float],
     ):
         if not callable(spatial):
-            spatial = np.asarray(spatial, dtype=np.float64)
+            spatial = check_floats("Term", "spatial", spatial)
+        if not callable(temporal):
+            raise DomainError(f"Term: temporal must be callable, got {temporal!r}")
         self.spatial = spatial
         self.temporal = temporal
 
@@ -143,10 +146,11 @@ class TimeFractionalProblem:
         check_real("TimeFractionalProblem", "alpha", self.alpha, *UNIT)
         check_real("TimeFractionalProblem", "tau", self.tau, *POSITIVE)
         check_int("TimeFractionalProblem", "temporal_subintervals", self.temporal_subintervals)
-        if not isinstance(self.source, Source):
-            raise DomainError(
-                "TimeFractionalProblem: source must be a Source instance"
-            )
+        for name, cls in (("modeset", ModeSet), ("source", Source), ("quad", QuadConfig)):
+            if not isinstance(getattr(self, name), cls):
+                raise DomainError(
+                    f"TimeFractionalProblem: {name} must be a {cls.__name__} instance"
+                )
 
 
 class ChoiceRule(str, Enum):

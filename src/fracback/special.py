@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import POSITIVE, UNIT, DomainError, NumericalError, check_real
+from .errors import POSITIVE, UNIT, DomainError, NumericalError, check_floats, check_real
 
 _LD = np.longdouble
 _LD_EPS = float(np.finfo(np.longdouble).eps)
@@ -432,7 +432,7 @@ def ml_array(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     """Vectorized E_{alpha,beta} over an array of non-positive arguments."""
     check_real("ml_array", "alpha", alpha, *UNIT)
     check_real("ml_array", "beta", beta, *POSITIVE)
-    x = np.asarray(x, dtype=np.float64)
+    x = check_floats("ml_array", "x", x)
     if x.ndim == 0:
         x = x[None]
     bad = ~np.isfinite(x) | (x > 0.0)

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NONNEGATIVE, DomainError, NumericalError, check_int, check_real
+from .errors import NONNEGATIVE, DomainError, NumericalError, check_floats, check_int, check_real
 from .quadrature import QuadConfig, composite_nodes
 
 __all__ = [
@@ -118,7 +118,7 @@ class SpectralField:
     flags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        arr = np.array(self.coeffs, dtype=np.float64, copy=True).ravel()
+        arr = check_floats("SpectralField", "coeffs", self.coeffs).ravel()
         if arr.size != self.modeset.size:
             raise DomainError(
                 f"SpectralField: expected {self.modeset.size} coefficients, got {arr.size}"

@@ -6,14 +6,25 @@ reduced configuration file so the suite stays fast.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
-from fracback import DomainError, ml
-from fracback.cli import CliConfig, load_config, main
+from fracback import (
+    DomainError,
+    ExperimentConfig,
+    SpectralField,
+    l2_error,
+    ml,
+    paper_problem,
+    run_table3,
+)
+from fracback.cli import _CONFIG_KEYS, CliConfig, load_config, main
 
 REDUCED = {"alphas": [0.4, 0.8], "truncation": 8, "sweep": [1e-2, 1e-3]}
 
@@ -117,6 +128,13 @@ class TestConfig:
         )
         with pytest.raises(DomainError):
             load_config(cfg_file({"singular_mode": "spooky"}))
+
+    def test_readme_lists_the_schema_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = re.search(r"Accepted\s+keys:(.*?)\.\n", readme, re.S).group(1)
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(re.findall(r"`(\w+)`", listed)) == fields | {"out", "verbosity"}
+        assert _CONFIG_KEYS == fields | {"out", "verbosity"}
 
     def test_bad_field_value_is_domain_error(self, cfg_file):
         with pytest.raises(DomainError):
@@ -224,6 +242,18 @@ class TestForwardBackward:
         assert "parameter choice: t = " in err
         assert "noise audit: nominal=0.0001" in err
 
+    @pytest.mark.parametrize("noise", [{}, {"noise_mode": "seeded_random", "seed": 3}])
+    def test_backward_noise_matches_the_table3_entry(self, noise, cfg_file, tmp_path):
+        # the CLI and the tables share one request path, so the bits agree
+        cfg = {"alphas": [0.8], "truncation": 8, "sweep": [1e-3, 1e-4], **noise}
+        out = tmp_path / "o"
+        argv = ["backward", "--config", cfg_file(cfg), "--out", str(out), "--alpha", "0.8"]
+        assert main(argv + ["--eps", "1e-4", "--delta", "1e-4"]) == 0
+        lines = (out / "backward.csv").read_text(encoding="utf-8").splitlines()[1:]
+        pp = paper_problem(ExperimentConfig(**cfg))
+        field = SpectralField(pp.modeset, [float(l.rsplit(",", 1)[1]) for l in lines])
+        assert l2_error(field, pp.u0) == run_table3(pp.config).column(0.8)[1]
+
     def test_backward_parameter_choice_failure_names_level(
         self, cfg_file, tmp_path, capsys
     ):
@@ -267,6 +297,8 @@ class TestFlagValidation:
             ["ml", "--alpha", "0.5", "--beta", "1", "--x", "-inf"],
             ["backward", "--t", "0.01", "--eps", "-1e-3"],
             ["backward", "--t", "-1e-05"],
+            ["backward", "--eps", "-1", "--delta", "1e-3"],
+            ["fig4"],  # a 2-level sweep cannot be fitted
         ],
     )
     def test_bad_level_or_thread_count_exit_2(self, argv, cfg_file, tmp_path, capsys):

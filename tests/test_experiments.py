@@ -127,7 +127,7 @@ class TestExperimentConfig:
     def test_quad_config_mirror(self):
         cfg = ExperimentConfig(points=6, subintervals=2, singular_mode="graded_substitution")
         quad = cfg.quad_config()
-        assert quad.rule.n == 6
+        assert quad.points == 6
         assert quad.subintervals == 2
         assert quad.singular_mode is SingularMode.GRADED_SUBSTITUTION
 
@@ -215,6 +215,8 @@ class TestPaperProblem:
             assert prob.alpha == a
             assert prob.modeset is pp.modeset
             assert prob.quad is pp.quad
+        with pytest.raises(DomainError, match="alpha=0.3"):
+            pp.reconstruct(0.3, 0.1)  # not a KeyError
 
     def test_alpha_one_diagnostic_final_value(self):
         cfg = ExperimentConfig(
@@ -381,7 +383,7 @@ class TestNoise:
         at_tau = np.concatenate([e1_at_tau, kernel_at_tau])
         assert ml_args  # the terms at t < tau are still evaluated
         assert not any(np.isin(x, at_tau).any() for x in ml_args)
-        per_direction = pp.quad.subintervals * pp.modeset.truncation * pp.quad.rule.n
+        per_direction = pp.quad.subintervals * pp.modeset.truncation * pp.quad.points
         assert len(unit_points) == per_direction**2  # one projection of 1
 
 
@@ -498,6 +500,16 @@ class TestTableRuns:
         assert fig.rows == t3.rows
         assert fit.model == "sqrt_const"
         assert fit.estimates[0][0] == 0.8
+
+    def test_fig4_short_sweep_rejected_before_any_solve(self, monkeypatch):
+        import fracback.solver as solver
+
+        calls = []
+        monkeypatch.setattr(solver, "ml_array", lambda *args: calls.append(args))
+        cfg = ExperimentConfig(alphas=(0.8,), truncation=4, sweep=(1e-3, 1e-4))
+        with pytest.raises(DomainError, match="at least 3 levels"):
+            run_fig4(cfg)
+        assert calls == []  # it used to run a whole table 3 first
 
 
 class TestFitRate:

@@ -79,6 +79,9 @@ class TestProblemValidation:
             TimeFractionalProblem(
                 alpha=0.5, tau=0.0, modeset=MS8, source=Source()
             )
+        # a wrong quad type failed only at the first solve, with an AttributeError
+        with pytest.raises(DomainError, match="quad must be a QuadConfig"):
+            TimeFractionalProblem(alpha=0.5, tau=1.0, modeset=MS8, source=Source(), quad="x")
 
     def test_temporal_subintervals(self):
         with pytest.raises(DomainError):
@@ -131,12 +134,17 @@ class TestSourceCoefficient:
         for src in (base, noisy, base):
             src.coefficient_batch(MS8, QuadConfig(), np.array([0.0, 0.5]))
         cfg = QuadConfig()
-        per_direction = cfg.subintervals * MS8.truncation * cfg.rule.n
+        per_direction = cfg.subintervals * MS8.truncation * cfg.points
         assert len(calls) == per_direction**2  # one projection grid
 
     def test_bad_terms_rejected(self):
         with pytest.raises(DomainError):
             Source(lambda x, y: 1.0)
+        # these failed only when the coefficients were first built
+        with pytest.raises(DomainError, match="temporal must be callable"):
+            Term(np.ones(4), 5)
+        with pytest.raises(DomainError, match="spatial must be real numbers"):
+            Term(["a"] * 4, lambda s: 1.0)
         short = Source(Term(np.ones(3), lambda s: 1.0))
         with pytest.raises(DomainError):
             short.coefficient_batch(MS8, QuadConfig(), np.array([0.5]))

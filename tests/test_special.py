@@ -92,6 +92,10 @@ class TestMLQueryDomain:
     def test_non_finite_rejected(self):
         for x in (-math.inf, math.nan):
             self._rejected(0.5, 1.0, x)
+        # a non-numeric argument was a bare ValueError from numpy
+        self._rejected(0.5, 1.0, "x")
+        with pytest.raises(DomainError, match="ml_array: x must be real numbers"):
+            ml_array(0.5, 1, ["x"])
 
 
 class TestMLExamples:

@@ -96,6 +96,8 @@ class TestSpectralField:
         bad[5] = math.inf
         with pytest.raises(DomainError):
             SpectralField(MS2, bad)
+        with pytest.raises(DomainError, match="SpectralField: coeffs must be real numbers"):
+            SpectralField(ModeSet(2, 2), ["a"] * 4)
 
     def test_coeffs_read_only(self):
         f = SpectralField(MS2, np.zeros(900))
