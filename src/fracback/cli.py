@@ -193,7 +193,7 @@ def _cmd_backward(args: argparse.Namespace) -> int:
             f"truncated_norm={audit.truncated_norm!r}",
         )
     field = pp.reconstruct(alpha, t, eps=eps, delta=delta)
-    if "unregularized inversion" in field.flags:
+    if t == 0.0:
         print("warning: unregularized inversion (t = 0)", file=sys.stderr)
     _write_fields(out, pp, alpha, "backward", field)
     return 0

@@ -25,7 +25,7 @@ import hashlib
 import math
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Mapping
@@ -118,6 +118,8 @@ class ExperimentConfig:
         object.__setattr__(self, "alphas", _reals("alphas", self.alphas, *UNIT))
         if not self.alphas:
             raise DomainError("ExperimentConfig: alphas must be non-empty")
+        if len(set(self.alphas)) != len(self.alphas):
+            raise DomainError(f"ExperimentConfig: alphas must be distinct, got {self.alphas}")
         check_real("ExperimentConfig", "tau", self.tau, *POSITIVE)
         for name in ("truncation", "temporal_subintervals"):
             check_int("ExperimentConfig", name, getattr(self, name))
@@ -149,7 +151,7 @@ class ErrorTable:
     alphas: tuple[float, ...]
     rows: tuple[tuple[float, ...], ...]
     config: ExperimentConfig
-    content_hash: str = ""
+    content_hash: str = field(init=False)  # sha256 of to_csv()
 
     def __post_init__(self) -> None:
         if self.table_id not in ("table1", "table2", "table3", "fig4"):
@@ -165,9 +167,8 @@ class ErrorTable:
                 raise DomainError("ErrorTable: one error per alpha required")
             for v in row:
                 check_real("ErrorTable", "error", v, *NONNEGATIVE)
-        if not self.content_hash:
-            digest = hashlib.sha256(self.to_csv().encode("utf-8")).hexdigest()
-            object.__setattr__(self, "content_hash", digest)
+        digest = hashlib.sha256(self.to_csv().encode("utf-8")).hexdigest()
+        object.__setattr__(self, "content_hash", digest)
 
     def column(self, alpha: float) -> tuple[float, ...]:
         try:
@@ -393,12 +394,12 @@ def fit_rate(
     """
     if model not in ("power_law", "sqrt_const"):
         raise DomainError(f"fit_rate: unknown model {model!r}")
-    if last is not None:
-        last = check_int("fit_rate", "last", last, lo=2)
-    rows = slice(None if last is None else -last, None)
-    levels = np.array(table.levels)[rows]
     if len(table.levels) < 3:
         raise DomainError("fit_rate: need at least 3 rows")
+    if last is not None:
+        last = check_int("fit_rate", "last", last, lo=2, hi=len(table.levels))
+    rows = slice(None if last is None else -last, None)
+    levels = np.array(table.levels)[rows]
     if model == "power_law":
         alphas = table.alphas if alpha is None else (alpha,)
         out = []
@@ -414,10 +415,8 @@ def fit_rate(
         return FitResult("power_law", tuple(out))
     a = 0.8 if alpha is None else alpha
     col = np.array(table.column(a))[rows]
-    denom = float(np.sum(levels))
-    if denom == 0.0:
-        raise NumericalError("fit_rate: degenerate levels for sqrt_const fit")
-    C = float(np.sum(col * np.sqrt(levels)) / denom)
+    # levels are finite and > 0 (ErrorTable), so the sum is > 0
+    C = float(np.sum(col * np.sqrt(levels)) / np.sum(levels))
     return FitResult("sqrt_const", ((a, C),))
 
 

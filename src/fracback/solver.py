@@ -244,7 +244,7 @@ def _inverted(prob: TimeFractionalProblem, g: SpectralField) -> np.ndarray:
         bad = prob.modeset.modes[int(np.argmax(etau == 0.0))]
         raise NumericalError(
             "backward_reconstruct: E_{alpha,1}(-lambda tau^alpha) underflowed "
-            f"to zero for mode {bad.indices}; the inversion is not representable"
+            f"to zero for mode {bad}; the inversion is not representable"
         )
     return (g.coeffs - _memory(prob, *kernel)) / etau
 
@@ -271,9 +271,8 @@ def backward_reconstruct(
     """Regularized backward value at time t from final data g.
 
     t = tau returns g itself (the ratio is identically 1 and the memory
-    terms cancel algebraically).  t = 0 is the unregularized inversion,
-    returned with an advisory flag: it exposes the ill-posedness and is
-    not the reconstruction method.
+    terms cancel algebraically).  t = 0 is the unregularized inversion: it
+    exposes the ill-posedness and is not the reconstruction method.
     """
     _check_field(g, prob, "backward_reconstruct")
     t = _check_time(t, prob.tau, "backward_reconstruct")
@@ -281,7 +280,7 @@ def backward_reconstruct(
         return SpectralField(prob.modeset, g.coeffs)
     base = _inverted(prob, g)
     if t == 0.0:
-        return SpectralField(prob.modeset, base, flags=("unregularized inversion",))
+        return SpectralField(prob.modeset, base)
     return _evolve(prob, base, t)
 
 

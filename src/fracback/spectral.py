@@ -16,6 +16,7 @@ thread counts.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,7 +29,6 @@ from .errors import NONNEGATIVE, DomainError, NumericalError, check_floats, chec
 from .quadrature import QuadConfig, composite_nodes
 
 __all__ = [
-    "Mode",
     "ModeSet",
     "SpectralField",
     "project",
@@ -41,25 +41,11 @@ _DOMAIN_HI = math.pi
 
 
 @dataclass(frozen=True)
-class Mode:
-    """One sine mode, indexed (m,) in d=1 or (m, n) in d=2."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        idx = tuple(check_int("Mode", "index", i) for i in self.indices)
-        object.__setattr__(self, "indices", idx)
-        if len(idx) not in (1, 2):
-            raise DomainError(f"Mode: need 1 or 2 indices, got {self.indices!r}")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
 class ModeSet:
-    """All modes with per-direction index 1..M, in lexicographic order."""
+    """All modes with per-direction index 1..M, in lexicographic order.
+
+    A mode is named by its index tuple, (m,) in d=1 or (m, n) in d=2.
+    """
 
     dimension: int = 2
     truncation: int = 30
@@ -73,13 +59,9 @@ class ModeSet:
         return self.truncation**self.dimension
 
     @property
-    def modes(self) -> tuple[Mode, ...]:
-        M = self.truncation
-        if self.dimension == 1:
-            return tuple(Mode((m,)) for m in range(1, M + 1))
-        return tuple(
-            Mode((m, n)) for m in range(1, M + 1) for n in range(1, M + 1)
-        )
+    def modes(self) -> tuple[tuple[int, ...], ...]:
+        """Index tuples in set order."""
+        return tuple(itertools.product(range(1, self.truncation + 1), repeat=self.dimension))
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -90,32 +72,24 @@ class ModeSet:
         lam.flags.writeable = False
         return lam
 
-    def index_of(self, mode: Mode) -> int:
-        """Position of a mode in this set's fixed order."""
-        if mode.dimension != self.dimension:
+    def index_of(self, *indices: int) -> int:
+        """Position of the mode with these indices in this set's fixed order."""
+        if len(indices) != self.dimension:
             raise DomainError(
-                f"ModeSet: mode dimension {mode.dimension} != set dimension {self.dimension}"
+                f"ModeSet: need {self.dimension} indices, got {indices!r}"
             )
-        M = self.truncation
-        if any(i > M for i in mode.indices):
-            raise DomainError(f"ModeSet: mode {mode.indices} exceeds truncation {M}")
-        if self.dimension == 1:
-            return mode.indices[0] - 1
-        m, n = mode.indices
-        return (m - 1) * M + (n - 1)
+        k = 0
+        for i in indices:
+            k = k * self.truncation + check_int("ModeSet", "index", i, hi=self.truncation) - 1
+        return k
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """Real coefficients against the modes of a ModeSet, in set order.
-
-    ``flags`` carries advisory markers (e.g. "unregularized inversion" on
-    a backward reconstruction at t=0); it never affects numerics.
-    """
+    """Real coefficients against the modes of a ModeSet, in set order."""
 
     modeset: ModeSet
     coeffs: np.ndarray
-    flags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         arr = check_floats("SpectralField", "coeffs", self.coeffs).ravel()
@@ -128,8 +102,8 @@ class SpectralField:
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
-    def coeff(self, mode: Mode) -> float:
-        return float(self.coeffs[self.modeset.index_of(mode)])
+    def coeff(self, *indices: int) -> float:
+        return float(self.coeffs[self.modeset.index_of(*indices)])
 
 
 # One entry per (function, grid); the benchmark uses two per configuration.
@@ -188,8 +162,7 @@ def write_csv(field: SpectralField, path: str | Path) -> None:
     """Serialize as CSV (`m,n,coeff` in d=2, `m,coeff` in d=1), 17 digits."""
     ms = field.modeset
     lines = ["m,n,coeff" if ms.dimension == 2 else "m,coeff"]
-    for mode, c in zip(ms.modes, field.coeffs):
-        idx = ",".join(str(i) for i in mode.indices)
-        lines.append(f"{idx},{float(c):.17g}")
+    for idx, c in zip(ms.modes, field.coeffs.tolist()):
+        lines.append(",".join(map(str, idx)) + f",{c:.17g}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 

@@ -36,7 +36,6 @@ from conftest import GROUP_B, REF_T1, REF_T2, REF_T3, record_acceptance
 from _benchmark_oracle import direct_rule_error
 
 from fracback import (
-    Mode,
     ModeSet,
     QuadConfig,
     SingularMode,
@@ -289,7 +288,7 @@ def test_criterion_7():
     u0 = project(lambda x, y: math.sin(x) * math.sin(y), ms, QuadConfig())
     worst = 0.0
     for t in (0.1, 0.5, 1.0):
-        got = forward_solve(prob, u0, t).coeff(Mode((1, 1)))
+        got = forward_solve(prob, u0, t).coeff(1, 1)
         want = (math.pi / 2.0) * math.exp(-PI2 * t)
         worst = max(worst, abs(got - want) / want)
     ok = worst <= 1e-6

@@ -1,16 +1,20 @@
 """Public-API guard: every exported name resolves, the package exports
-exactly its submodules' ``__all__`` lists, and every name the benchmark
-imports or wraps still exists where it looks for it."""
+exactly its submodules' ``__all__`` lists, every name the benchmark
+imports or wraps still exists where it looks for it, and README's
+library example runs."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import math
+import re
 from pathlib import Path
 
 import fracback
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 SUBMODULES = ("errors", "experiments", "quadrature", "solver", "special", "spectral")
 
@@ -59,3 +63,12 @@ def test_traced_benchmark_targets_exist():
     for module, name in targets:
         mod = importlib.import_module(f"fracback.{module}")
         assert callable(getattr(mod, name, None)), (module, name)
+
+
+def test_readme_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    scope = {}
+    exec(block, scope)
+    assert math.isfinite(scope["err"])
+    assert math.isfinite(scope["c11"])

@@ -176,6 +176,7 @@ class TestConfig:
             ("alphas", [True]),
             ("sweep", [True]),
             ("alphas", ["x"]),
+            ("alphas", [0.4, 0.4]),
         ):
             path = cfg_file({**REDUCED, key: value}, name=f"{key}.json")
             assert main(["forward", "--config", path, "--t", "0", "--out", str(tmp_path)]) == 2

@@ -18,7 +18,6 @@ from fracback import (
     DomainError,
     ErrorTable,
     ExperimentConfig,
-    Mode,
     ModeSet,
     NoiseMode,
     NumericalError,
@@ -78,6 +77,10 @@ class TestExperimentConfig:
             ExperimentConfig(alphas=())
         with pytest.raises(DomainError):
             ExperimentConfig(alphas=(0.5, 1.5))
+        # equal alphas would give identical columns, and lookups find the first
+        for alphas in ((0.5, 0.5), (0.2, 1, 1.0)):
+            with pytest.raises(DomainError, match="alphas must be distinct"):
+                ExperimentConfig(alphas=alphas)
 
     def test_tau_and_seed_validation(self):
         for tau in (0.0, math.inf, math.nan):
@@ -173,6 +176,9 @@ class TestErrorTable:
         assert len(tab.content_hash) == 64
         want = hashlib.sha256(tab.to_csv().encode("utf-8")).hexdigest()
         assert tab.content_hash == want
+        # derived from the CSV only; a caller cannot set it
+        with pytest.raises(TypeError):
+            self.table(content_hash="bogus")
 
     def test_column_lookup(self):
         tab = self.table()
@@ -196,18 +202,18 @@ class TestErrorTable:
 class TestPaperProblem:
     def test_u0_single_mode(self, benchmark_problem):
         pp = benchmark_problem
-        i11 = pp.modeset.index_of(Mode((1, 1)))
-        assert pp.u0.coeff(Mode((1, 1))) == pytest.approx(PI / 2.0, rel=1e-14)
+        i11 = pp.modeset.index_of(1, 1)
+        assert pp.u0.coeff(1, 1) == pytest.approx(PI / 2.0, rel=1e-14)
         off = np.delete(np.abs(pp.u0.coeffs), i11)
         assert float(off.max()) < 1e-9  # frozen measurement: 5.87e-16
 
     def test_g_single_mode(self, benchmark_problem):
         pp = benchmark_problem
-        i11 = pp.modeset.index_of(Mode((1, 1)))
+        i11 = pp.modeset.index_of(1, 1)
         for a, g in pp.finals.items():
             off = np.delete(np.abs(g.coeffs), i11)
             assert float(off.max()) < 1e-9, a  # frozen: <= 1.23e-17
-            assert g.coeff(Mode((1, 1))) > 0.0
+            assert g.coeff(1, 1) > 0.0
 
     def test_problems_share_modeset_and_quad(self, benchmark_problem):
         pp = benchmark_problem
@@ -226,7 +232,7 @@ class TestPaperProblem:
             singular_mode=SingularMode.GRADED_SUBSTITUTION,
         )
         pp = paper_problem(cfg)
-        got = pp.finals[1.0].coeff(Mode((1, 1)))
+        got = pp.finals[1.0].coeff(1, 1)
         want = (PI / 2.0) * math.exp(-PI * PI)
         assert got == pytest.approx(want, rel=1e-6)  # frozen rel err 4.6e-13
 
@@ -285,9 +291,9 @@ class TestNoise:
         g = pp.finals[0.5]
         delta = 0.1
         shifted = noisy_data(g, delta, pp.quad)
-        added = shifted.coeff(Mode((1, 3))) - g.coeff(Mode((1, 3)))
+        added = shifted.coeff(1, 3) - g.coeff(1, 3)
         assert added == pytest.approx(4.0 * delta / (3.0 * PI), rel=1e-10)
-        added11 = shifted.coeff(Mode((1, 1))) - g.coeff(Mode((1, 1)))
+        added11 = shifted.coeff(1, 1) - g.coeff(1, 1)
         assert added11 == pytest.approx(4.0 * delta / PI, rel=1e-10)
 
     def test_constant_data_shift_even_modes_vanish(self):
@@ -295,7 +301,7 @@ class TestNoise:
         g = pp.finals[0.5]
         shifted = noisy_data(g, 0.1, pp.quad)
         for idx in ((2, 1), (1, 2), (2, 2), (4, 3)):
-            added = shifted.coeff(Mode(idx)) - g.coeff(Mode(idx))
+            added = shifted.coeff(*idx) - g.coeff(*idx)
             assert abs(added) < 1e-10, idx
 
     def test_constant_source_shift_matches_and_is_static(self):
@@ -304,7 +310,7 @@ class TestNoise:
         shift_only = noisy_source(Source(), eps, self.MS)
         cols = shift_only.coefficient_batch(self.MS, self.QUAD, np.array([0.1, 0.9]))
         assert np.array_equal(cols[:, 0], cols[:, 1])  # time-independent
-        k13 = self.MS.index_of(Mode((1, 3)))
+        k13 = self.MS.index_of(1, 3)
         assert cols[k13, 0] == pytest.approx(4.0 * eps / (3.0 * PI), rel=1e-10)
 
     def test_seeded_source_norm_and_determinism(self):
@@ -557,6 +563,12 @@ class TestFitRate:
     def test_last_needs_two(self, table1_run):
         with pytest.raises(DomainError):
             fit_rate(table1_run[0], "power_law", last=1)
+        # a window wider than the table is an error, not the whole table
+        tab = self.synthetic(((1e-1,), (1e-2,), (1e-3,)))
+        assert fit_rate(tab, "power_law", last=3) == fit_rate(tab, "power_law")
+        for model in ("power_law", "sqrt_const"):
+            with pytest.raises(DomainError, match="last"):
+                fit_rate(tab, model, alpha=0.5, last=50)
 
     def test_zero_error_breaks_power_law(self):
         tab = self.synthetic(((1e-1,), (0.0,), (1e-3,)))

@@ -475,6 +475,15 @@ class TestGapFit:
                 want = mp.rgamma(mp.mpf(0.2) * k + mp.mpf(beta))
                 assert abs(mp.mpf(str(c)) / want - 1) <= tol, (beta, k)
 
+    def test_pi_literal_rounds_like_mpmath(self):
+        # the Stirling scale 1/sqrt(2 pi) reads pi at the fit's precision
+        with mp.workdps(130):
+            ref = decimal.Decimal(mp.nstr(mp.pi, 120))
+        for prec in range(10, 101):
+            with decimal.localcontext() as ctx:
+                ctx.prec = prec
+                assert +special._PI == +ref, prec
+
     @pytest.fixture()
     def fresh_fits(self, monkeypatch):
         # a private memo, so a fit another test cached cannot skip the code
