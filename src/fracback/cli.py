@@ -40,8 +40,6 @@ from .experiments import (
     emit_csv,
     emit_plot_script,
     noise_audit,
-    noisy_data,
-    noisy_source,
     paper_problem,
     run_fig4,
     run_table1,
@@ -160,11 +158,7 @@ def _cmd_ml(args: argparse.Namespace) -> int:
 
 def _cmd_forward(args: argparse.Namespace) -> int:
     ecfg, out, verbosity, pp, alpha = _single_alpha(args)
-    prob = pp.problems[alpha]
-    source = noisy_source(
-        prob.source, args.eps, pp.modeset, mode=ecfg.noise_mode, seed=ecfg.seed
-    )
-    prob = dataclasses.replace(prob, source=source)
+    prob, _ = pp.noisy(alpha, eps=args.eps)
     t = ecfg.tau if args.t is None else args.t
     _write_fields(out, pp, alpha, "forward", forward_solve(prob, pp.u0, t))
     return 0
@@ -223,20 +217,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_fig4(args: argparse.Namespace) -> int:
     ecfg, out, verbosity = _settings(args)
     _echo(verbosity, f"config: {ecfg}")
-    table, fit = run_fig4(ecfg, threads=args.threads)
+    table, C = run_fig4(ecfg, threads=args.threads)
     _emit_table(table, out)
-    C = fit.estimates[0][1]
     print(f"C = {C!r}")
     return 0
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     ecfg, out, verbosity, pp, alpha = _single_alpha(args)
-    prob = pp.problems[alpha]
-    g = noisy_data(
-        pp.finals[alpha], args.delta, pp.quad, mode=ecfg.noise_mode, seed=ecfg.seed
-    )
-    report = solvability_diagnostic(prob, g)
+    report = solvability_diagnostic(*pp.noisy(alpha, delta=args.delta))
     print(f"classification: {report.classification}")
     sums = report.partial_sums
     quarters = sorted({max(len(sums) * k // 4, 1) for k in (1, 2, 3, 4)})

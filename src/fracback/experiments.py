@@ -21,6 +21,7 @@ CSV so repeated runs (any thread count) are byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 from collections.abc import Iterable
@@ -49,9 +50,9 @@ from .solver import (
     Source,
     Term,
     TimeFractionalProblem,
+    backward_reconstruct,
     choose_t,
     final_value,
-    reconstruct_noisy,
 )
 from .spectral import ModeSet, SpectralField, hp_norm, l2_error, project
 
@@ -61,7 +62,6 @@ __all__ = [
     "ErrorTable",
     "PaperProblem",
     "NoiseAudit",
-    "FitResult",
     "paper_problem",
     "noisy_source",
     "noisy_data",
@@ -124,7 +124,7 @@ class ExperimentConfig:
         for name in ("truncation", "temporal_subintervals"):
             check_int("ExperimentConfig", name, getattr(self, name))
         if self.sweep is not None:
-            # checked here, not after a whole table run in ErrorTable
+            # the only check of a table's levels, made before any table run
             object.__setattr__(self, "sweep", _reals("sweep", self.sweep, *POSITIVE))
             if not self.sweep:
                 raise DomainError("ExperimentConfig: sweep must be non-empty or omitted")
@@ -144,24 +144,18 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ErrorTable:
-    """Levels (descending) x alphas error matrix with config echo and hash."""
+    """A table's errors: one row per level of its config, one column per alpha."""
 
     table_id: str
-    levels: tuple[float, ...]
-    alphas: tuple[float, ...]
-    rows: tuple[tuple[float, ...], ...]
     config: ExperimentConfig
+    rows: tuple[tuple[float, ...], ...]
     content_hash: str = field(init=False)  # sha256 of to_csv()
 
     def __post_init__(self) -> None:
-        if self.table_id not in ("table1", "table2", "table3", "fig4"):
+        if self.table_id not in _TABLES:
             raise DomainError(f"ErrorTable: unknown id {self.table_id!r}")
         if len(self.rows) != len(self.levels):
             raise DomainError("ErrorTable: one row per level required")
-        for v in self.levels:
-            check_real("ErrorTable", "level", v, *POSITIVE)
-        if any(b >= a for a, b in zip(self.levels, self.levels[1:])):
-            raise DomainError("ErrorTable: levels must be strictly decreasing")
         for row in self.rows:
             if len(row) != len(self.alphas):
                 raise DomainError("ErrorTable: one error per alpha required")
@@ -169,6 +163,15 @@ class ErrorTable:
                 check_real("ErrorTable", "error", v, *NONNEGATIVE)
         digest = hashlib.sha256(self.to_csv().encode("utf-8")).hexdigest()
         object.__setattr__(self, "content_hash", digest)
+
+    @property
+    def levels(self) -> tuple[float, ...]:
+        """The config's sweep, or the table's default levels (descending)."""
+        return _levels(self.table_id, self.config)
+
+    @property
+    def alphas(self) -> tuple[float, ...]:
+        return self.config.alphas
 
     def column(self, alpha: float) -> tuple[float, ...]:
         try:
@@ -201,18 +204,24 @@ class PaperProblem:
         choice = RegularizationChoice(ChoiceRule.PAPER_TABLE2, eta=eta)
         return choose_t(choice, alpha, tau=self.config.tau)
 
-    def reconstruct(
-        self, alpha: float, t: float, eps: float = 0.0, delta: float = 0.0
-    ) -> SpectralField:
-        """u(t) from g noised at delta and f noised at eps by the config's
-        noise recipe; eps = delta = 0 reconstructs from exact data."""
+    def noisy(
+        self, alpha: float, eps: float = 0.0, delta: float = 0.0
+    ) -> tuple[TimeFractionalProblem, SpectralField]:
+        """The alpha problem with f noised at eps, and g noised at delta, by
+        the config's noise recipe; eps = delta = 0 leaves both exact."""
         if alpha not in self.problems:
             raise DomainError(f"PaperProblem: no problem for alpha={alpha}")
         cfg = self.config
         prob = self.problems[alpha]
         g = noisy_data(self.finals[alpha], delta, self.quad, mode=cfg.noise_mode, seed=cfg.seed)
         source = noisy_source(prob.source, eps, self.modeset, mode=cfg.noise_mode, seed=cfg.seed)
-        return reconstruct_noisy(prob, g, source, t)
+        return dataclasses.replace(prob, source=source), g
+
+    def reconstruct(
+        self, alpha: float, t: float, eps: float = 0.0, delta: float = 0.0
+    ) -> SpectralField:
+        """u(t) from the data of :meth:`noisy`."""
+        return backward_reconstruct(*self.noisy(alpha, eps, delta), t)
 
 
 def _sin_sin(x: float, y: float) -> float:
@@ -324,19 +333,24 @@ _TIMES = tuple(10.0 ** -(i + 1) for i in range(1, 9))
 _ETAS = tuple(10.0 ** -(i + 2) for i in range(1, 8))
 # table id -> (default levels, the field at one level for one alpha).  A level is
 # the time t in table 1 and the noise level e, with t by the paper rule, in
-# tables 2 (source noise only) and 3 (source and data noise).
+# tables 2 (source noise only) and 3 (source and data noise); the rate figure
+# plots table 3.
 _TABLES = {
     "table1": (_TIMES, lambda pp, a, t: pp.reconstruct(a, t)),
     "table2": (_ETAS, lambda pp, a, e: pp.reconstruct(a, pp.paper_t(a, e), eps=e)),
     "table3": (_ETAS, lambda pp, a, e: pp.reconstruct(a, pp.paper_t(a, e), eps=e, delta=e)),
 }
+_TABLES["fig4"] = _TABLES["table3"]
+
+
+def _levels(table_id: str, cfg: ExperimentConfig) -> tuple[float, ...]:
+    return cfg.sweep or _TABLES[table_id][0]
 
 
 def _run_table(table_id: str, cfg: ExperimentConfig, threads: int) -> ErrorTable:
     """The table's error at every (level, alpha); one alpha column per worker."""
     check_int(f"run_{table_id}", "threads", threads)
-    default, request = _TABLES[table_id]
-    levels = cfg.sweep or default
+    levels, request = _levels(table_id, cfg), _TABLES[table_id][1]
     pp = paper_problem(cfg)
 
     def column(alpha: float) -> list[float]:
@@ -347,7 +361,7 @@ def _run_table(table_id: str, cfg: ExperimentConfig, threads: int) -> ErrorTable
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             cols = list(pool.map(column, cfg.alphas))
-    return ErrorTable(table_id, levels, cfg.alphas, tuple(zip(*cols)), cfg)
+    return ErrorTable(table_id, cfg, tuple(zip(*cols)))
 
 
 def run_table1(cfg: ExperimentConfig = ExperimentConfig(), threads: int = 1) -> ErrorTable:
@@ -365,27 +379,13 @@ def run_table3(cfg: ExperimentConfig = ExperimentConfig(), threads: int = 1) -> 
     return _run_table("table3", cfg, threads)
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """Fitted rate constants: (alpha, value) pairs for the requested model."""
-
-    model: str
-    estimates: tuple[tuple[float, float], ...]
-
-    def value(self, alpha: float) -> float:
-        for a, v in self.estimates:
-            if a == alpha:
-                return v
-        raise DomainError(f"FitResult: no estimate for alpha={alpha}")
-
-
 def fit_rate(
     table: ErrorTable,
     model: str = "power_law",
     alpha: float | None = None,
     last: int | None = None,
-) -> FitResult:
-    """Fit error-vs-level behavior.
+) -> dict[float, float]:
+    """Fit error-vs-level behavior; returns {alpha: estimate}.
 
     power_law: least-squares slope of log10(error) against log10(level),
     per alpha (optionally restricted to the ``last`` rows, i.e. the
@@ -401,41 +401,37 @@ def fit_rate(
     rows = slice(None if last is None else -last, None)
     levels = np.array(table.levels)[rows]
     if model == "power_law":
-        alphas = table.alphas if alpha is None else (alpha,)
-        out = []
-        for a in alphas:
+        out = {}
+        for a in table.alphas if alpha is None else (alpha,):
             col = np.array(table.column(a))[rows]
             if np.any(col <= 0.0):
                 raise NumericalError(
                     f"fit_rate: non-positive error in alpha={a} column; "
                     "power-law fit undefined"
                 )
-            slope = np.polyfit(np.log10(levels), np.log10(col), 1)[0]
-            out.append((a, float(slope)))
-        return FitResult("power_law", tuple(out))
+            out[a] = float(np.polyfit(np.log10(levels), np.log10(col), 1)[0])
+        return out
     a = 0.8 if alpha is None else alpha
     col = np.array(table.column(a))[rows]
-    # levels are finite and > 0 (ErrorTable), so the sum is > 0
-    C = float(np.sum(col * np.sqrt(levels)) / np.sum(levels))
-    return FitResult("sqrt_const", ((a, C),))
+    # levels are finite and > 0 (ExperimentConfig), so the sum is > 0
+    return {a: float(np.sum(col * np.sqrt(levels)) / np.sum(levels))}
 
 
 def run_fig4(
     cfg: ExperimentConfig = ExperimentConfig(), threads: int = 1
-) -> tuple[ErrorTable, FitResult]:
-    """Table 3 rebadged for the rate figure, plus its sqrt_const fit."""
-    if cfg.sweep is not None and len(cfg.sweep) < 3:
+) -> tuple[ErrorTable, float]:
+    """Table 3 as the rate figure, plus the C of its sqrt_const fit."""
+    if len(_levels("fig4", cfg)) < 3:
         # fit_rate needs 3 rows; rejected here, not after a whole table run
         raise DomainError(f"run_fig4: the rate fit needs at least 3 levels, got sweep={cfg.sweep}")
-    t3 = run_table3(cfg, threads)
-    fig = ErrorTable("fig4", t3.levels, t3.alphas, t3.rows, cfg)
-    return fig, _fig4_fit(fig)
+    fig = _run_table("fig4", cfg, threads)
+    return fig, _fig4_C(fig)
 
 
-def _fig4_fit(fig: ErrorTable) -> FitResult:
-    """The rate figure's sqrt_const fit: alpha = 0.8 if run, else the last alpha."""
+def _fig4_C(fig: ErrorTable) -> float:
+    """The rate figure's sqrt_const C: alpha = 0.8 if run, else the last alpha."""
     alpha = 0.8 if 0.8 in fig.alphas else fig.alphas[-1]
-    return fit_rate(fig, "sqrt_const", alpha=alpha)
+    return fit_rate(fig, "sqrt_const", alpha=alpha)[alpha]
 
 
 def emit_csv(table: ErrorTable, path: str | Path) -> None:
@@ -446,16 +442,14 @@ def emit_csv(table: ErrorTable, path: str | Path) -> None:
         raise OSError(f"emit_csv: cannot write {path}: {exc}") from exc
 
 
-def emit_plot_script(
-    table: ErrorTable, path: str | Path, csv_name: str | None = None
-) -> None:
+def emit_plot_script(table: ErrorTable, path: str | Path) -> None:
     """Write a standalone gnuplot script next to the table's CSV.
 
     Tables render as log-log error curves per alpha; fig4 additionally
     overlays the fitted C*sqrt(eta) reference line.
     """
     path = Path(path)
-    csv_ref = csv_name if csv_name is not None else f"{table.table_id}.csv"
+    csv_ref = f"{table.table_id}.csv"
     lines = [
         f"# gnuplot script for {table.table_id}; data: {csv_ref}",
         "set datafile separator ','",
@@ -469,7 +463,7 @@ def emit_plot_script(
         for j, a in enumerate(table.alphas)
     ]
     if table.table_id == "fig4":
-        C = _fig4_fit(table).estimates[0][1]
+        C = _fig4_C(table)
         lines.append(f"C = {C!r}")
         curves.append("C*sqrt(x) with lines dashtype 2 title sprintf('%.3g*sqrt(eta)', C)")
     lines.append("plot \\")

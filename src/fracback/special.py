@@ -24,8 +24,7 @@ keyed to y = |x|**(1/a):
 All paths are deterministic and pure, and no cached value is ever mutated.
 A value depends on its argument and at most on the batch's largest |x|
 (the Taylor stopping rule takes a batch maximum), never on the other
-arguments, their order or count, so ml_array evaluates each distinct
-argument once and scatters the results back, bit-identically.
+arguments, their order or count.
 """
 
 from __future__ import annotations
@@ -435,9 +434,6 @@ def ml_array(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
         )
     if alpha == 1.0 and beta == 1.0:
         return np.exp(x)
-    # each distinct argument once; the same bits (see the module docstring)
-    shape = x.shape
-    x, inv = np.unique(x, return_inverse=True)
     out = np.empty_like(x)
     with np.errstate(over="ignore"):  # y = inf is a valid asymptotic-band argument
         y = np.abs(x) ** (1.0 / alpha)
@@ -463,7 +459,7 @@ def ml_array(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
         raise NumericalError(
             f"ml_array: non-finite value for alpha={alpha!r}, beta={beta!r}"
         )
-    return out[inv].reshape(shape)
+    return out
 
 
 def ml(alpha: float, beta: float, x: float) -> float:

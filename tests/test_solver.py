@@ -470,3 +470,37 @@ class TestChooseT:
             choose_t(choice, 0.5, tau=math.nan)  # returned 0.001
         with pytest.raises(DomainError):
             choose_t(choice, "x")
+
+
+class TestRateTheorem:
+    """The source-condition rule's optimal order: for u0 in D(A^p) and data
+    noise of norm eta, t^alpha = eta^(1/(p+1)) balances a bias of order
+    t^(alpha p) against a noise gain of order eta / t^alpha, so the error
+    falls like eta^(p/(p+1))."""
+
+    MS = ModeSet(dimension=1, truncation=4000)
+
+    @pytest.mark.parametrize("p", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("alpha", [0.2, 0.4, 0.8])
+    def test_error_slope_is_p_over_p_plus_one(self, alpha, p):
+        ms = self.MS
+        c = np.arange(1, ms.truncation + 1, dtype=np.float64) ** -(2.0 * p + 0.55)
+        u0 = SpectralField(ms, c / math.sqrt(math.fsum(c * c)))  # just inside D(A^p)
+        prob = TimeFractionalProblem(alpha=alpha, tau=1.0, modeset=ms, source=Source())
+        g = final_value(prob, u0).coeffs
+        noise = np.random.default_rng(20240817).uniform(-1.0, 1.0, ms.size)
+        noise /= math.sqrt(math.fsum(noise * noise))
+        # 4 decades of eta, down to lambda_max t^alpha = 100: any smaller and
+        # the truncation caps the noise gain, which flattens the error
+        eta_min = (100.0 / ms.eigenvalues.max()) ** (p + 1.0)
+        etas = eta_min * np.logspace(4.0, 0.0, 9)
+        errs = []
+        for eta in etas:
+            t = choose_t(RegularizationChoice(ChoiceRule.SOURCE_CONDITION, eta=eta, p=p), alpha)
+            rec = backward_reconstruct(prob, SpectralField(ms, g + eta * noise), t)
+            errs.append(l2_error(rec, u0))
+        slope = np.polyfit(np.log(etas), np.log(errs), 1)[0]
+        # measured 0.196-0.213, 0.327-0.345 and 0.481-0.485; criterion 4's
+        # +/-0.07 would also pass the p = 1 rule's t, whose slopes here are
+        # 0.139 (p = 0.25) and 0.264 (p = 0.5)
+        assert abs(slope - p / (p + 1.0)) <= 0.03, slope
