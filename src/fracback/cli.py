@@ -28,7 +28,6 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -51,7 +50,7 @@ from .solver import forward_solve, solvability_diagnostic
 from .special import ml
 from .spectral import write_csv
 
-__all__ = ["CliConfig", "load_config", "main"]
+__all__ = ["load_config", "main"]
 
 # Short singular-mode tokens; ExperimentConfig checks every other token itself.
 _SINGULAR_ALIASES = {
@@ -63,24 +62,10 @@ _EXPERIMENT_KEYS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig
 _CONFIG_KEYS = _EXPERIMENT_KEYS | {"out", "verbosity"}
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Experiment settings plus output directory and verbosity."""
-
-    experiment: ExperimentConfig = ExperimentConfig()
-    out: str | None = None
-    verbosity: int = 0
-
-    def __post_init__(self) -> None:
-        if self.out is not None and not isinstance(self.out, str):
-            raise DomainError(f"config: out must be a string, got {self.out!r}")
-        check_int("config", "verbosity", self.verbosity, lo=0)
-
-
-def load_config(path: str | Path | None) -> CliConfig:
-    """Parse a JSON config file; unknown keys are rejected, not ignored."""
+def load_config(path: str | Path | None) -> tuple[ExperimentConfig, str | None, int]:
+    """(ExperimentConfig, out or None, verbosity) from a strict JSON config file."""
     if path is None:
-        return CliConfig()
+        return ExperimentConfig(), None, 0
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -102,23 +87,21 @@ def load_config(path: str | Path | None) -> CliConfig:
         experiment = ExperimentConfig(**fields)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"config: {path}: {exc}") from exc
-    return CliConfig(
-        experiment=experiment,
-        out=data.get("out"),
-        verbosity=data.get("verbosity", 0),
-    )
+    out = data.get("out")
+    if out is not None and not isinstance(out, str):
+        raise DomainError(f"config: out must be a string, got {out!r}")
+    verbosity = check_int("config", "verbosity", data.get("verbosity", 0), lo=0)
+    return experiment, out, verbosity
 
 
 def _settings(args: argparse.Namespace) -> tuple[ExperimentConfig, Path, int]:
     """Merge config file, flags, and environment into the effective settings."""
-    cli = load_config(getattr(args, "config", None))
-    ecfg = cli.experiment
+    ecfg, cfg_out, cfg_verbosity = load_config(getattr(args, "config", None))
     mode = getattr(args, "singular_mode", None)
     if mode is not None:
         ecfg = dataclasses.replace(ecfg, singular_mode=_SINGULAR_ALIASES.get(mode, mode))
-    out = getattr(args, "out", None) or cli.out or os.environ.get("FRACBACK_OUT") or "."
-    verbosity = cli.verbosity + getattr(args, "verbose", 0)
-    return ecfg, Path(out), verbosity
+    out = getattr(args, "out", None) or cfg_out or os.environ.get("FRACBACK_OUT") or "."
+    return ecfg, Path(out), cfg_verbosity + getattr(args, "verbose", 0)
 
 
 def _ensure_dir(out: Path) -> None:

@@ -379,59 +379,42 @@ def run_table3(cfg: ExperimentConfig = ExperimentConfig(), threads: int = 1) -> 
     return _run_table("table3", cfg, threads)
 
 
-def fit_rate(
-    table: ErrorTable,
-    model: str = "power_law",
-    alpha: float | None = None,
-    last: int | None = None,
-) -> dict[float, float]:
-    """Fit error-vs-level behavior; returns {alpha: estimate}.
-
-    power_law: least-squares slope of log10(error) against log10(level),
-    per alpha (optionally restricted to the ``last`` rows, i.e. the
-    smallest levels).  sqrt_const: best C in error ~ C sqrt(level) for one
-    alpha column (default 0.8).
-    """
-    if model not in ("power_law", "sqrt_const"):
-        raise DomainError(f"fit_rate: unknown model {model!r}")
+def fit_rate(table: ErrorTable, last: int | None = None) -> dict[float, float]:
+    """{alpha: least-squares slope of log10(error) on log10(level)} over the ``last`` rows."""
     if len(table.levels) < 3:
         raise DomainError("fit_rate: need at least 3 rows")
     if last is not None:
         last = check_int("fit_rate", "last", last, lo=2, hi=len(table.levels))
     rows = slice(None if last is None else -last, None)
-    levels = np.array(table.levels)[rows]
-    if model == "power_law":
-        out = {}
-        for a in table.alphas if alpha is None else (alpha,):
-            col = np.array(table.column(a))[rows]
-            if np.any(col <= 0.0):
-                raise NumericalError(
-                    f"fit_rate: non-positive error in alpha={a} column; "
-                    "power-law fit undefined"
-                )
-            out[a] = float(np.polyfit(np.log10(levels), np.log10(col), 1)[0])
-        return out
-    a = 0.8 if alpha is None else alpha
-    col = np.array(table.column(a))[rows]
-    # levels are finite and > 0 (ExperimentConfig), so the sum is > 0
-    return {a: float(np.sum(col * np.sqrt(levels)) / np.sum(levels))}
+    log_levels = np.log10(np.array(table.levels)[rows])
+    out = {}
+    for a in table.alphas:
+        col = np.array(table.column(a))[rows]
+        if np.any(col <= 0.0):
+            raise NumericalError(
+                f"fit_rate: non-positive error in alpha={a} column; power-law fit undefined"
+            )
+        out[a] = float(np.polyfit(log_levels, np.log10(col), 1)[0])
+    return out
 
 
 def run_fig4(
     cfg: ExperimentConfig = ExperimentConfig(), threads: int = 1
 ) -> tuple[ErrorTable, float]:
-    """Table 3 as the rate figure, plus the C of its sqrt_const fit."""
+    """Table 3 as the rate figure, plus the C of its sqrt(level) fit."""
     if len(_levels("fig4", cfg)) < 3:
-        # fit_rate needs 3 rows; rejected here, not after a whole table run
+        # rejected here, not after a whole table run
         raise DomainError(f"run_fig4: the rate fit needs at least 3 levels, got sweep={cfg.sweep}")
     fig = _run_table("fig4", cfg, threads)
     return fig, _fig4_C(fig)
 
 
 def _fig4_C(fig: ErrorTable) -> float:
-    """The rate figure's sqrt_const C: alpha = 0.8 if run, else the last alpha."""
-    alpha = 0.8 if 0.8 in fig.alphas else fig.alphas[-1]
-    return fit_rate(fig, "sqrt_const", alpha=alpha)[alpha]
+    """Best C in error ~ C sqrt(level): alpha = 0.8 if run, else the last alpha."""
+    col = np.array(fig.column(0.8 if 0.8 in fig.alphas else fig.alphas[-1]))
+    levels = np.array(fig.levels)
+    # levels are finite and > 0 (ExperimentConfig), so the sum is > 0
+    return float(np.sum(col * np.sqrt(levels)) / np.sum(levels))
 
 
 def emit_csv(table: ErrorTable, path: str | Path) -> None:

@@ -3,8 +3,8 @@
 The public entry points are :class:`QuadConfig` (the tabulated
 Gauss-Legendre rule with 2..8 points, a subinterval count and a singular
 mode), :func:`composite_nodes` (the nodes and weights of the composite
-rule with ``N`` equal subintervals), and :func:`singular_nodes`
-(nodes and effective weights for ``int_0^t (t-s)^(alpha-1) g(s) ds``).
+rule with ``N`` equal subintervals), and :func:`singular_nodes` (nodes,
+effective weights and (t-s)^alpha for ``int_0^t (t-s)^(alpha-1) g(s) ds``).
 Callers reduce ``w * g(s)`` over the returned arrays themselves.  The
 singular integral supports two modes: ``paper_direct`` applies the
 composite rule to the full integrand (interior nodes never touch the
@@ -131,20 +131,22 @@ def composite_nodes(
 
 def singular_nodes(
     t: float, alpha: float, cfg: QuadConfig, subintervals: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes s_i and effective weights w_i with sum_i w_i g(s_i) ~ the integral.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes s_i, effective weights w_i with sum_i w_i g(s_i) ~ the integral,
+    and z_i = (t - s_i)^alpha.
 
     Folds the kernel (t-s)^(alpha-1) (paper_direct) or the grading
     substitution u = (t-s)^alpha (graded_substitution) into the weights so
-    callers only evaluate the smooth factor g on the returned nodes.
+    callers only evaluate the smooth factor g on the returned nodes.  In
+    graded mode z is the node u itself: recomputing it from s would cancel
+    near s = t, where u^(1/alpha) falls below the spacing of floats at t.
     """
     check_real("singular_nodes", "t", t, *POSITIVE)
     check_real("singular_nodes", "alpha", alpha, *UNIT)
     if cfg.singular_mode is SingularMode.PAPER_DIRECT:
         pts, wts = composite_nodes(0.0, t, cfg, subintervals)
-        return pts, wts * (t - pts) ** (alpha - 1.0)
+        d = t - pts
+        return pts, wts * d ** (alpha - 1.0), d**alpha
     # graded: int_0^{t^alpha} g(t - u^(1/alpha)) du / alpha
     u, wu = composite_nodes(0.0, t**alpha, cfg, subintervals)
-    pts = t - u ** (1.0 / alpha)
-    return pts, wu / alpha
-
+    return t - u ** (1.0 / alpha), wu / alpha, u

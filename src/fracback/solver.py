@@ -203,8 +203,8 @@ def _terms_at(
     kernel E_{alpha,alpha}(-lambda (t-s)^alpha), for every mode at time t,
     evaluated once per distinct eigenvalue (387 of 900 at truncation 30)."""
     lam, inv = np.unique(modeset.eigenvalues, return_inverse=True)
-    pts, wts = singular_nodes(t, alpha, quad, subintervals=subintervals)
-    X = -np.outer(lam, (t - pts) ** alpha)
+    pts, wts, z = singular_nodes(t, alpha, quad, subintervals=subintervals)
+    X = -np.outer(lam, z)
     E = ml_array(alpha, alpha, X.ravel()).reshape(X.shape)[inv]
     return ml_array(alpha, 1.0, -lam * t**alpha)[inv], pts, wts, E
 
@@ -326,12 +326,11 @@ def choose_t(
         raise ParameterChoiceError(
             f"choose_t: rule needs a positive noise level, got eta={choice.eta!r}"
         )
-    if choice.rule is ChoiceRule.SOURCE_CONDITION:
-        expo = 1.0 / ((choice.p + 1.0) * alpha)
-    elif choice.rule is ChoiceRule.PLAIN:
+    if choice.rule is ChoiceRule.PLAIN:
         expo = (1.0 - choice.gamma) / alpha
-    else:  # PAPER_TABLE2: the p = 1 source-condition rule
-        expo = 1.0 / (2.0 * alpha)
+    else:  # PAPER_TABLE2 is the source-condition rule at p = 1
+        p = 1.0 if choice.rule is ChoiceRule.PAPER_TABLE2 else choice.p
+        expo = 1.0 / ((p + 1.0) * alpha)
     t = choice.eta**expo
     if t >= tau:
         raise ParameterChoiceError(

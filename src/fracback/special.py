@@ -91,10 +91,12 @@ def _inv_gamma_log_sign(t: float) -> tuple[float, float]:
 def _regime_bounds(alpha: float, beta: float) -> tuple[float, float]:
     """(y_taylor, y_asym) thresholds in y = |x|**(1/alpha).
 
-    Calibrated against an arbitrary-precision reference: the Taylor
-    path holds 1e-11 up to the first bound and the asymptotic series
-    from the second.  b == a is the weakest case on both sides because
-    the leading asymptotic term vanishes there.
+    Calibrated against an arbitrary-precision reference at the tables'
+    (alpha, beta) pairs: the Taylor path holds 1e-11 up to the first bound
+    and the asymptotic series from the second.  Near (1, 1) the Taylor path
+    does not: E falls toward e^(-y), whose cancellation amplifies the float64
+    lgamma error of the coefficients (6.2e-10 at (0.999, 1), y = 7).  b == a
+    is the weakest case on both sides: the leading asymptotic term vanishes.
     """
     if abs(beta - alpha) <= 1e-9:
         return 4.0, 36.0

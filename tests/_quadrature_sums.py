@@ -33,5 +33,5 @@ def integrate_2d(
 
 def integrate_singular(g, t: float, alpha: float, cfg: QuadConfig) -> float:
     """Approximation of int_0^t (t-s)^(alpha-1) g(s) ds per cfg.singular_mode."""
-    pts, wts = singular_nodes(t, alpha, cfg)
+    pts, wts, _ = singular_nodes(t, alpha, cfg)
     return math.fsum(w * g(float(s)) for s, w in zip(pts, wts))

@@ -192,7 +192,7 @@ def test_criterion_3(fig4_run):
 
 
 def test_criterion_4(table1_run):
-    s = fit_rate(table1_run[0], "power_law", last=3)
+    s = fit_rate(table1_run[0], last=3)
     ok = 0.75 <= s[0.8] <= 0.85 and abs(s[0.6] - 0.6) <= 0.07 and abs(s[0.4] - 0.4) <= 0.07
     record_acceptance(
         f"criterion 4 (rate slopes, last two decades): {'PASS' if ok else 'FAIL'} — "

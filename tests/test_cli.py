@@ -24,7 +24,7 @@ from fracback import (
     paper_problem,
     run_table3,
 )
-from fracback.cli import _CONFIG_KEYS, CliConfig, load_config, main
+from fracback.cli import _CONFIG_KEYS, load_config, main
 
 REDUCED = {"alphas": [0.4, 0.8], "truncation": 8, "sweep": [1e-2, 1e-3]}
 
@@ -88,10 +88,10 @@ class TestMl:
 
 class TestConfig:
     def test_defaults_without_file(self):
-        cli = load_config(None)
-        assert cli.out is None
-        assert cli.verbosity == 0
-        assert cli.experiment.truncation == 30
+        ecfg, out, verbosity = load_config(None)
+        assert out is None
+        assert verbosity == 0
+        assert ecfg.truncation == 30
 
     def test_unknown_keys_rejected(self, cfg_file):
         path = cfg_file({"truncation": 8, "typo_key": 1})
@@ -119,11 +119,11 @@ class TestConfig:
         from fracback import SingularMode
 
         assert (
-            load_config(cfg_file({"singular_mode": "paper"})).experiment.singular_mode
+            load_config(cfg_file({"singular_mode": "paper"}))[0].singular_mode
             is SingularMode.PAPER_DIRECT
         )
         assert (
-            load_config(cfg_file({"singular_mode": "graded"})).experiment.singular_mode
+            load_config(cfg_file({"singular_mode": "graded"}))[0].singular_mode
             is SingularMode.GRADED_SUBSTITUTION
         )
         with pytest.raises(DomainError):
@@ -140,11 +140,12 @@ class TestConfig:
         with pytest.raises(DomainError):
             load_config(cfg_file({"truncation": "many"}))
 
-    def test_cliconfig_validation(self):
-        with pytest.raises(DomainError):
-            CliConfig(out=7)
-        with pytest.raises(DomainError):
-            CliConfig(verbosity=True)
+    def test_cliconfig_validation(self, cfg_file):
+        with pytest.raises(DomainError, match="config: out must be a string, got 7"):
+            load_config(cfg_file({"out": 7}))
+        with pytest.raises(DomainError, match="verbosity"):
+            load_config(cfg_file({"verbosity": True}))
+        assert load_config(cfg_file({"out": "d", "verbosity": 2}))[1:] == ("d", 2)
 
     def test_cli_exit_codes_for_config_problems(self, cfg_file, tmp_path, capsys):
         bad_key = cfg_file({"nope": 1})

@@ -42,6 +42,7 @@ from fracback import (
     run_table3,
     singular_nodes,
 )
+from fracback import experiments
 from _benchmark_oracle import direct_rule_error, exact_error
 
 PI = math.pi
@@ -344,7 +345,6 @@ class TestNoise:
             noise_audit(-0.1, self.MS, self.QUAD)
 
     def test_noise_levels_share_tau_terms_and_unit_projection(self, monkeypatch):
-        import fracback.experiments as experiments
         import fracback.solver as solver
 
         pp = paper_problem(small_config(truncation=6))  # g fills the tau memo
@@ -369,11 +369,11 @@ class TestNoise:
             reconstruct_noisy(prob, noisy_data(g, eta, pp.quad), f_eta, t)
             noise_audit(eta, pp.modeset, pp.quad)
         lam = pp.modeset.eigenvalues
-        pts, _ = singular_nodes(
+        _, _, z = singular_nodes(
             prob.tau, prob.alpha, pp.quad, subintervals=prob.temporal_subintervals
         )
         e1_at_tau = -lam * prob.tau**prob.alpha
-        kernel_at_tau = -np.outer(lam, (prob.tau - pts) ** prob.alpha).ravel()
+        kernel_at_tau = -np.outer(lam, z).ravel()
         at_tau = np.concatenate([e1_at_tau, kernel_at_tau])
         assert ml_args  # the terms at t < tau are still evaluated
         assert not any(np.isin(x, at_tau).any() for x in ml_args)
@@ -461,19 +461,23 @@ class TestTableRuns:
                 assert got == pytest.approx(want, rel=1e-9), (a, t)
 
     def test_graded_rule_converges_to_closed_form(self):
-        # graded substitution on 16 temporal subintervals solves the
-        # continuous problem: its table-1 errors match the closed form
-        cfg = ExperimentConfig(
-            alphas=(0.2, 0.6, 0.8),
-            truncation=4,
-            singular_mode=SingularMode.GRADED_SUBSTITUTION,
-            temporal_subintervals=16,
-            sweep=(1e-2, 1e-5, 1e-9),
-        )
-        tab = run_table1(cfg)
-        for a in tab.alphas:
-            for t, got in zip(tab.levels, tab.column(a)):
-                assert got == pytest.approx(exact_error(a, t), rel=1e-6), (a, t)
+        # graded substitution solves the continuous problem: its table-1
+        # errors match the closed form, closer as the rule is refined.  That
+        # needs the kernel's (t-s)^alpha taken from the graded node: from s
+        # it cancels near s = t (5.3e-8 at 64, 4.1e-7 at 256; measured
+        # 4.6e-10 and 2.6e-10 from the node)
+        for subintervals, rel in ((16, 1e-6), (64, 5e-9), (256, 5e-9)):
+            cfg = ExperimentConfig(
+                alphas=(0.2, 0.6, 0.8),
+                truncation=4,
+                singular_mode=SingularMode.GRADED_SUBSTITUTION,
+                temporal_subintervals=subintervals,
+                sweep=(1e-2, 1e-5, 1e-9),
+            )
+            tab = run_table1(cfg)
+            for a in tab.alphas:
+                for t, got in zip(tab.levels, tab.column(a)):
+                    assert got == pytest.approx(exact_error(a, t), rel=rel), (subintervals, a, t)
 
     def test_determinism_across_threads_and_reruns(self):
         tabs = [
@@ -492,7 +496,7 @@ class TestTableRuns:
         assert fig.table_id == "fig4"
         t3 = run_table3(REDUCED, threads=1)
         assert fig.rows == t3.rows
-        assert C == fit_rate(fig, "sqrt_const", alpha=0.8)[0.8]
+        assert C == experiments._fig4_C(fig)
 
     def test_fig4_short_sweep_rejected_before_any_solve(self, monkeypatch):
         import fracback.solver as solver
@@ -511,18 +515,17 @@ class TestFitRate:
 
     def test_power_law_synthetic_slope_one(self):
         tab = self.synthetic(((1e-1,), (1e-2,), (1e-3,)))
-        fit = fit_rate(tab, "power_law")
+        fit = fit_rate(tab)
         assert fit[0.5] == pytest.approx(1.0, abs=1e-12)
 
     def test_sqrt_const_synthetic(self):
         rows = tuple((2.0 * math.sqrt(lv),) for lv in (1e-1, 1e-2, 1e-3))
         tab = self.synthetic(rows)
-        fit = fit_rate(tab, "sqrt_const", alpha=0.5)
-        assert fit[0.5] == pytest.approx(2.0, rel=1e-14)
+        assert experiments._fig4_C(tab) == pytest.approx(2.0, rel=1e-14)
 
     def test_benchmark_slopes_last_three(self, table1_run):
         # frozen: 0.18722 / 0.39941 / 0.59998 / 0.80000
-        fit = fit_rate(table1_run[0], "power_law", last=3)
+        fit = fit_rate(table1_run[0], last=3)
         want = {
             0.2: 0.18721669945671052,
             0.4: 0.3994063963737302,
@@ -533,32 +536,27 @@ class TestFitRate:
             assert v == pytest.approx(want[a], rel=1e-10)
 
     def test_benchmark_sqrt_const(self, table3_run):
-        fit = fit_rate(table3_run[0], "sqrt_const", alpha=0.8)
-        assert fit[0.8] == pytest.approx(15.069658096591725, rel=1e-12)
-
-    def test_unknown_model(self, table1_run):
-        with pytest.raises(DomainError):
-            fit_rate(table1_run[0], "cubic")
+        C = experiments._fig4_C(table3_run[0])
+        assert C == pytest.approx(15.069658096591725, rel=1e-12)
 
     def test_needs_three_rows(self):
         tab = self.synthetic(((1.0,), (0.5,)), levels=(1e-1, 1e-2))
         with pytest.raises(DomainError):
-            fit_rate(tab, "power_law")
+            fit_rate(tab)
 
     def test_last_needs_two(self, table1_run):
         with pytest.raises(DomainError):
-            fit_rate(table1_run[0], "power_law", last=1)
+            fit_rate(table1_run[0], last=1)
         # a window wider than the table is an error, not the whole table
         tab = self.synthetic(((1e-1,), (1e-2,), (1e-3,)))
-        assert fit_rate(tab, "power_law", last=3) == fit_rate(tab, "power_law")
-        for model in ("power_law", "sqrt_const"):
-            with pytest.raises(DomainError, match="last"):
-                fit_rate(tab, model, alpha=0.5, last=50)
+        assert fit_rate(tab, last=3) == fit_rate(tab)
+        with pytest.raises(DomainError, match="last"):
+            fit_rate(tab, last=50)
 
     def test_zero_error_breaks_power_law(self):
         tab = self.synthetic(((1e-1,), (0.0,), (1e-3,)))
         with pytest.raises(NumericalError):
-            fit_rate(tab, "power_law")
+            fit_rate(tab)
 
 
 class TestEmit:

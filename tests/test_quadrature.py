@@ -217,7 +217,8 @@ class TestIntegrateSingular:
             assert abs(direct - graded) <= 1e-10
 
     def test_singular_nodes_structure(self):
-        pts, wts = singular_nodes(1.0, 0.5, QuadConfig())
+        pts, wts, z = singular_nodes(1.0, 0.5, QuadConfig())
         assert len(pts) == 16
         assert np.all(pts < 1.0) and np.all(pts > 0.0)
         assert np.all(wts > 0)
+        assert np.array_equal(z, (1.0 - pts) ** 0.5)
