@@ -224,13 +224,13 @@ class PaperProblem:
         return backward_reconstruct(*self.noisy(alpha, eps, delta), t)
 
 
-def _sin_sin(x: float, y: float) -> float:
-    return math.sin(x) * math.sin(y)
-
-
-def _unit(x: float, y: float) -> float:
-    """The constant 1 behind the noise shift; one function, so one projection."""
+def _one(x: float) -> float:
     return 1.0
+
+
+# u0 = sin x sin y and the noise shift's constant 1 as per-axis factors, one projection each
+_sin_sin = (math.sin, math.sin)
+_unit = (_one, _one)
 
 
 def paper_problem(cfg: ExperimentConfig = ExperimentConfig()) -> PaperProblem:

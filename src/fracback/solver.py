@@ -75,18 +75,22 @@ __all__ = [
 class Term:
     """One separable source term: spatial(point) * temporal(s).
 
-    ``spatial`` is a pointwise function (fn(x) in d=1, fn(x, y) in d=2) or
-    a coefficient vector in mode order.  A function goes through the
-    value-keyed memo of :func:`fracback.spectral.project`, so every term
-    holding it shares one projection per (modeset, quad).
+    ``spatial`` is a pointwise function (fn(x) in d=1, fn(x, y) in d=2), a
+    tuple of per-axis factors whose product is one, or a coefficient vector
+    in mode order.  A function or tuple goes through the value-keyed memo
+    of :func:`fracback.spectral.project`, so every term holding it shares
+    one projection per (modeset, quad).
     """
 
     def __init__(
         self,
-        spatial: Callable[..., float] | np.ndarray,
+        spatial: Callable[..., float] | tuple[Callable[[float], float], ...] | np.ndarray,
         temporal: Callable[[float], float],
     ):
-        if not callable(spatial):
+        if isinstance(spatial, tuple):
+            if not all(map(callable, spatial)):
+                raise DomainError(f"Term: spatial factors must be callable, got {spatial!r}")
+        elif not callable(spatial):
             spatial = check_floats("Term", "spatial", spatial)
         if not callable(temporal):
             raise DomainError(f"Term: temporal must be callable, got {temporal!r}")
@@ -97,7 +101,7 @@ class Term:
         self, modeset: ModeSet, quad: QuadConfig, s: np.ndarray
     ) -> np.ndarray:
         """(term(., s_j), phi_k) for every mode k and time s_j; shape (modes, len(s))."""
-        if callable(self.spatial):
+        if not isinstance(self.spatial, np.ndarray):
             spatial = project(self.spatial, modeset, quad).coeffs
         elif self.spatial.shape != (modeset.size,):
             raise DomainError("Term: coefficient count != modeset size")

@@ -189,7 +189,7 @@ def _asym_table(alpha: float, beta: float, kmax: int) -> tuple[np.ndarray, np.nd
     return logs, signs
 
 
-_ASYM_BLOCK = 1024  # rows x 64 columns x 8 B = 512 KB per temporary: fits in L2
+_ASYM_BLOCK = 1024  # rows at 64 columns, fewer as the table grows: 512 KB per temporary
 
 
 def _asym_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
@@ -205,7 +205,7 @@ def _asym_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     table's end may be a dip of that factor, not interior.  Terms past the
     cut and on poles are exact zeros, and a row's width is set by its own
     growth alone, so a row's value does not depend on the rest of the batch
-    and rows are summed in blocks of _ASYM_BLOCK, bit for bit.
+    and rows are summed in blocks of _ASYM_BLOCK * 64 // kmax, bit for bit.
     """
     lx = np.log(np.abs(x))
     # Gamma(beta - alpha*k) sits on a pole for every k >= beta when alpha = 1
@@ -230,8 +230,9 @@ def _asym_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
         logs = np.where(pole, np.inf, logs)
         rank = np.where(pole, kmax + 1, ks)
         regrow = []
-        for start in range(0, len(rows), _ASYM_BLOCK):
-            blk = rows[start:start + _ASYM_BLOCK]
+        height = max(1, _ASYM_BLOCK * 64 // kmax)
+        for start in range(0, len(rows), height):
+            blk = rows[start:start + height]
             # logmag[i, j] = -k_j*log|x_i| + log|1/Gamma(beta - alpha*k_j)|
             logmag = np.multiply.outer(-lx[blk], ks)
             logmag += logs

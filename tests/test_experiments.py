@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,28 @@ class TestPaperProblem:
         want = (PI / 2.0) * math.exp(-PI * PI)
         assert got == pytest.approx(want, rel=1e-6)  # frozen rel err 4.6e-13
 
+    def test_cold_request_in_bounded_memory(self):
+        # the work of one cold `fracback backward --alpha 0.2 --eps --delta`
+        # request after its decimal gap fits, which are built first and kept
+        # out of the trace; projecting u0 pointwise once held a 480 x 480
+        # list of lists (9.1 MB traced)
+        import fracback.solver as solver
+        import fracback.special as special
+        import fracback.spectral as spectral
+
+        for beta in (0.2, 1.0):
+            special._gap_fit(0.2, beta)
+        spectral.project.cache_clear()
+        solver._tau_terms.cache_clear()
+        tracemalloc.start()
+        try:
+            pp = paper_problem(ExperimentConfig(alphas=(0.2,)))
+            pp.reconstruct(0.2, pp.paper_t(0.2, 1e-5), 1e-5, 1e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
 
 class TestNoise:
     MS = ModeSet(dimension=2, truncation=6)
@@ -351,8 +374,8 @@ class TestNoise:
         prob, g = pp.problems[0.5], pp.finals[0.5]
         unit_points = []
 
-        def unit(x, y):
-            unit_points.append((x, y))
+        def unit(v):
+            unit_points.append(v)
             return 1.0
 
         ml_args = []
@@ -361,7 +384,7 @@ class TestNoise:
             ml_args.append(np.array(x, dtype=np.float64).ravel())
             return ml_array(alpha, beta, x)
 
-        monkeypatch.setattr(experiments, "_unit", unit)
+        monkeypatch.setattr(experiments, "_unit", (unit, unit))
         monkeypatch.setattr(solver, "ml_array", recording_ml_array)
         for eta in (1e-3, 1e-5):
             t = choose_t(RegularizationChoice(ChoiceRule.PAPER_TABLE2, eta=eta), 0.5)
@@ -378,7 +401,7 @@ class TestNoise:
         assert ml_args  # the terms at t < tau are still evaluated
         assert not any(np.isin(x, at_tau).any() for x in ml_args)
         per_direction = pp.quad.subintervals * pp.modeset.truncation * pp.quad.points
-        assert len(unit_points) == per_direction**2  # one projection of 1
+        assert len(unit_points) == 2 * per_direction  # one projection of 1
 
 
 class TestTableRuns:

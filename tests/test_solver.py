@@ -144,6 +144,11 @@ class TestSourceCoefficient:
             Term(np.ones(4), 5)
         with pytest.raises(DomainError, match="spatial must be real numbers"):
             Term(["a"] * 4, lambda s: 1.0)
+        with pytest.raises(DomainError, match="factors must be callable"):
+            Term((math.sin, 2.0), lambda s: 1.0)
+        one_factor = Source(Term((math.sin,), lambda s: 1.0))  # MS8 is 2-D
+        with pytest.raises(DomainError, match="callable factors"):
+            one_factor.coefficient_batch(MS8, QuadConfig(), np.array([0.5]))
         short = Source(Term(np.ones(3), lambda s: 1.0))
         with pytest.raises(DomainError):
             short.coefficient_batch(MS8, QuadConfig(), np.array([0.5]))

@@ -422,6 +422,20 @@ class TestTaylorStop:
         assert len(longest) == special._TAYLOR_CAP + 1
         assert special._taylor_coeffs.cache_info().maxsize * longest.nbytes <= 32 * 2**20
 
+    def test_asymptotic_blocks_bounded_at_every_width(self):
+        # at alpha = 0.02 rows near y_asym grow their table to thousands of
+        # columns; a block of 1,024 rows would hold ~32 MB per temporary
+        alpha, beta = 0.02, 1.0
+        y_a = special._regime_bounds(alpha, beta)[1]
+        x = -(np.geomspace(y_a, 3 * y_a, 3000) ** alpha)
+        tracemalloc.start()
+        try:
+            special._asym_vec(alpha, beta, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
 
 class TestGapFit:
     def test_cold_fit_on_threads_gives_the_serial_bits(self):

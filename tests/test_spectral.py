@@ -32,6 +32,20 @@ def _phi(indices: tuple[int, int]):
     return lambda x, y: (2.0 / math.pi) * math.sin(m * x) * math.sin(n * y)
 
 
+def _one(x: float) -> float:
+    return 1.0
+
+
+def _integrand(form: str, *factors):
+    """The product of one-dimensional factors, as the tuple or pointwise."""
+    if form == "factors":
+        return factors
+    return lambda *point: math.prod(g(v) for g, v in zip(factors, point))
+
+
+FORMS = ("pointwise", "factors")
+
+
 def _field_with(modeset: ModeSet, mode_indices: tuple, value: float) -> SpectralField:
     coeffs = np.zeros(modeset.size)
     coeffs[modeset.index_of(*mode_indices)] = value
@@ -112,36 +126,61 @@ class TestSpectralField:
 
 class TestProjection:
     def test_product_sine(self):
-        f = project(lambda x, y: math.sin(x) * math.sin(y), MS2, CFG)
-        c11 = f.coeff(1, 1)
-        assert abs(c11 - math.pi / 2.0) <= 1e-10
-        rest = f.coeffs.copy()
-        rest[MS2.index_of(1, 1)] = 0.0
-        assert float(np.max(np.abs(rest))) <= 1e-10
+        for form in FORMS:
+            f = project(_integrand(form, math.sin, math.sin), MS2, CFG)
+            c11 = f.coeff(1, 1)
+            assert abs(c11 - math.pi / 2.0) <= 1e-10, form
+            rest = f.coeffs.copy()
+            rest[MS2.index_of(1, 1)] = 0.0
+            assert float(np.max(np.abs(rest))) <= 1e-10, form
 
     def test_constant(self):
-        f = project(lambda x, y: 1.0, MS2, CFG)
-        for m in (1, 2, 3, 14, 29, 30):
-            for n in (1, 2, 9, 30):
-                got = f.coeff(m, n)
-                if m % 2 == 1 and n % 2 == 1:
-                    want = (2.0 / math.pi) * (2.0 / m) * (2.0 / n)
-                else:
-                    want = 0.0
-                assert abs(got - want) <= 1e-10, (m, n)
+        for form in FORMS:
+            f = project(_integrand(form, _one, _one), MS2, CFG)
+            for m in (1, 2, 3, 14, 29, 30):
+                for n in (1, 2, 9, 30):
+                    got = f.coeff(m, n)
+                    if m % 2 == 1 and n % 2 == 1:
+                        want = (2.0 / math.pi) * (2.0 / m) * (2.0 / n)
+                    else:
+                        want = 0.0
+                    assert abs(got - want) <= 1e-10, (form, m, n)
 
     def test_zero(self):
         f = project(lambda x, y: 0.0, MS2, CFG)
         assert float(np.max(np.abs(f.coeffs))) == 0.0
 
     def test_d1_projection(self):
-        f = project(lambda x: math.sin(2.0 * x), MS1, CFG)
-        want = math.sqrt(math.pi / 2.0)
-        assert abs(f.coeff(2) - want) <= 1e-10
+        for form in FORMS:
+            f = project(_integrand(form, lambda x: math.sin(2.0 * x)), MS1, CFG)
+            want = math.sqrt(math.pi / 2.0)
+            assert abs(f.coeff(2) - want) <= 1e-10, form
 
     def test_nan_integrand_rejected(self):
-        with pytest.raises(NumericalError):
-            project(lambda x, y: math.nan, MS2, CFG)
+        for form in FORMS:
+            with pytest.raises(NumericalError):
+                project(_integrand(form, lambda x: math.nan, _one), MS2, CFG)
+
+    def test_factors_give_the_bits_of_the_pointwise_product(self):
+        def g(x):
+            return math.exp(-x) * x
+
+        cases = [
+            ((math.sin, math.sin), lambda x, y: math.sin(x) * math.sin(y), MS2),
+            ((_one, _one), lambda x, y: _one(x) * _one(y), MS2),
+            ((g,), g, MS1),
+        ]
+        for factors, pointwise, ms in cases:
+            got = project(factors, ms, CFG)
+            assert got.coeffs.tobytes() == project(pointwise, ms, CFG).coeffs.tobytes()
+            # the memo keys on the tuple's items: an equal tuple is a hit
+            assert project(tuple(list(factors)), ms, CFG) is got
+
+    def test_bad_factors_rejected(self):
+        bad = (((math.sin,), MS2), ((math.sin, math.sin), MS1), ((math.sin, 2.0), MS2))
+        for factors, ms in bad:
+            with pytest.raises(DomainError, match="callable factors"):
+                project(factors, ms, CFG)
 
     def test_eigenfunction_projects_to_unit_vector(self):
         for indices in ((1, 1), (2, 3), (7, 30)):
