@@ -225,19 +225,14 @@ class PaperProblem:
 
 
 def _one(x: float) -> float:
-    return 1.0
-
-
-# u0 = sin x sin y and the noise shift's constant 1 as per-axis factors, one projection each
-_sin_sin = (math.sin, math.sin)
-_unit = (_one, _one)
+    return 1.0  # the noise shift's constant, as (_one,) * d per-axis factors
 
 
 def paper_problem(cfg: ExperimentConfig = ExperimentConfig()) -> PaperProblem:
     """Construct u0, the per-alpha problems, and g = forward value at tau."""
     ms = ModeSet(dimension=2, truncation=cfg.truncation)
     quad = cfg.quad_config()
-    u0 = project(_sin_sin, ms, quad)
+    u0 = project((math.sin, math.sin), ms, quad)  # sin x sin y as per-axis factors
     # f = (2 - pi^2) e^(-pi^2 s) u0: one source shared by every alpha
     source = Source(Term(u0.coeffs, lambda s: (2.0 - _PI2) * math.exp(-_PI2 * s)))
     problems = {}
@@ -284,7 +279,7 @@ def noisy_source(
     if eps == 0.0:
         return source
     if mode is NoiseMode.PAPER_CONSTANT:
-        noise = Term(_unit, lambda s, _e=float(eps): _e / 2.0)
+        noise = Term((_one,) * modeset.dimension, lambda s, _e=float(eps): _e / 2.0)
     else:
         noise = Term(_seeded_coeffs(modeset.size, float(eps), seed, 0), lambda s: 1.0)
     return Source(*source.terms, noise)
@@ -304,7 +299,7 @@ def noisy_data(
     if delta == 0.0:
         return g
     if mode is NoiseMode.PAPER_CONSTANT:
-        ones = project(_unit, g.modeset, quad)
+        ones = project((_one,) * g.modeset.dimension, g.modeset, quad)
         return SpectralField(g.modeset, g.coeffs + (delta / 2.0) * ones.coeffs)
     shift = _seeded_coeffs(g.modeset.size, float(delta), seed, 1)
     return SpectralField(g.modeset, g.coeffs + shift)
@@ -315,17 +310,18 @@ class NoiseAudit:
     """Nominal level vs the norms the constant recipe actually produces."""
 
     nominal: float
-    function_norm: float  # (level/2) * ||1||_{L2((0,pi)^2)} = (level/2) * pi
+    function_norm: float  # (level/2) * ||1||_{L2((0,pi)^d)} = (level/2) * pi^(d/2)
     truncated_norm: float  # Parseval norm of the projected shift
 
 
 def noise_audit(level: float, modeset: ModeSet, quad: QuadConfig) -> NoiseAudit:
     """Report how far the +level/2 constant shift exceeds the nominal bound."""
     check_real("noise_audit", "level", level, *NONNEGATIVE)
+    d = modeset.dimension
     return NoiseAudit(
         nominal=float(level),
-        function_norm=(level / 2.0) * math.pi,
-        truncated_norm=(level / 2.0) * hp_norm(project(_unit, modeset, quad), 0.0),
+        function_norm=(level / 2.0) * math.pi ** (d / 2),
+        truncated_norm=(level / 2.0) * hp_norm(project((_one,) * d, modeset, quad), 0.0),
     )
 
 

@@ -75,11 +75,11 @@ __all__ = [
 class Term:
     """One separable source term: spatial(point) * temporal(s).
 
-    ``spatial`` is a pointwise function (fn(x) in d=1, fn(x, y) in d=2), a
-    tuple of per-axis factors whose product is one, or a coefficient vector
-    in mode order.  A function or tuple goes through the value-keyed memo
-    of :func:`fracback.spectral.project`, so every term holding it shares
-    one projection per (modeset, quad).
+    ``spatial`` is a pointwise function of the modeset's d coordinates, a
+    tuple of d per-axis factors whose product is one, or a coefficient
+    vector in mode order.  A function or tuple goes through the value-keyed
+    memo of :func:`fracback.spectral.project`, so every term holding it
+    shares one projection per (modeset, quad), in any d the modeset allows.
     """
 
     def __init__(

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from decimal import Decimal, getcontext, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation
+from decimal import Overflow, getcontext, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -354,8 +355,9 @@ def _decimal_log_ml(alpha: float, beta: float, xs: list[float]) -> list[float]:
                 )
         nterms.append(k)
     out = []
-    with localcontext() as ctx:
-        ctx.prec = max(digits) + 17  # coefficients to 10**-(max(digits) + 10) relative
+    traps = [InvalidOperation, DivisionByZero, Overflow]  # not the caller's, nor its rounding
+    # coefficients to 10**-(max(digits) + 10) relative
+    with localcontext(Context(max(digits) + 17, ROUND_HALF_EVEN, traps=traps)):
         coeffs = _rgamma_table(alpha, beta, max(nterms))
         for x, n in zip(xs, nterms):
             xd, s = Decimal(x), Decimal(0)

@@ -1,9 +1,9 @@
 """Sine eigen-system of the Dirichlet Laplacian on (0, pi)^d, d in {1, 2}.
 
-Provides modes and eigenvalues (lambda = m^2 or m^2 + n^2), projection of
-pointwise or separable (one factor per axis) functions onto the normalized
-eigenfunctions of a truncated mode set, the spectral L2 distance and H^p
-norm, and CSV output of a field.
+Provides modes and eigenvalues (lambda = sum of m^2 over the axes),
+projection of pointwise or separable (one factor per axis) functions, the
+spectral L2 distance and H^p norm, and CSV output of a field, each by one
+code path for every d; only ModeSet's check caps d at 2.
 
 Projection detail: a composite rule with the configured subinterval count
 cannot resolve the highest retained modes (with 4 subintervals the mode-23
@@ -66,10 +66,9 @@ class ModeSet:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in mode order (read-only array)."""
-        M = self.truncation
-        ms = np.arange(1, M + 1, dtype=np.float64)
-        lam = ms**2 if self.dimension == 1 else (ms[:, None] ** 2 + ms[None, :] ** 2).ravel()
+        """Eigenvalues in mode order, the sum of m^2 over the axes (read-only array)."""
+        ms2 = np.arange(1.0, self.truncation + 1) ** 2
+        lam = reduce(np.add.outer, [ms2] * self.dimension).ravel()
         lam.flags.writeable = False
         return lam
 
@@ -107,44 +106,45 @@ class SpectralField:
         return float(self.coeffs[self.modeset.index_of(*indices)])
 
 
-# One entry per (function, grid); the benchmark uses two per configuration.
-@lru_cache(maxsize=32)
 def project(
     f: Callable[..., float] | tuple[Callable, ...], modeset: ModeSet, cfg: QuadConfig
 ) -> SpectralField:
-    """Quadrature approximation of the inner products (f, phi_k).
+    """Quadrature approximation of the inner products (f, phi_k), one path for every d.
 
     f is pointwise, f(x) or f(x, y), or a tuple of per-axis factors whose
     product is the integrand, each called once per grid coordinate; a
     node's value fl(fx(x)*fy(y)) is the pointwise product's double, so both
-    forms give the same bits.  Memoized by (f, modeset, cfg), f (each
-    factor) by identity: a repeated call returns the first result without
-    evaluating f, so f must be pure.
+    forms give the same bits.  Bad arguments raise DomainError; then the
+    result is memoized by (f, modeset, cfg), f (each factor) by identity: a
+    repeated call returns it without evaluating f, so f must be pure.
     """
-    if isinstance(f, tuple) and (len(f) != modeset.dimension or not all(map(callable, f))):
-        raise DomainError(f"project: need {modeset.dimension} callable factors, got {f!r}")
-    nsub = cfg.subintervals * modeset.truncation
+    if not isinstance(modeset, ModeSet) or not isinstance(cfg, QuadConfig):
+        raise DomainError(f"project: need a ModeSet and a QuadConfig, got {modeset!r}, {cfg!r}")
+    d = modeset.dimension
+    if not (len(f) == d and all(map(callable, f)) if isinstance(f, tuple) else callable(f)):
+        raise DomainError(f"project: f must be callable or {d} callable factors, got {f!r}")
+    return _project(f, modeset, cfg)
+
+
+# One entry per (function, grid); the benchmark uses two per configuration.
+@lru_cache(maxsize=32)
+def _project(f, modeset: ModeSet, cfg: QuadConfig) -> SpectralField:
+    d, nsub = modeset.dimension, cfg.subintervals * modeset.truncation
     pts, wts = composite_nodes(0.0, _DOMAIN_HI, cfg, subintervals=nsub)
     ks = np.arange(1, modeset.truncation + 1, dtype=np.float64)
     sw = np.sin(np.outer(ks, pts)) * wts[None, :]
-    grid = pts.tolist()  # f gets Python floats
+    grid, n = pts.tolist(), len(pts)  # f gets Python floats
     if isinstance(f, tuple):
-        axes = [np.array([g(x) for x in grid], dtype=np.float64) for g in f]
-        vals = reduce(np.multiply.outer, axes)
-    elif modeset.dimension == 1:
-        vals = np.array([f(x) for x in grid], dtype=np.float64)
+        vals = reduce(np.multiply.outer, [np.array([g(x) for x in grid], np.float64) for g in f])
     else:
-        vals = np.empty((len(grid), len(grid)))
-        for i, x in enumerate(grid):
-            vals[i] = [f(x, y) for y in grid]
+        nodes = itertools.product(grid, repeat=d)
+        vals = np.fromiter((f(*p) for p in nodes), np.float64, n**d).reshape((n,) * d)
     if np.isnan(vals).any():
         raise NumericalError("project: integrand returned NaN")
-    if modeset.dimension == 1:
-        coeffs = math.sqrt(2.0 / math.pi) * np.einsum("mi,i->m", sw, vals, optimize=False)
-        return SpectralField(modeset, coeffs)
-    tmp = np.einsum("mi,ij->mj", sw, vals, optimize=False)
-    coeffs = (2.0 / math.pi) * np.einsum("mj,nj->mn", tmp, sw, optimize=False)
-    return SpectralField(modeset, coeffs.ravel())
+    for _ in range(d):  # contract the leading grid axis; its mode axis goes last
+        vals = np.einsum("mi,i...->...m", sw, vals, optimize=False)
+    # (2/pi)^(d/2) is sqrt(2/pi) in d=1 and 2/pi in d=2, to the bit
+    return SpectralField(modeset, ((2.0 / math.pi) ** (d / 2) * vals).ravel())
 
 
 def l2_error(a: SpectralField, b: SpectralField) -> float:
@@ -171,7 +171,7 @@ def hp_norm(field: SpectralField, p: float) -> float:
 def write_csv(field: SpectralField, path: str | Path) -> None:
     """Serialize as CSV (`m,n,coeff` in d=2, `m,coeff` in d=1), 17 digits."""
     ms = field.modeset
-    lines = ["m,n,coeff" if ms.dimension == 2 else "m,coeff"]
+    lines = [",".join([*"mnk"[: ms.dimension], "coeff"])]  # one name per axis
     for idx, c in zip(ms.modes, field.coeffs.tolist()):
         lines.append(",".join(map(str, idx)) + f",{c:.17g}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import math
 import re
+import shlex
 import warnings
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from fracback import (
     paper_problem,
     run_table3,
 )
-from fracback.cli import _CONFIG_KEYS, load_config, main
+from fracback.cli import _CONFIG_KEYS, _join_float_values, build_parser, load_config, main
 
 REDUCED = {"alphas": [0.4, 0.8], "truncation": 8, "sweep": [1e-2, 1e-3]}
 
@@ -425,3 +426,14 @@ class TestHelp:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        lines = [line for line in readme.splitlines() if line.startswith("fracback ")]
+        assert lines
+        for line in lines:
+            argv = shlex.split(line, comments=True)[1:]  # the comment stripped
+            try:
+                build_parser().parse_args(_join_float_values(argv))
+            except SystemExit:
+                pytest.fail(f"README line does not parse: {line}")

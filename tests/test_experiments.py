@@ -27,6 +27,7 @@ from fracback import (
     RegularizationChoice,
     SingularMode,
     Source,
+    SpectralField,
     choose_t,
     emit_csv,
     emit_plot_script,
@@ -237,7 +238,7 @@ class TestPaperProblem:
 
         for beta in (0.2, 1.0):
             special._gap_fit(0.2, beta)
-        spectral.project.cache_clear()
+        spectral._project.cache_clear()
         solver._tau_terms.cache_clear()
         tracemalloc.start()
         try:
@@ -362,6 +363,21 @@ class TestNoise:
         assert aud.function_norm == (0.01 / 2.0) * PI
         assert aud.function_norm > aud.nominal  # recipe exceeds nominal level
         assert 0.95 * aud.function_norm < aud.truncated_norm < aud.function_norm
+        # in d = 1 the constant's L2 norm on (0, pi) is sqrt(pi)
+        aud = noise_audit(0.01, ModeSet(dimension=1, truncation=30), QuadConfig())
+        assert aud.function_norm == pytest.approx((0.01 / 2.0) * math.sqrt(PI), rel=1e-15)
+        assert 0.95 * aud.function_norm < aud.truncated_norm < aud.function_norm
+
+    def test_constant_recipe_in_one_dimension(self):
+        # the shift delta/2 projects to (delta/2) sqrt(2/pi) (2/m) on odd modes
+        ms = ModeSet(dimension=1, truncation=6)
+        delta = 0.1
+        want = [(delta / 2.0) * math.sqrt(2.0 / PI) * (2.0 / m if m % 2 else 0.0)
+                for m in range(1, 7)]
+        shifted = noisy_data(SpectralField(ms, np.zeros(6)), delta, self.QUAD)
+        assert shifted.coeffs == pytest.approx(want, rel=1e-10, abs=1e-12)
+        cols = noisy_source(Source(), delta, ms).coefficient_batch(ms, self.QUAD, np.array([0.5]))
+        assert cols[:, 0].tobytes() == shifted.coeffs.tobytes()
 
     def test_noise_audit_rejects_negative(self):
         with pytest.raises(DomainError):
@@ -384,7 +400,7 @@ class TestNoise:
             ml_args.append(np.array(x, dtype=np.float64).ravel())
             return ml_array(alpha, beta, x)
 
-        monkeypatch.setattr(experiments, "_unit", (unit, unit))
+        monkeypatch.setattr(experiments, "_one", unit)  # the recipe's constant is (_one,) * d
         monkeypatch.setattr(solver, "ml_array", recording_ml_array)
         for eta in (1e-3, 1e-5):
             t = choose_t(RegularizationChoice(ChoiceRule.PAPER_TABLE2, eta=eta), 0.5)

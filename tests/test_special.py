@@ -462,6 +462,17 @@ class TestGapFit:
             "8289d7a53cd25bcf174dc4e4251c44c4cec71245f2525c0927cb6ce7837a2bfc"
         )
 
+    def test_cold_fit_ignores_the_callers_decimal_context(self):
+        # the fit once worked in a copy of the caller's context: under
+        # ROUND_FLOOR the atanh loop of _rgamma_table moved by one ulp a pass
+        # and never ended, and an Inexact trap raised at once
+        want = special._gap_fit.__wrapped__(0.8, 1.0)[2].tobytes()
+        with decimal.localcontext() as ctx:
+            ctx.rounding = decimal.ROUND_FLOOR
+            ctx.traps[decimal.Inexact] = True
+            got = special._gap_fit.__wrapped__(0.8, 1.0)[2].tobytes()
+        assert got == want
+
     def test_reciprocal_gamma_table_matches_mpmath(self, monkeypatch):
         # the table of a real (0.2, 0.2) fit, at the precision the fit chose,
         # holds 10**-(D + 10) relative, D = 61 the digits of its largest |x|

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -34,6 +35,14 @@ def _phi(indices: tuple[int, int]):
 
 def _one(x: float) -> float:
     return 1.0
+
+
+def _decay(x: float) -> float:
+    return math.exp(-x) * x
+
+
+def _wave(x: float, y: float) -> float:
+    return math.cos(x * y) + x * y * y
 
 
 def _integrand(form: str, *factors):
@@ -181,6 +190,24 @@ class TestProjection:
         for factors, ms in bad:
             with pytest.raises(DomainError, match="callable factors"):
                 project(factors, ms, CFG)
+        # unhashable or wrong arguments are rejected before the memo hashes them
+        ms4 = ModeSet(dimension=2, truncation=4)
+        for f, ms in ((np.ones(16), ms4), ((math.sin, [1]), ms4), (math.sin, "x")):
+            with pytest.raises(DomainError):
+                project(f, ms, CFG)
+
+    def test_frozen_projection_bytes(self):
+        # the integrands no table hash covers: 1-D pointwise, 1-D factors on a
+        # 6-point 3-subinterval rule, and a non-separable 2-D pointwise f
+        cases = [
+            (_decay, MS1, CFG, "1a958f4761ab813b8bd1c669aabdacc93538bc3264bb16941b2d40225238f6dd"),
+            ((_decay,), MS1, QuadConfig(6, 3),
+             "ed53c8c0bf5430c1b6b333ab2f46bf83fd809d66d15b6ed73681e226c8ce7d96"),
+            (_wave, MS2, CFG, "833b9bb5bd6df4be434b47f644d8cbf44816c7a8af3b70d6b2fb59ce2ac5dab1"),
+        ]
+        for f, ms, cfg, want in cases:
+            got = hashlib.sha256(project(f, ms, cfg).coeffs.tobytes()).hexdigest()
+            assert got == want, f
 
     def test_eigenfunction_projects_to_unit_vector(self):
         for indices in ((1, 1), (2, 3), (7, 30)):
