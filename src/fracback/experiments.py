@@ -273,6 +273,8 @@ def noisy_source(
     recipe adds a time-independent coefficient vector with L2 norm exactly
     eps (so the L-infinity-in-time L2 noise bound holds with equality).
     """
+    if not isinstance(source, Source) or not isinstance(modeset, ModeSet):
+        raise DomainError(f"noisy_source: need a Source and a ModeSet, got {source!r}, {modeset!r}")
     check_real("noisy_source", "eps", eps, *NONNEGATIVE)
     mode = check_enum("noisy_source", "noise mode", NoiseMode, mode)
     check_int("noisy_source", "seed", seed, lo=0)
@@ -293,6 +295,8 @@ def noisy_data(
     seed: int = 0,
 ) -> SpectralField:
     """Final data perturbed at level delta (constant +delta/2, or random)."""
+    if not isinstance(g, SpectralField) or not isinstance(quad, QuadConfig):
+        raise DomainError(f"noisy_data: need a SpectralField and a QuadConfig, got {g!r}, {quad!r}")
     check_real("noisy_data", "delta", delta, *NONNEGATIVE)
     mode = check_enum("noisy_data", "noise mode", NoiseMode, mode)
     check_int("noisy_data", "seed", seed, lo=0)
@@ -317,6 +321,8 @@ class NoiseAudit:
 def noise_audit(level: float, modeset: ModeSet, quad: QuadConfig) -> NoiseAudit:
     """Report how far the +level/2 constant shift exceeds the nominal bound."""
     check_real("noise_audit", "level", level, *NONNEGATIVE)
+    if not isinstance(modeset, ModeSet) or not isinstance(quad, QuadConfig):
+        raise DomainError(f"noise_audit: need a ModeSet and a QuadConfig, got {modeset!r}, {quad!r}")
     d = modeset.dimension
     return NoiseAudit(
         nominal=float(level),

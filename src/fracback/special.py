@@ -17,11 +17,11 @@ keyed to y = |x|**(1/a):
   and rows are summed in cache-sized blocks, each over its own width;
 * the intermediate band, where both of the above lose accuracy to
   cancellation: a Chebyshev surrogate of log E fitted to the Taylor series
-  summed in decimal arithmetic, its coefficients 1/Gamma(a*k + b) one table
-  from Stirling's series.  The fit is a pure, memoized function of (a, b),
-  safe to call from threads.
+  summed in decimal arithmetic, its coefficients 1/Gamma(a*k + b) from
+  Stirling's series, one table per a for b = 1 and b = a.  The fit is a
+  pure, memoized function of (a, b), safe to call from threads.
 
-All paths are deterministic and pure, and no cached value is ever mutated.
+All paths are deterministic and pure; a cached value is replaced, never mutated.
 A value depends on its argument and at most on the batch's largest |x|
 (the Taylor stopping rule takes a batch maximum), never on the other
 arguments, their order or count.
@@ -284,13 +284,13 @@ _STIRLING_TERMS = 30
 
 @lru_cache(maxsize=1)
 def _stirling_coeffs() -> tuple[Fraction, ...]:
-    """B_2m / (2m (2m - 1)) for m = 1.._STIRLING_TERMS + 1, exactly: the terms
-    of Stirling's series log Gamma(z) ~ (z - 1/2) log z - z + log sqrt(2 pi)
-    + sum_m B_2m / (2m (2m - 1) z**(2m - 1))."""
-    b = [Fraction(1)]  # Bernoulli numbers: sum_{j <= n} C(n + 1, j) B_j = 0
-    for n in range(1, 2 * _STIRLING_TERMS + 3):
-        b.append(-sum(math.comb(n + 1, j) * b[j] for j in range(n)) / (n + 1))
-    return tuple(b[2 * m] / (2 * m * (2 * m - 1)) for m in range(1, _STIRLING_TERMS + 2))
+    """B_2m / (2m (2m - 1)) for m = 1.._STIRLING_TERMS + 1, exactly: the terms of Stirling's
+    series log Gamma(z) ~ (z - 1/2) log z - z + log sqrt(2 pi) + sum_m B_2m / (2m (2m - 1)
+    z**(2m - 1)), with B_2m = (-1)**(m-1) 2m T_m / (4**m (4**m - 1)), T_m the tangent numbers."""
+    t = [math.factorial(k) for k in range(_STIRLING_TERMS + 1)]  # each t[k] ends as T_(k+1)
+    for k, j in itertools.combinations_with_replacement(range(1, len(t)), 2):
+        t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple(Fraction(-(-1) ** m * c, 4**m * (4**m - 1) * (2*m - 1)) for m, c in enumerate(t, 1))
 
 
 def _rgamma_table(alpha: float, beta: float, n: int) -> list[Decimal]:
@@ -300,7 +300,7 @@ def _rgamma_table(alpha: float, beta: float, n: int) -> list[Decimal]:
     below 10**-prec, and 1/Gamma(w) = w (w + 1) ... (w + s - 1) / Gamma(z).
     log z is carried from one z to the next, log z = log z' + 2 atanh(u) with
     u = (z - z')/(z + z') and |u| <= max(alpha, 1)/(2Z), so the table calls
-    Decimal.ln once and each coefficient costs one exp.
+    Decimal.ln once, at k = 0, and each coefficient costs one exp.
     """
     prec = getcontext().prec
     cs = _stirling_coeffs()
@@ -335,14 +335,41 @@ def _rgamma_table(alpha: float, beta: float, n: int) -> list[Decimal]:
     return out
 
 
+_MARGIN = 1.02  # the fit domain overlaps both regime thresholds by this factor
+_TRAPS = [InvalidOperation, DivisionByZero, Overflow]  # not the caller's, nor its rounding
+# alpha -> one slot for its 1/Gamma(1 + alpha*k) table (~0.1 MB), for the last 4 alphas
+_unit_box = lru_cache(maxsize=4)(lambda alpha: [()])
+
+
+def _digits(y: float) -> int:
+    return int(0.87 * y) + 30  # decimal digits the Taylor sum at y = |x|**(1/a) cancels, plus 30
+
+
+def _series_coeffs(alpha: float, beta: float, n: int) -> list[Decimal] | tuple[Decimal, ...]:
+    """1/Gamma(alpha*k + beta) for k < n or more, at the current precision or better.  beta = 1
+    and beta = alpha (1/Gamma(alpha*k) = alpha k/Gamma(1 + alpha*k)) share a table at the larger
+    of their fits' precisions, built from k = 0 as it grows: entry k depends on alpha and k."""
+    if beta != 1.0 and beta != alpha:
+        return _rgamma_table(alpha, beta, n)
+    box, m = _unit_box(alpha), n + (beta != 1.0)
+    unit = box[0]
+    if len(unit) < m:  # two threads may both build it; either way it is the same table
+        prec = max(_digits(_regime_bounds(alpha, b)[1] * _MARGIN) for b in (alpha, 1.0)) + 17
+        with localcontext(Context(prec, ROUND_HALF_EVEN, traps=_TRAPS)):
+            unit = box[0] = tuple(_rgamma_table(alpha, 1.0, m))
+    if beta == 1.0:  # (alpha, alpha) needs more entries: only a repeated fit could read it again
+        box[0] = ()
+    return unit if beta == 1.0 else [Decimal(alpha) * k * unit[k] for k in range(1, m)]
+
+
 def _decimal_log_ml(alpha: float, beta: float, xs: list[float]) -> list[float]:
     """log E_{a,b}(x) for every x <= 0 in xs, by the Taylor series in decimal.
 
     The worst cancellation, at the largest |x|, sets the working precision
-    of the whole batch and of its coefficients 1/Gamma(a*k + b); each x is
-    summed over the number of terms its own accuracy target needs.
+    of the whole batch, and of its coefficients 1/Gamma(a*k + b) at least;
+    each x is summed over the number of terms its own accuracy target needs.
     """
-    digits = [int(0.87 * abs(x) ** (1.0 / alpha)) + 30 for x in xs]
+    digits = [_digits(abs(x) ** (1.0 / alpha)) for x in xs]
     nterms = []
     for x, d in zip(xs, digits):
         lx, target, k = math.log(-x), -(d + 8) * math.log(10.0), 1
@@ -355,10 +382,9 @@ def _decimal_log_ml(alpha: float, beta: float, xs: list[float]) -> list[float]:
                 )
         nterms.append(k)
     out = []
-    traps = [InvalidOperation, DivisionByZero, Overflow]  # not the caller's, nor its rounding
     # coefficients to 10**-(max(digits) + 10) relative
-    with localcontext(Context(max(digits) + 17, ROUND_HALF_EVEN, traps=traps)):
-        coeffs = _rgamma_table(alpha, beta, max(nterms))
+    with localcontext(Context(max(digits) + 17, ROUND_HALF_EVEN, traps=_TRAPS)):
+        coeffs = _series_coeffs(alpha, beta, max(nterms))
         for x, n in zip(xs, nterms):
             xd, s = Decimal(x), Decimal(0)
             for c in reversed(coeffs[:n]):
@@ -372,16 +398,16 @@ def _decimal_log_ml(alpha: float, beta: float, xs: list[float]) -> list[float]:
     return out
 
 
+@lru_cache(maxsize=3)  # cos(pi k j / (n - 1)) for k, j < n, one matrix per node count
+def _cheb_cos(n: int) -> np.ndarray:
+    return np.array([[math.cos(math.pi * k * j / (n - 1)) for j in range(n)] for k in range(n)])
+
+
 def _cheb_fit(vals: list[float]) -> np.ndarray:
     """Chebyshev coefficients of the values at the n Chebyshev-Lobatto nodes."""
     n = len(vals)
-    coeffs = np.empty(n)
-    for k in range(n):
-        terms = [(0.5 if j in (0, n - 1) else 1.0) * vals[j] * math.cos(math.pi * k * j / (n - 1))
-                 for j in range(n)]
-        coeffs[k] = 2.0 * math.fsum(terms) / (n - 1)
-    coeffs[[0, n - 1]] *= 0.5
-    return coeffs
+    ends = np.r_[0.5, np.ones(n - 2), 0.5]
+    return ends * [2.0 * math.fsum(r) / (n - 1) for r in np.array(vals) * ends * _cheb_cos(n)]
 
 
 def _clenshaw(fit: tuple[float, float, np.ndarray], v: np.ndarray) -> np.ndarray:
@@ -402,12 +428,10 @@ def _gap_fit(alpha: float, beta: float) -> tuple[float, float, np.ndarray]:
     65 to 257 nodes until 16 check points agree with the decimal series.
     """
     y_t, y_a = _regime_bounds(alpha, beta)
-    margin = 1.02  # overlap the fit domain slightly past both thresholds
-    lo, hi = math.log(y_t / margin), math.log(y_a * margin)
+    lo, hi = math.log(y_t / _MARGIN), math.log(y_a * _MARGIN)
     checks = lo + (hi - lo) * (np.arange(16) + 0.5) / 16.0
     for n in (65, 129, 257):
-        nodes = [0.5 * (lo + hi) + 0.5 * (hi - lo) * math.cos(math.pi * j / (n - 1))
-                 for j in range(n)]
+        nodes = list(0.5 * (lo + hi) + 0.5 * (hi - lo) * _cheb_cos(n)[1])  # cos(pi j / (n - 1))
         vals = _decimal_log_ml(alpha, beta, [-math.exp(alpha * v) for v in nodes + list(checks)])
         fit = (lo, hi, _cheb_fit(vals[:n]))
         fit[2].flags.writeable = False

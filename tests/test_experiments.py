@@ -383,6 +383,20 @@ class TestNoise:
         with pytest.raises(DomainError):
             noise_audit(-0.1, self.MS, self.QUAD)
 
+    def test_wrong_argument_types_rejected(self):
+        # each once failed with a bare AttributeError
+        src, g = Source(), SpectralField(self.MS, np.zeros(self.MS.size))
+        for call in (
+            lambda: noisy_source(src, 0.01, "x"),
+            lambda: noisy_source("x", 0.01, self.MS),
+            lambda: noisy_data("x", 0.01, self.QUAD),
+            lambda: noisy_data(g, 0.01, "x"),
+            lambda: noise_audit(0.01, "x", self.QUAD),
+            lambda: noise_audit(0.01, self.MS, "x"),
+        ):
+            with pytest.raises(DomainError, match="need a"):
+                call()
+
     def test_noise_levels_share_tau_terms_and_unit_projection(self, monkeypatch):
         import fracback.solver as solver
 

@@ -10,6 +10,7 @@ import re
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
@@ -473,30 +474,36 @@ class TestGapFit:
             got = special._gap_fit.__wrapped__(0.8, 1.0)[2].tobytes()
         assert got == want
 
-    def test_reciprocal_gamma_table_matches_mpmath(self, monkeypatch):
-        # the table of a real (0.2, 0.2) fit, at the precision the fit chose,
-        # holds 10**-(D + 10) relative, D = 61 the digits of its largest |x|
-        # (0.87 * 1.02 * 36 + 30): no worse than the Spouge bound it replaced
+    def test_reciprocal_gamma_table_matches_mpmath(self, monkeypatch, fresh_fits):
+        # the shared table of a real (0.2, 0.2) fit, at the precision it chose,
+        # and the beta = alpha coefficients read from it hold 10**-(D + 10)
+        # relative, D = 61 the digits of the fit's largest |x| (0.87 * 1.02 *
+        # 36 + 30): no worse than the Spouge bound it replaced
         calls = []
         table = special._rgamma_table
 
         def spy(alpha, beta, n):
-            calls.append((decimal.getcontext().prec, n, table(alpha, beta, n)))
-            return calls[-1][2]
+            calls.append((decimal.getcontext().prec, beta, n, table(alpha, beta, n)))
+            return calls[-1][3]
 
         monkeypatch.setattr(special, "_rgamma_table", spy)
         special._gap_fit.__wrapped__(0.2, 0.2)
-        (prec, n, got), = calls
+        (prec, beta, n, unit), = calls
+        assert (prec, beta) == (78, 1.0)
         with decimal.localcontext() as ctx:
             ctx.prec = prec
+            derived = special._series_coeffs(0.2, 0.2, n - 1)
             low = special._rgamma_table(0.2, 0.05, 64)  # w = 0.05 + 0.2k < 13
+        assert len(calls) == 2  # the derived coefficients built no table
         tol = mp.mpf(10) ** -(61 + 10)
-        # Stirling's series starts at z = 66 here: k < 329 are shifted up to
+        # Stirling's series starts at z = 66 here: k < 325 are shifted up to
         # it, larger k are not; the largest k has the largest |log Gamma|
-        cases = [(0.2, k, got[k]) for k in [*range(0, n, 29), n - 1]]
-        cases += [(0.05, k, c) for k, c in enumerate(low)]
+        ks = [*range(0, n - 1, 29), n - 2]
+        cases = [(k, 1.0, unit[k]) for k in [*ks, n - 1]]  # 1/Gamma(0.2k + 1)
+        cases += [(k + 1, 0.0, derived[k]) for k in ks]  # 1/Gamma(0.2(k + 1))
+        cases += [(k, 0.05, c) for k, c in enumerate(low)]
         with mp.workdps(prec + 30):
-            for beta, k, c in cases:
+            for k, beta, c in cases:
                 want = mp.rgamma(mp.mpf(0.2) * k + mp.mpf(beta))
                 assert abs(mp.mpf(str(c)) / want - 1) <= tol, (beta, k)
 
@@ -511,8 +518,58 @@ class TestGapFit:
 
     @pytest.fixture()
     def fresh_fits(self, monkeypatch):
-        # a private memo, so a fit another test cached cannot skip the code
+        # private memos, so a fit or a shared 1/Gamma table another test cached
+        # (or patched) cannot skip the code or leak into this one
         monkeypatch.setattr(special, "_gap_fit", lru_cache(maxsize=128)(special._gap_fit.__wrapped__))
+        monkeypatch.setattr(special, "_unit_box", lru_cache(maxsize=4)(special._unit_box.__wrapped__))
+
+    # the eight table pairs and three more alphas, (alpha, alpha) first as in
+    # the solver, and the sha256 of their cold coefficients, taken before the
+    # (alpha, 1) and (alpha, alpha) fits shared one 1/Gamma table
+    _COLD_PAIRS = [(a, b) for a in (0.05, 0.2, 0.3, 0.4, 0.6, 0.8, 0.99) for b in (a, 1.0)]
+    _COLD_SHA = "36e737e938ba4cee145043510656495107dd72900f1134b62ab8e942fda2ef9d"
+
+    @pytest.mark.parametrize("order", ["solver", "reverse", "threads"])
+    def test_cold_fits_keep_their_bits_in_any_order(self, fresh_fits, order):
+        pairs, fit = self._COLD_PAIRS, special._gap_fit.__wrapped__
+        if order == "threads":
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                fits = dict(zip(pairs, pool.map(lambda p: fit(*p), pairs, timeout=120)))
+        else:
+            fits = {p: fit(*p) for p in (pairs if order == "solver" else pairs[::-1])}
+        h = hashlib.sha256()
+        for p in pairs:
+            h.update(fits[p][2].tobytes())
+        assert h.hexdigest() == self._COLD_SHA
+
+    def test_alpha_fits_share_one_table_sized_by_need(self, monkeypatch, fresh_fits):
+        built, asked = [], []
+        table, coeffs = special._rgamma_table, special._series_coeffs
+
+        def spy(alpha, beta, n):
+            built.append((beta, n))
+            return table(alpha, beta, n)
+
+        monkeypatch.setattr(special, "_rgamma_table", spy)
+        monkeypatch.setattr(special, "_series_coeffs", lambda a, b, n: asked.append(n) or coeffs(a, b, n))
+        special._gap_fit(0.4, 0.4)
+        special._gap_fit(0.4, 1.0)
+        # each fit asks for its largest term count; one table, one entry past
+        # the (alpha, alpha) count, serves both
+        n_aa, n_a1 = asked
+        assert built == [(1.0, n_aa + 1)]
+        # a lone (alpha, 1) fit builds only its own, shorter, length
+        special._unit_box.cache_clear()
+        built.clear()
+        special._gap_fit.__wrapped__(0.4, 1.0)
+        assert built == [(1.0, n_a1)] and n_a1 < n_aa
+
+    def test_stirling_coeffs_match_the_bernoulli_recurrence(self):
+        b = [Fraction(1)]  # Bernoulli numbers: sum_{j <= n} C(n + 1, j) B_j = 0
+        for n in range(1, 2 * special._STIRLING_TERMS + 3):
+            b.append(-sum(math.comb(n + 1, j) * b[j] for j in range(n)) / (n + 1))
+        want = tuple(b[2 * m] / (2 * m * (2 * m - 1)) for m in range(1, special._STIRLING_TERMS + 2))
+        assert special._stirling_coeffs() == want
 
     @staticmethod
     def _fails(capsys, alpha, y, message):
