@@ -31,7 +31,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .errors import NONNEGATIVE, DomainError, NumericalError, check_int, check_real
+from .errors import NONNEGATIVE, DomainError, NumericalError, check_int, check_real, check_type
 from .experiments import (
     ErrorTable,
     ExperimentConfig,
@@ -66,6 +66,7 @@ def load_config(path: str | Path | None) -> tuple[ExperimentConfig, str | None, 
     """(ExperimentConfig, out or None, verbosity) from a strict JSON config file."""
     if path is None:
         return ExperimentConfig(), None, 0
+    check_type("config", "path", path, (str, os.PathLike))
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -217,21 +218,48 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="PATH", help="JSON config file (strict keys)")
-    sub.add_argument(
-        "--out",
-        metavar="DIR",
-        help="output directory (fallback: config file, $FRACBACK_OUT, '.')",
-    )
-    sub.add_argument(
-        "--singular-mode",
-        choices=sorted([*_SINGULAR_ALIASES, *(m.value for m in SingularMode)]),
-        help="quadrature treatment of the weakly singular kernel",
-    )
-    sub.add_argument(
-        "-v", "--verbose", action="count", default=0, help="diagnostics on stderr"
-    )
+def _flag(*names: str, **spec) -> tuple[tuple[str, ...], dict]:
+    """One add_argument call: its option strings and keyword arguments."""
+    return names, spec
+
+
+_COMMON = (
+    _flag("--config", metavar="PATH", help="JSON config file (strict keys)"),
+    _flag("--out", metavar="DIR",
+          help="output directory (fallback: config file, $FRACBACK_OUT, '.')"),
+    _flag("--singular-mode",
+          choices=sorted([*_SINGULAR_ALIASES, *(m.value for m in SingularMode)]),
+          help="quadrature treatment of the weakly singular kernel"),
+    _flag("-v", "--verbose", action="count", default=0, help="diagnostics on stderr"),
+)
+_ALPHA = _flag("--alpha", type=float, default=0.8, help="fractional order (default 0.8)")
+_EPS = _flag("--eps", type=float, default=0.0, help="source noise level")
+_DELTA = _flag("--delta", type=float, default=0.0, help="data noise level")
+_THREADS = _flag("--threads", type=int, default=1, help="worker cap (output-invariant)")
+
+# subcommand -> (help, handler, flags), in the order of `fracback --help`
+_COMMANDS = {
+    "ml": ("evaluate E_{alpha,beta}(x)", _cmd_ml, (
+        _flag("--alpha", type=float, required=True, help="order alpha in (0, 1]"),
+        _flag("--beta", type=float, required=True, help="order beta > 0"),
+        _flag("--x", type=float, required=True, help="argument x <= 0"),
+    )),
+    "forward": ("forward solution field at time t", _cmd_forward, (
+        *_COMMON, _ALPHA, _flag("--t", type=float, help="time in [0, tau] (default tau)"), _EPS,
+    )),
+    "backward": ("backward reconstruction at time t", _cmd_backward, (
+        *_COMMON, _ALPHA,
+        _flag("--t", type=float, help="time in [0, tau]; omitted: chosen from the noise level"),
+        _EPS, _DELTA,
+    )),
+    "table": ("run benchmark error table 1, 2, or 3", _cmd_table, (
+        *_COMMON, _flag("--id", type=int, choices=(1, 2, 3), required=True), _THREADS,
+    )),
+    "fig4": ("rate sweep and fitted C", _cmd_fig4, (*_COMMON, _THREADS)),
+    "diagnose": ("solvability classification of the data", _cmd_diagnose, (
+        *_COMMON, _ALPHA, _DELTA,
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,56 +268,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Backward time-fractional heat conduction benchmark tools.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ml = sub.add_parser("ml", help="evaluate E_{alpha,beta}(x)")
-    p_ml.add_argument("--alpha", type=float, required=True, help="order alpha in (0, 1]")
-    p_ml.add_argument("--beta", type=float, required=True, help="order beta > 0")
-    p_ml.add_argument("--x", type=float, required=True, help="argument x <= 0")
-    p_ml.set_defaults(handler=_cmd_ml)
-
-    p_fwd = sub.add_parser("forward", help="forward solution field at time t")
-    _add_common(p_fwd)
-    p_fwd.add_argument("--alpha", type=float, default=0.8, help="fractional order (default 0.8)")
-    p_fwd.add_argument("--t", type=float, default=None, help="time in [0, tau] (default tau)")
-    p_fwd.add_argument("--eps", type=float, default=0.0, help="source noise level")
-    p_fwd.set_defaults(handler=_cmd_forward)
-
-    p_bwd = sub.add_parser("backward", help="backward reconstruction at time t")
-    _add_common(p_bwd)
-    p_bwd.add_argument("--alpha", type=float, default=0.8, help="fractional order (default 0.8)")
-    p_bwd.add_argument(
-        "--t",
-        type=float,
-        default=None,
-        help="time in [0, tau]; omitted: chosen from the noise level",
-    )
-    p_bwd.add_argument("--eps", type=float, default=0.0, help="source noise level")
-    p_bwd.add_argument("--delta", type=float, default=0.0, help="data noise level")
-    p_bwd.set_defaults(handler=_cmd_backward)
-
-    p_tab = sub.add_parser("table", help="run benchmark error table 1, 2, or 3")
-    _add_common(p_tab)
-    p_tab.add_argument("--id", type=int, choices=(1, 2, 3), required=True)
-    p_tab.add_argument("--threads", type=int, default=1, help="worker cap (output-invariant)")
-    p_tab.set_defaults(handler=_cmd_table)
-
-    p_fig = sub.add_parser("fig4", help="rate sweep and fitted C")
-    _add_common(p_fig)
-    p_fig.add_argument("--threads", type=int, default=1, help="worker cap (output-invariant)")
-    p_fig.set_defaults(handler=_cmd_fig4)
-
-    p_diag = sub.add_parser("diagnose", help="solvability classification of the data")
-    _add_common(p_diag)
-    p_diag.add_argument("--alpha", type=float, default=0.8, help="fractional order (default 0.8)")
-    p_diag.add_argument("--delta", type=float, default=0.0, help="data noise level")
-    p_diag.set_defaults(handler=_cmd_diagnose)
-
+    for name, (help_text, handler, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for names, spec in flags:
+            p.add_argument(*names, **spec)
+        p.set_defaults(handler=handler)
     return parser
 
 
 # argparse reads a value such as -1e-3 or -inf as an option string, so
 # "--x -1e-3" would fail with "expected one argument"; "--x=-1e-3" does not.
-_FLOAT_FLAGS = frozenset({"--alpha", "--beta", "--x", "--t", "--eps", "--delta"})
+_FLOAT_FLAGS = frozenset(
+    n for *_, flags in _COMMANDS.values() for names, spec in flags if spec.get("type") is float
+    for n in names
+)
 
 
 def _join_float_values(argv: Sequence[str]) -> list[str]:

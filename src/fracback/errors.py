@@ -3,12 +3,12 @@
 The CLI maps these onto stable exit codes: domain and parameter-choice
 errors exit 2, I/O errors exit 3, numerical failures exit 4.
 
-Counts, real parameters, enum tokens and arrays of reals are checked by
-:func:`check_int`, :func:`check_real`, :func:`check_enum` and
-:func:`check_floats`, which raise :class:`DomainError` (a ``ValueError``)
-with the message ``"<where>: <name> must be <want>, got <value>"``, or
-``"<where>: unknown <name> <value>, must be one of [...]"`` for an enum
-token.  A bool is not a number, and NaN fails every range.
+Counts, real parameters, enum tokens, arrays of reals and argument types
+are checked by :func:`check_int`, :func:`check_real`, :func:`check_enum`,
+:func:`check_floats` and :func:`check_type`, which raise :class:`DomainError`
+(a ``ValueError``) with the message ``"<where>: <name> must be <want>, got
+<value>"``, or ``"<where>: unknown <name> <value>, must be one of [...]"``
+for an enum token.  A bool is not a number, and NaN fails every range.
 """
 
 import math
@@ -59,6 +59,15 @@ def check_real(where: str, name: str, v, ok, want: str) -> float:
     if isinstance(v, bool) or not isinstance(v, Real) or math.isnan(v) or not ok(float(v)):
         raise DomainError(f"{where}: {name} must be {want}, got {v!r}")
     return float(v)
+
+
+def check_type(where: str, name: str, v, cls):
+    """v itself if it is an instance of cls, a class or a tuple of classes;
+    anything else is a DomainError."""
+    if not isinstance(v, cls):
+        want = " or ".join(c.__name__ for c in cls) if isinstance(cls, tuple) else cls.__name__
+        raise DomainError(f"{where}: {name} must be a {want}, got {v!r}")
+    return v
 
 
 def check_enum(where: str, name: str, cls, v):

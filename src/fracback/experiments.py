@@ -42,6 +42,7 @@ from .errors import (
     check_enum,
     check_int,
     check_real,
+    check_type,
 )
 from .quadrature import QuadConfig, SingularMode
 from .solver import (
@@ -152,6 +153,7 @@ class ErrorTable:
     content_hash: str = field(init=False)  # sha256 of to_csv()
 
     def __post_init__(self) -> None:
+        check_type("ErrorTable", "config", self.config, ExperimentConfig)
         if self.table_id not in _TABLES:
             raise DomainError(f"ErrorTable: unknown id {self.table_id!r}")
         if len(self.rows) != len(self.levels):
@@ -230,6 +232,7 @@ def _one(x: float) -> float:
 
 def paper_problem(cfg: ExperimentConfig = ExperimentConfig()) -> PaperProblem:
     """Construct u0, the per-alpha problems, and g = forward value at tau."""
+    check_type("paper_problem", "cfg", cfg, ExperimentConfig)
     ms = ModeSet(dimension=2, truncation=cfg.truncation)
     quad = cfg.quad_config()
     u0 = project((math.sin, math.sin), ms, quad)  # sin x sin y as per-axis factors
@@ -273,8 +276,8 @@ def noisy_source(
     recipe adds a time-independent coefficient vector with L2 norm exactly
     eps (so the L-infinity-in-time L2 noise bound holds with equality).
     """
-    if not isinstance(source, Source) or not isinstance(modeset, ModeSet):
-        raise DomainError(f"noisy_source: need a Source and a ModeSet, got {source!r}, {modeset!r}")
+    check_type("noisy_source", "source", source, Source)
+    check_type("noisy_source", "modeset", modeset, ModeSet)
     check_real("noisy_source", "eps", eps, *NONNEGATIVE)
     mode = check_enum("noisy_source", "noise mode", NoiseMode, mode)
     check_int("noisy_source", "seed", seed, lo=0)
@@ -295,8 +298,8 @@ def noisy_data(
     seed: int = 0,
 ) -> SpectralField:
     """Final data perturbed at level delta (constant +delta/2, or random)."""
-    if not isinstance(g, SpectralField) or not isinstance(quad, QuadConfig):
-        raise DomainError(f"noisy_data: need a SpectralField and a QuadConfig, got {g!r}, {quad!r}")
+    check_type("noisy_data", "g", g, SpectralField)
+    check_type("noisy_data", "quad", quad, QuadConfig)
     check_real("noisy_data", "delta", delta, *NONNEGATIVE)
     mode = check_enum("noisy_data", "noise mode", NoiseMode, mode)
     check_int("noisy_data", "seed", seed, lo=0)
@@ -321,9 +324,8 @@ class NoiseAudit:
 def noise_audit(level: float, modeset: ModeSet, quad: QuadConfig) -> NoiseAudit:
     """Report how far the +level/2 constant shift exceeds the nominal bound."""
     check_real("noise_audit", "level", level, *NONNEGATIVE)
-    if not isinstance(modeset, ModeSet) or not isinstance(quad, QuadConfig):
-        raise DomainError(f"noise_audit: need a ModeSet and a QuadConfig, got {modeset!r}, {quad!r}")
-    d = modeset.dimension
+    d = check_type("noise_audit", "modeset", modeset, ModeSet).dimension
+    check_type("noise_audit", "quad", quad, QuadConfig)
     return NoiseAudit(
         nominal=float(level),
         function_norm=(level / 2.0) * math.pi ** (d / 2),
@@ -346,7 +348,7 @@ _TABLES["fig4"] = _TABLES["table3"]
 
 
 def _levels(table_id: str, cfg: ExperimentConfig) -> tuple[float, ...]:
-    return cfg.sweep or _TABLES[table_id][0]
+    return check_type(f"run_{table_id}", "cfg", cfg, ExperimentConfig).sweep or _TABLES[table_id][0]
 
 
 def _run_table(table_id: str, cfg: ExperimentConfig, threads: int) -> ErrorTable:
@@ -383,7 +385,7 @@ def run_table3(cfg: ExperimentConfig = ExperimentConfig(), threads: int = 1) -> 
 
 def fit_rate(table: ErrorTable, last: int | None = None) -> dict[float, float]:
     """{alpha: least-squares slope of log10(error) on log10(level)} over the ``last`` rows."""
-    if len(table.levels) < 3:
+    if len(check_type("fit_rate", "table", table, ErrorTable).levels) < 3:
         raise DomainError("fit_rate: need at least 3 rows")
     if last is not None:
         last = check_int("fit_rate", "last", last, lo=2, hi=len(table.levels))
@@ -421,6 +423,7 @@ def _fig4_C(fig: ErrorTable) -> float:
 
 def emit_csv(table: ErrorTable, path: str | Path) -> None:
     """Write the table as CSV (LF, UTF-8, shortest round-trip floats)."""
+    check_type("emit_csv", "table", table, ErrorTable)
     try:
         Path(path).write_text(table.to_csv(), encoding="utf-8", newline="\n")
     except OSError as exc:
@@ -433,6 +436,7 @@ def emit_plot_script(table: ErrorTable, path: str | Path) -> None:
     Tables render as log-log error curves per alpha; fig4 additionally
     overlays the fitted C*sqrt(eta) reference line.
     """
+    check_type("emit_plot_script", "table", table, ErrorTable)
     path = Path(path)
     csv_ref = f"{table.table_id}.csv"
     lines = [

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import POSITIVE, UNIT, check_enum, check_int, check_real
+from .errors import POSITIVE, UNIT, check_enum, check_int, check_real, check_type
 
 __all__ = [
     "QuadConfig",
@@ -118,6 +118,7 @@ def composite_nodes(
     """
     check_real("composite_nodes", "a", a, math.isfinite, "finite")
     check_real("composite_nodes", "b", b, lambda v: a <= v < math.inf, f"finite and >= a={a}")
+    check_type("composite_nodes", "cfg", cfg, QuadConfig)
     nsub = cfg.subintervals if subintervals is None else subintervals
     check_int("composite_nodes", "subintervals", nsub)
     ref_x, ref_w = (np.asarray(v) for v in _RULES[cfg.points])
@@ -143,6 +144,7 @@ def singular_nodes(
     """
     check_real("singular_nodes", "t", t, *POSITIVE)
     check_real("singular_nodes", "alpha", alpha, *UNIT)
+    check_type("singular_nodes", "cfg", cfg, QuadConfig)
     if cfg.singular_mode is SingularMode.PAPER_DIRECT:
         pts, wts = composite_nodes(0.0, t, cfg, subintervals)
         d = t - pts

@@ -51,6 +51,7 @@ from .errors import (
     check_floats,
     check_int,
     check_real,
+    check_type,
 )
 from .quadrature import QuadConfig, singular_nodes
 from .special import ml_array
@@ -117,9 +118,7 @@ class Source:
     """Time-dependent source f = sum of separable terms; Source() is f = 0."""
 
     def __init__(self, *terms: Term):
-        if not all(isinstance(term, Term) for term in terms):
-            raise DomainError("Source: every term must be a Term instance")
-        self.terms = terms
+        self.terms = tuple(check_type("Source", "term", term, Term) for term in terms)
 
     def coefficient_batch(
         self, modeset: ModeSet, quad: QuadConfig, s: np.ndarray
@@ -151,10 +150,7 @@ class TimeFractionalProblem:
         check_real("TimeFractionalProblem", "tau", self.tau, *POSITIVE)
         check_int("TimeFractionalProblem", "temporal_subintervals", self.temporal_subintervals)
         for name, cls in (("modeset", ModeSet), ("source", Source), ("quad", QuadConfig)):
-            if not isinstance(getattr(self, name), cls):
-                raise DomainError(
-                    f"TimeFractionalProblem: {name} must be a {cls.__name__} instance"
-                )
+            check_type("TimeFractionalProblem", name, getattr(self, name), cls)
 
 
 class ChoiceRule(str, Enum):
@@ -195,8 +191,9 @@ def _check_time(t: float, tau: float, what: str) -> float:
     return check_real(what, "t", t, lambda v: 0.0 <= v <= tau, f"not outside [0, {tau}]")
 
 
-def _check_field(f: SpectralField, prob: TimeFractionalProblem, what: str) -> None:
-    if f.modeset != prob.modeset:
+def _check_field(what: str, prob: TimeFractionalProblem, name: str, f: SpectralField) -> None:
+    check_type(what, "prob", prob, TimeFractionalProblem)
+    if check_type(what, name, f, SpectralField).modeset != prob.modeset:
         raise DomainError(f"{what}: field modeset does not match the problem's")
 
 
@@ -257,7 +254,7 @@ def forward_solve(
     prob: TimeFractionalProblem, u0: SpectralField, t: float
 ) -> SpectralField:
     """Mode coefficients of the forward solution at time t."""
-    _check_field(u0, prob, "forward_solve")
+    _check_field("forward_solve", prob, "u0", u0)
     t = _check_time(t, prob.tau, "forward_solve")
     if t == 0.0:
         return SpectralField(prob.modeset, u0.coeffs)
@@ -266,6 +263,7 @@ def forward_solve(
 
 def final_value(prob: TimeFractionalProblem, u0: SpectralField) -> SpectralField:
     """g = forward solution at the horizon tau."""
+    _check_field("final_value", prob, "u0", u0)
     return forward_solve(prob, u0, prob.tau)
 
 
@@ -278,7 +276,7 @@ def backward_reconstruct(
     terms cancel algebraically).  t = 0 is the unregularized inversion: it
     exposes the ill-posedness and is not the reconstruction method.
     """
-    _check_field(g, prob, "backward_reconstruct")
+    _check_field("backward_reconstruct", prob, "g", g)
     t = _check_time(t, prob.tau, "backward_reconstruct")
     if t == prob.tau:
         return SpectralField(prob.modeset, g.coeffs)
@@ -295,6 +293,7 @@ def reconstruct_noisy(
     t: float,
 ) -> SpectralField:
     """backward_reconstruct with the memory term built from a noisy source."""
+    check_type("reconstruct_noisy", "prob", prob, TimeFractionalProblem)
     return backward_reconstruct(dataclasses.replace(prob, source=noisy_source), g_noisy, t)
 
 
@@ -308,7 +307,7 @@ def solvability_diagnostic(
     when the last lambda-quartile still contributes more than 1% of the
     total (a convergent series has a vanishing tail share), else "bounded".
     """
-    _check_field(g, prob, "solvability_diagnostic")
+    _check_field("solvability_diagnostic", prob, "g", g)
     base = _inverted(prob, g)
     order = np.argsort(prob.modeset.eigenvalues, kind="stable")
     terms = base[order] ** 2
@@ -324,6 +323,7 @@ def choose_t(
     choice: RegularizationChoice, alpha: float, tau: float = 1.0
 ) -> float:
     """Regularization time t_eta from the rule; must land strictly below tau."""
+    check_type("choose_t", "choice", choice, RegularizationChoice)
     check_real("choose_t", "alpha", alpha, *UNIT)
     check_real("choose_t", "tau", tau, *POSITIVE)
     if choice.eta <= 0.0:

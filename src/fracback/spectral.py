@@ -26,7 +26,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NONNEGATIVE, DomainError, NumericalError, check_floats, check_int, check_real
+from .errors import (
+    NONNEGATIVE, DomainError, NumericalError, check_floats, check_int, check_real, check_type,
+)
 from .quadrature import QuadConfig, composite_nodes
 
 __all__ = [
@@ -93,7 +95,7 @@ class SpectralField:
 
     def __post_init__(self) -> None:
         arr = check_floats("SpectralField", "coeffs", self.coeffs).ravel()
-        if arr.size != self.modeset.size:
+        if arr.size != check_type("SpectralField", "modeset", self.modeset, ModeSet).size:
             raise DomainError(
                 f"SpectralField: expected {self.modeset.size} coefficients, got {arr.size}"
             )
@@ -118,9 +120,8 @@ def project(
     result is memoized by (f, modeset, cfg), f (each factor) by identity: a
     repeated call returns it without evaluating f, so f must be pure.
     """
-    if not isinstance(modeset, ModeSet) or not isinstance(cfg, QuadConfig):
-        raise DomainError(f"project: need a ModeSet and a QuadConfig, got {modeset!r}, {cfg!r}")
-    d = modeset.dimension
+    d = check_type("project", "modeset", modeset, ModeSet).dimension
+    check_type("project", "cfg", cfg, QuadConfig)
     if not (len(f) == d and all(map(callable, f)) if isinstance(f, tuple) else callable(f)):
         raise DomainError(f"project: f must be callable or {d} callable factors, got {f!r}")
     return _project(f, modeset, cfg)
@@ -149,7 +150,8 @@ def _project(f, modeset: ModeSet, cfg: QuadConfig) -> SpectralField:
 
 def l2_error(a: SpectralField, b: SpectralField) -> float:
     """Parseval norm of the coefficient difference; modesets must match."""
-    if a.modeset != b.modeset:
+    check_type("l2_error", "a", a, SpectralField)
+    if a.modeset != check_type("l2_error", "b", b, SpectralField).modeset:
         raise DomainError("l2_error: fields live on different modesets")
     # Python's d ** 2 (libm pow), not numpy's d * d: the two differ in the last bit
     return math.sqrt(math.fsum(d ** 2 for d in (a.coeffs - b.coeffs).tolist()))
@@ -157,6 +159,7 @@ def l2_error(a: SpectralField, b: SpectralField) -> float:
 
 def hp_norm(field: SpectralField, p: float) -> float:
     """Spectral Sobolev norm sqrt(sum lambda^(2p) coeff^2); p=0 gives the L2 norm."""
+    check_type("hp_norm", "field", field, SpectralField)
     check_real("hp_norm", "p", p, *NONNEGATIVE)
     lam, coeffs = field.modeset.eigenvalues.tolist(), field.coeffs.tolist()
     try:
@@ -170,7 +173,7 @@ def hp_norm(field: SpectralField, p: float) -> float:
 
 def write_csv(field: SpectralField, path: str | Path) -> None:
     """Serialize as CSV (`m,n,coeff` in d=2, `m,coeff` in d=1), 17 digits."""
-    ms = field.modeset
+    ms = check_type("write_csv", "field", field, SpectralField).modeset
     lines = [",".join([*"mnk"[: ms.dimension], "coeff"])]  # one name per axis
     for idx, c in zip(ms.modes, field.coeffs.tolist()):
         lines.append(",".join(map(str, idx)) + f",{c:.17g}")

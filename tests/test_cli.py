@@ -6,6 +6,7 @@ reduced configuration file so the suite stays fast.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import math
@@ -25,7 +26,14 @@ from fracback import (
     paper_problem,
     run_table3,
 )
-from fracback.cli import _CONFIG_KEYS, _join_float_values, build_parser, load_config, main
+from fracback.cli import (
+    _CONFIG_KEYS,
+    _FLOAT_FLAGS,
+    _join_float_values,
+    build_parser,
+    load_config,
+    main,
+)
 
 REDUCED = {"alphas": [0.4, 0.8], "truncation": 8, "sweep": [1e-2, 1e-3]}
 
@@ -437,3 +445,28 @@ class TestHelp:
                 build_parser().parse_args(_join_float_values(argv))
             except SystemExit:
                 pytest.fail(f"README line does not parse: {line}")
+
+
+class TestFloatFlags:
+    def test_float_flags_are_the_parsers_float_options(self):
+        (subs,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        registered = {
+            opt
+            for p in subs.choices.values()
+            for a in p._actions
+            if a.type is float
+            for opt in a.option_strings
+        }
+        assert _FLOAT_FLAGS == registered
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-inf"])
+    @pytest.mark.parametrize("flag", sorted(_FLOAT_FLAGS))
+    def test_negative_value_is_parsed(self, flag, value):
+        ml_only = flag in ("--beta", "--x")
+        base = ["ml", "--alpha", "0.5", "--beta", "1", "--x", "0"] if ml_only else ["backward"]
+        argv = _join_float_values([*base, flag, value])
+        assert argv[-1] == f"{flag}={value}"
+        # a repeated flag keeps its last value
+        assert getattr(build_parser().parse_args(argv), flag[2:]) == float(value)
