@@ -36,8 +36,7 @@ from .experiments import (
     ErrorTable,
     ExperimentConfig,
     PaperProblem,
-    emit_csv,
-    emit_plot_script,
+    emit_table,
     noise_audit,
     paper_problem,
     run_fig4,
@@ -182,11 +181,8 @@ _TABLE_RUNNERS = {1: run_table1, 2: run_table2, 3: run_table3}
 
 def _emit_table(table: ErrorTable, out: Path) -> None:
     _ensure_dir(out)
-    csv_path = out / f"{table.table_id}.csv"
-    emit_csv(table, csv_path)
-    emit_plot_script(table, out / f"{table.table_id}.gp")
-    print(f"wrote {csv_path}")
-    print(f"wrote {out / (table.table_id + '.gp')}")
+    for path in emit_table(table, out):
+        print(f"wrote {path}")
     print(f"sha256 {table.content_hash}")
 
 

@@ -72,8 +72,7 @@ __all__ = [
     "run_table3",
     "run_fig4",
     "fit_rate",
-    "emit_csv",
-    "emit_plot_script",
+    "emit_table",
 ]
 
 _PI2 = math.pi * math.pi
@@ -421,24 +420,17 @@ def _fig4_C(fig: ErrorTable) -> float:
     return float(np.sum(col * np.sqrt(levels)) / np.sum(levels))
 
 
-def emit_csv(table: ErrorTable, path: str | Path) -> None:
-    """Write the table as CSV (LF, UTF-8, shortest round-trip floats)."""
-    check_type("emit_csv", "table", table, ErrorTable)
-    try:
-        Path(path).write_text(table.to_csv(), encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise OSError(f"emit_csv: cannot write {path}: {exc}") from exc
-
-
-def emit_plot_script(table: ErrorTable, path: str | Path) -> None:
-    """Write a standalone gnuplot script next to the table's CSV.
+def emit_table(table: ErrorTable, out: str | Path) -> tuple[Path, Path]:
+    """Write ``<id>.csv`` (LF, UTF-8, shortest round-trip floats) into the
+    directory ``out``, and beside it the standalone gnuplot script ``<id>.gp``
+    that plots it; return both paths.
 
     Tables render as log-log error curves per alpha; fig4 additionally
     overlays the fitted C*sqrt(eta) reference line.
     """
-    check_type("emit_plot_script", "table", table, ErrorTable)
-    path = Path(path)
-    csv_ref = f"{table.table_id}.csv"
+    check_type("emit_table", "table", table, ErrorTable)
+    csv_path, gp_path = (Path(out) / f"{table.table_id}{ext}" for ext in (".csv", ".gp"))
+    csv_ref = csv_path.name
     lines = [
         f"# gnuplot script for {table.table_id}; data: {csv_ref}",
         "set datafile separator ','",
@@ -459,7 +451,8 @@ def emit_plot_script(table: ErrorTable, path: str | Path) -> None:
     lines.append(", \\\n".join("    " + c for c in curves))
     lines.append("pause -1")
     try:
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        for path, text in ((csv_path, table.to_csv()), (gp_path, "\n".join(lines) + "\n")):
+            path.write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
-        raise OSError(f"emit_plot_script: cannot write {path}: {exc}") from exc
-
+        raise OSError(f"emit_table: cannot write {path}: {exc}") from exc
+    return csv_path, gp_path

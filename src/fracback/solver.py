@@ -206,6 +206,7 @@ def _terms_at(
     lam, inv = np.unique(modeset.eigenvalues, return_inverse=True)
     pts, wts, z = singular_nodes(t, alpha, quad, subintervals=subintervals)
     X = -np.outer(lam, z)
+    # (alpha, alpha) first: its gap fit builds the 1/Gamma table that (alpha, 1) reads
     E = ml_array(alpha, alpha, X.ravel()).reshape(X.shape)[inv]
     return ml_array(alpha, 1.0, -lam * t**alpha)[inv], pts, wts, E
 

@@ -125,8 +125,7 @@ WRONG_TYPE_CALLS = {
     "run_fig4.cfg": lambda: fracback.run_fig4(X),
     "ErrorTable.config": lambda: fracback.ErrorTable("table1", X, ()),
     "fit_rate.table": lambda: fracback.fit_rate(X),
-    "emit_csv.table": lambda: fracback.emit_csv(X, "never-written.csv"),
-    "emit_plot_script.table": lambda: fracback.emit_plot_script(X, "never-written.gp"),
+    "emit_table.table": lambda: fracback.emit_table(X, "never-written"),
     "load_config.path": lambda: load_config(5),  # a str is a path
 }
 

@@ -10,8 +10,11 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -191,6 +194,11 @@ class TestConfig:
             path = cfg_file({**REDUCED, key: value}, name=f"{key}.json")
             assert main(["forward", "--config", path, "--t", "0", "--out", str(tmp_path)]) == 2
             assert f"{key} must be" in capsys.readouterr().err, (key, value)
+
+    def test_scalar_alphas_exit_2(self, cfg_file, tmp_path, capsys):
+        path = cfg_file({**REDUCED, "alphas": 0.5})
+        assert main(["forward", "--config", path, "--t", "0", "--out", str(tmp_path)]) == 2
+        assert "alphas must be a sequence, got 0.5" in capsys.readouterr().err
 
 
 class TestForwardBackward:
@@ -470,3 +478,31 @@ class TestFloatFlags:
         assert argv[-1] == f"{flag}={value}"
         # a repeated flag keeps its last value
         assert getattr(build_parser().parse_args(argv), flag[2:]) == float(value)
+
+    def test_non_float_value_is_left_to_argparse(self, capsys):
+        argv = ["ml", "--alpha", "0.5", "--beta", "1", "--x", "abc"]
+        assert _join_float_values(argv)[-2:] == ["--x", "abc"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid float value: 'abc'" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    """``python -m fracback.cli``, the entry point of a fresh-process request."""
+
+    @staticmethod
+    def _run(*argv: str) -> subprocess.CompletedProcess:
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run(
+            [sys.executable, "-m", "fracback.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_ml_value_and_domain_error_exit_codes(self):
+        ok = self._run("ml", "--alpha", "0.5", "--beta", "1", "--x", "-1e-3")
+        assert (ok.returncode, ok.stdout, ok.stderr) == (0, "0.998872620081151\n", "")
+        bad = self._run("ml", "--alpha", "0.5", "--beta", "1", "--x", "1")
+        assert bad.returncode == 2 and bad.stdout == ""
+        assert bad.stderr.startswith("fracback: ml_array: arguments must be finite and <= 0")

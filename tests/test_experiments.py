@@ -29,8 +29,7 @@ from fracback import (
     Source,
     SpectralField,
     choose_t,
-    emit_csv,
-    emit_plot_script,
+    emit_table,
     fit_rate,
     ml_array,
     noise_audit,
@@ -84,6 +83,10 @@ class TestExperimentConfig:
         for alphas in ((0.5, 0.5), (0.2, 1, 1.0)):
             with pytest.raises(DomainError, match="alphas must be distinct"):
                 ExperimentConfig(alphas=alphas)
+
+    def test_scalar_alphas_is_not_a_sequence(self):
+        with pytest.raises(DomainError, match=r"alphas must be a sequence, got 0\.5$"):
+            ExperimentConfig(alphas=0.5)
 
     def test_tau_and_seed_validation(self):
         for tau in (0.0, math.inf, math.nan):
@@ -615,24 +618,23 @@ class TestFitRate:
 class TestEmit:
     def test_emit_csv_bytes_and_reemit(self, table1_run, tmp_path):
         tab = table1_run[0]
+        assert emit_table(tab, tmp_path) == (tmp_path / "table1.csv", tmp_path / "table1.gp")
         p = tmp_path / "table1.csv"
-        emit_csv(tab, p)
         data = p.read_bytes()
         assert data == tab.to_csv().encode("utf-8")
         lines = data.decode("utf-8").splitlines()
         assert lines[0] == "level,alpha_0.2,alpha_0.4,alpha_0.6,alpha_0.8"
         assert len(lines) == 9
-        emit_csv(tab, p)
+        emit_table(tab, tmp_path)
         assert p.read_bytes() == data
 
     def test_emit_csv_bad_path(self, table1_run, tmp_path):
-        with pytest.raises(OSError):
-            emit_csv(table1_run[0], tmp_path / "no" / "such" / "dir.csv")
+        with pytest.raises(OSError, match="emit_table: cannot write"):
+            emit_table(table1_run[0], tmp_path / "no" / "such" / "dir")
 
     def test_plot_script_table(self, table1_run, tmp_path):
-        p = tmp_path / "table1.gp"
-        emit_plot_script(table1_run[0], p)
-        text = p.read_text(encoding="utf-8")
+        _, gp_path = emit_table(table1_run[0], tmp_path)
+        text = gp_path.read_text(encoding="utf-8")
         assert "set logscale xy" in text
         assert "'table1.csv'" in text
         for a in (0.2, 0.4, 0.6, 0.8):
@@ -640,9 +642,8 @@ class TestEmit:
 
     def test_plot_script_fig4_overlay(self, tmp_path):
         fig, C = run_fig4(REDUCED, threads=1)
-        p = tmp_path / "fig4.gp"
-        emit_plot_script(fig, p)
-        text = p.read_text(encoding="utf-8")
+        _, gp_path = emit_table(fig, tmp_path)
+        text = gp_path.read_text(encoding="utf-8")
         assert f"C = {C!r}" in text
         assert "C*sqrt(x)" in text
 

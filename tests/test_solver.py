@@ -32,6 +32,7 @@ from fracback import (
     forward_solve,
     l2_error,
     ml,
+    ml_array,
     project,
     reconstruct_noisy,
     solvability_diagnostic,
@@ -541,3 +542,53 @@ class TestRateTheorem:
         for t_alpha in (1e-4, 1e-3, 1e-2, 1e-1, 0.5):
             gain = np.max(np.abs(backward_reconstruct(prob, g, t_alpha ** (1.0 / alpha)).coeffs))
             assert gain <= bound, (t_alpha, gain / bound)
+
+
+class TestOptimalOrder:
+    """Optimal order over the whole source set M = {||A^p u0|| <= rho} with
+    data noise of norm delta and f = 0, where the method is diagonal.  Write
+    E_n(s) = E_{alpha,1}(-lambda_n s^alpha), b_n = rho lambda_n^-p (1 - E_n(t))
+    and a_n = E_n(t) / E_n(tau).  The worst error over M lies in
+    [max_n (b_n + delta a_n), max_n b_n + delta max_n a_n], and the modulus
+    of continuity omega(delta, rho), a lower bound on every method's worst
+    error (u0 and -u0 can give the same data), is at least
+    max_n min(delta / E_n(tau), rho lambda_n^-p), from one mode."""
+
+    MS, RHO = TestRateTheorem.MS, 1.0
+
+    @pytest.mark.parametrize(
+        ("alpha", "p"),
+        [pytest.param(a, p, id=f"{a}-{p}") for a in (0.2, 0.4, 0.8) for p in (0.25, 0.5, 1.0)],
+    )
+    def test_worst_error_is_within_a_constant_of_omega(self, alpha, p):
+        ms = self.MS
+        lam = ms.eigenvalues
+        etau = ml_array(alpha, 1.0, -lam)  # tau = 1
+        smooth = self.RHO * lam**-p
+        # TestRateTheorem's window: 4 decades, down to lambda_max t^alpha = 100
+        etas = (100.0 / lam.max()) ** (p + 1.0) * np.logspace(4.0, 0.0, 9)
+        upper, omega = [], []
+        for delta in etas:
+            t = choose_t(RegularizationChoice(ChoiceRule.SOURCE_CONDITION, eta=delta, p=p), alpha)
+            et = ml_array(alpha, 1.0, -lam * t**alpha)
+            b, a = smooth * (1.0 - et), et / etau
+            upper.append(np.max(b) + delta * np.max(a))
+            omega.append(np.max(np.minimum(delta / etau, smooth)))
+        slope = np.polyfit(np.log(etas), np.log(upper), 1)[0]
+        # measured within 0.001 of p/(p+1); the p = 1 rule's t at p = 0.25
+        # and 0.5 misses it by 0.050-0.067, while its ratio to omega stays
+        # below 2.31
+        assert abs(slope - p / (p + 1.0)) <= 0.03, slope
+        # measured at most 1.39-1.99 times omega (the worst level of a case)
+        ratio = np.array(upper) / np.array(omega)
+        assert np.all(ratio <= 2.5), ratio.max()
+        if p == 0.5:
+            # the worst single mode, u0 = rho lambda_n^-p e_n with noise
+            # -delta e_n, run through the solver, has the lower bound's error
+            n = int(np.argmax(b + delta * a))
+            e_n = np.eye(1, ms.size, n)[0]
+            u0 = SpectralField(ms, smooth[n] * e_n)
+            prob = TimeFractionalProblem(alpha=alpha, tau=1.0, modeset=ms, source=Source())
+            g = SpectralField(ms, final_value(prob, u0).coeffs - delta * e_n)
+            err = l2_error(backward_reconstruct(prob, g, t), u0)
+            assert err == pytest.approx(b[n] + delta * a[n], rel=1e-12, abs=0.0)

@@ -29,6 +29,7 @@ from fracback import (
     gamma_fn,
     ml,
     ml_array,
+    paper_problem,
 )
 from fracback.cli import main
 
@@ -121,6 +122,15 @@ class TestMLExamples:
         for beta in (0.3, 1.0, 2.5, 3.7):
             v = ml(0.5, beta, 0.0)
             assert abs(v - 1.0 / gamma_fn(beta)) <= 1e-13
+
+    def test_zero_d_argument_is_a_length_one_array(self):
+        out = ml_array(0.5, 1.0, -1.0)
+        assert out.shape == (1,)
+        assert out[0] == ml(0.5, 1.0, -1.0)
+
+    def test_taylor_sum_stops_where_its_terms_underflow(self):
+        # 1/Gamma(0.5k + 2000) underflows from k = 0, so the sum has no term
+        assert ml(0.5, 2000.0, -0.1) == 0.0
 
 
 class TestMLClosedForms:
@@ -578,6 +588,27 @@ class TestGapFit:
         built.clear()
         special._gap_fit.__wrapped__(0.4, 1.0)
         assert built == [(1.0, n_a1)] and n_a1 < n_aa
+
+    def test_sourced_problem_builds_one_table_per_alpha(self, monkeypatch, fresh_fits):
+        monkeypatch.setattr(solver, "_tau_terms", lru_cache(maxsize=16)(solver._tau_terms.__wrapped__))
+        built = []
+        table = special._rgamma_table
+
+        def spy(alpha, beta, n):
+            built.append((alpha, beta, n))
+            return table(alpha, beta, n)
+
+        monkeypatch.setattr(special, "_rgamma_table", spy)
+        pp = paper_problem(ExperimentConfig(alphas=(0.4,), truncation=8))
+        assert built == [(0.4, 1.0, 583)]  # at tau only the kernel has gap arguments
+        # at t = 1e-2 E_{alpha,1} has gap arguments too: _terms_at fits the
+        # kernel's (alpha, alpha) first, whose table the (alpha, 1) fit then
+        # reads; the reverse order builds two tables
+        special._gap_fit.cache_clear()
+        special._unit_box.cache_clear()
+        built.clear()
+        pp.reconstruct(0.4, 1e-2)
+        assert built == [(0.4, 1.0, 583)]
 
     def test_stirling_coeffs_match_the_bernoulli_recurrence(self):
         b = [Fraction(1)]  # Bernoulli numbers: sum_{j <= n} C(n + 1, j) B_j = 0
