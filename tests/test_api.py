@@ -125,7 +125,10 @@ WRONG_TYPE_CALLS = {
     "run_fig4.cfg": lambda: fracback.run_fig4(X),
     "ErrorTable.config": lambda: fracback.ErrorTable("table1", X, ()),
     "fit_rate.table": lambda: fracback.fit_rate(X),
-    "emit_table.table": lambda: fracback.emit_table(X, "never-written"),
+    # emit_table writes the CSV and the plot script that emit_csv and
+    # emit_plot_script wrote before it; a str and a field in its table slot
+    "emit_csv.table": lambda: fracback.emit_table(X, "never-written"),
+    "emit_plot_script.table": lambda: fracback.emit_table(_FIELD, "never-written"),
     "load_config.path": lambda: load_config(5),  # a str is a path
 }
 
