@@ -22,10 +22,9 @@ CSV so repeated runs (any thread count) are byte-identical.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
+import os
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -162,6 +161,8 @@ class ErrorTable:
                 raise DomainError("ErrorTable: one error per alpha required")
             for v in row:
                 check_real("ErrorTable", "error", v, *NONNEGATIVE)
+        import hashlib  # OpenSSL: ~3.7 MB resident and ~30 ms, so only a table loads it
+
         digest = hashlib.sha256(self.to_csv().encode("utf-8")).hexdigest()
         object.__setattr__(self, "content_hash", digest)
 
@@ -362,6 +363,8 @@ def _run_table(table_id: str, cfg: ExperimentConfig, threads: int) -> ErrorTable
     if threads == 1 or len(cfg.alphas) == 1:
         cols = [column(a) for a in cfg.alphas]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # ~0.7 MB resident
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             cols = list(pool.map(column, cfg.alphas))
     return ErrorTable(table_id, cfg, tuple(zip(*cols)))
@@ -429,7 +432,8 @@ def emit_table(table: ErrorTable, out: str | Path) -> tuple[Path, Path]:
     overlays the fitted C*sqrt(eta) reference line.
     """
     check_type("emit_table", "table", table, ErrorTable)
-    csv_path, gp_path = (Path(out) / f"{table.table_id}{ext}" for ext in (".csv", ".gp"))
+    out = Path(check_type("emit_table", "out", out, (str, os.PathLike)))
+    csv_path, gp_path = (out / f"{table.table_id}{ext}" for ext in (".csv", ".gp"))
     csv_ref = csv_path.name
     lines = [
         f"# gnuplot script for {table.table_id}; data: {csv_ref}",

@@ -24,7 +24,8 @@ and kernel E_{alpha,alpha}(-lambda (tau-s)^alpha) do not depend on the
 source.  A bounded LRU cache keyed by (alpha, tau, modeset, quad,
 temporal_subintervals) holds them, so the problems of all noise levels
 share them.  A time t < tau is used once per table and is not memoized;
-F(tau) is summed per call from the problem's own source.
+F(tau) is summed per call from the problem's own source.  A problem with
+no source terms builds no kernel and fills no memo.
 
 All per-mode reductions happen in fixed ModeSet order, so results are
 bit-identical across runs and thread counts.
@@ -198,12 +199,16 @@ def _check_field(what: str, prob: TimeFractionalProblem, name: str, f: SpectralF
 
 
 def _terms_at(
-    alpha: float, t: float, modeset: ModeSet, quad: QuadConfig, subintervals: int
+    alpha: float, t: float, modeset: ModeSet, quad: QuadConfig, subintervals: int,
+    kernel: bool = True,
 ) -> tuple[np.ndarray, ...]:
-    """E_{alpha,1}(-lambda t^alpha), memory nodes s and weights w, and the
-    kernel E_{alpha,alpha}(-lambda (t-s)^alpha), for every mode at time t,
-    evaluated once per distinct eigenvalue (387 of 900 at truncation 30)."""
+    """E_{alpha,1}(-lambda t^alpha) and, with ``kernel``, memory nodes s and
+    weights w and the kernel E_{alpha,alpha}(-lambda (t-s)^alpha), for every
+    mode at time t, evaluated once per distinct eigenvalue (387 of 900 at
+    truncation 30)."""
     lam, inv = np.unique(modeset.eigenvalues, return_inverse=True)
+    if not kernel:
+        return (ml_array(alpha, 1.0, -lam * t**alpha)[inv],)
     pts, wts, z = singular_nodes(t, alpha, quad, subintervals=subintervals)
     X = -np.outer(lam, z)
     # (alpha, alpha) first: its gap fit builds the 1/Gamma table that (alpha, 1) reads
@@ -222,13 +227,17 @@ def _tau_terms(*key) -> tuple[np.ndarray, ...]:
 
 def _terms(prob: TimeFractionalProblem, t: float) -> tuple[np.ndarray, ...]:
     key = (prob.alpha, t, prob.modeset, prob.quad, prob.temporal_subintervals)
+    if not prob.source.terms:  # f = 0 needs no memory kernel, and leaves _tau_terms alone
+        return _terms_at(*key, kernel=False)
     return _tau_terms(*key) if t == prob.tau else _terms_at(*key)
 
 
-def _memory(
-    prob: TimeFractionalProblem, pts: np.ndarray, wts: np.ndarray, E: np.ndarray
-) -> np.ndarray:
-    """F_n(t) for every mode at once, from the kernel at t and the problem's source."""
+def _memory(prob: TimeFractionalProblem, *kernel: np.ndarray) -> np.ndarray:
+    """F_n(t) for every mode at once, from the kernel at t and the problem's
+    source; +0.0, as the sum over a zero source gives, when there is no kernel."""
+    if not kernel:
+        return np.zeros(prob.modeset.size)
+    pts, wts, E = kernel
     C = prob.source.coefficient_batch(prob.modeset, prob.quad, pts)
     return np.einsum("ns,s->n", E * C, wts, optimize=False)
 

@@ -191,6 +191,7 @@ def _asym_table(alpha: float, beta: float, kmax: int) -> tuple[np.ndarray, np.nd
 
 
 _ASYM_BLOCK = 1024  # rows at 64 columns, fewer as the table grows: 512 KB per temporary
+_ASYM_CLAMP = 700.0  # a kept term's log-magnitude at or above it raises
 
 
 def _asym_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
@@ -245,16 +246,26 @@ def _asym_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
                 if np.any(grow):
                     regrow.append(blk[grow])
                     blk, logmag, kopt = blk[~grow], logmag[~grow], kopt[~grow]
-            vals = np.where(rank <= ks[kopt][:, None], logmag, -np.inf)
-            np.exp(vals, out=vals)
-            vals *= signs
-            out[blk] = np.sum(vals, axis=1)
-            # the first omitted non-pole term estimates the truncation error;
-            # refuse to return values the series cannot actually support
+            # the first omitted non-pole term estimates the truncation error
             pos = np.searchsorted(live, kopt, side="right")
             has_next = np.flatnonzero(pos < len(live))
+            next_log = logmag[has_next, live[pos[has_next]]]
+            # numpy's SIMD exp is ~5x slower on a vector holding an infinity,
+            # so the log-magnitudes are capped before it and the cut terms get
+            # a zero weight after it; a kept term at the cap raises
+            np.minimum(logmag, _ASYM_CLAMP, out=logmag)
+            terms = np.exp(logmag, out=logmag)
+            terms *= signs
+            terms *= rank <= ks[kopt][:, None]
+            if max(terms.max(initial=0.0), -terms.min(initial=0.0)) >= math.exp(_ASYM_CLAMP):
+                raise NumericalError(
+                    f"ml_array: asymptotic term reaches e^{_ASYM_CLAMP:g} for "
+                    f"alpha={alpha!r}, beta={beta!r}"
+                )
+            out[blk] = np.sum(terms, axis=1)
+            # refuse to return values the series cannot actually support
             floor = np.zeros(len(blk))
-            floor[has_next] = np.exp(logmag[has_next, live[pos[has_next]]])
+            floor[has_next] = np.exp(next_log)
             bad = floor > 3e-10 * np.abs(out[blk])
             if np.any(bad):
                 raise NumericalError(

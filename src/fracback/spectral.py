@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from pathlib import Path
@@ -174,8 +175,9 @@ def hp_norm(field: SpectralField, p: float) -> float:
 def write_csv(field: SpectralField, path: str | Path) -> None:
     """Serialize as CSV (`m,n,coeff` in d=2, `m,coeff` in d=1), 17 digits."""
     ms = check_type("write_csv", "field", field, SpectralField).modeset
+    path = Path(check_type("write_csv", "path", path, (str, os.PathLike)))
     lines = [",".join([*"mnk"[: ms.dimension], "coeff"])]  # one name per axis
     for idx, c in zip(ms.modes, field.coeffs.tolist()):
         lines.append(",".join(map(str, idx)) + f",{c:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 

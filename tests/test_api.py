@@ -83,6 +83,9 @@ _MS, _QUAD, _SRC = fracback.ModeSet(truncation=3), fracback.QuadConfig(), fracba
 _FIELD = fracback.SpectralField(_MS, np.zeros(_MS.size))
 _PROB = fracback.TimeFractionalProblem(0.5, 1.0, _MS, _SRC, _QUAD)
 _SINES = (math.sin, math.sin)
+_TABLE = fracback.ErrorTable(
+    "table1", fracback.ExperimentConfig(alphas=(0.5,), sweep=(0.1,)), ((0.0,),)
+)
 X = "x"
 # "x" in each object slot of each public entry point; never-written paths
 WRONG_TYPE_CALLS = {
@@ -129,6 +132,8 @@ WRONG_TYPE_CALLS = {
     # emit_plot_script wrote before it; a str and a field in its table slot
     "emit_csv.table": lambda: fracback.emit_table(X, "never-written"),
     "emit_plot_script.table": lambda: fracback.emit_table(_FIELD, "never-written"),
+    "emit_table.out": lambda: fracback.emit_table(_TABLE, 5),
+    "write_csv.path": lambda: fracback.write_csv(_FIELD, 5),
     "load_config.path": lambda: load_config(5),  # a str is a path
 }
 

@@ -500,6 +500,26 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, env=env, timeout=120,
         )
 
+    def test_backward_request_loads_neither_openssl_nor_a_thread_pool(self, tmp_path):
+        # hashlib (OpenSSL, ~3.7 MB resident) serves only a table's sha256 and
+        # concurrent.futures (~0.7 MB) only threads > 1; a top-level import of
+        # either would add its memory back to every fresh-process request
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = (
+            "import sys\n"
+            "import fracback.cli\n"
+            "argv = ['backward', '--alpha', '0.8', '--t', '0.01', '--out', sys.argv[1]]\n"
+            "assert fracback.cli.main(argv) == 0\n"
+            "print(sorted({'hashlib', '_hashlib', 'concurrent.futures'} & set(sys.modules)))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "backward.csv").exists()
+
     def test_ml_value_and_domain_error_exit_codes(self):
         ok = self._run("ml", "--alpha", "0.5", "--beta", "1", "--x", "-1e-3")
         assert (ok.returncode, ok.stdout, ok.stderr) == (0, "0.998872620081151\n", "")

@@ -398,6 +398,35 @@ class TestTauMemo:
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+class TestHomogeneous:
+    def test_zero_source_builds_no_memory_kernel(self, monkeypatch):
+        # f = 0: one E_{alpha,1} call per time, over the distinct eigenvalues,
+        # and no memo entry; the fields keep the bits of a zero-valued term
+        import fracback.solver as solver
+
+        u0 = u0_field()
+
+        def fields(prob):
+            g = final_value(prob, u0)
+            return [g, forward_solve(prob, u0, 0.3), backward_reconstruct(prob, g, 0.1),
+                    backward_reconstruct(prob, g, 0.0)]
+
+        want = fields(problem(0.4, source=Source(Term(np.zeros(MS8.size), lambda s: 0.0))))
+        calls = []
+
+        def counting(alpha, beta, x):
+            calls.append((alpha, beta, len(x)))
+            return ml_array(alpha, beta, x)
+
+        monkeypatch.setattr(solver, "ml_array", counting)
+        cached = solver._tau_terms.cache_info().currsize
+        got = fields(problem(0.4, source=Source()))
+        assert [a.coeffs.tobytes() for a in got] == [b.coeffs.tobytes() for b in want]
+        # tau for g, 0.3, tau and 0.1, tau
+        assert calls == [(0.4, 1.0, len(np.unique(MS8.eigenvalues)))] * 5
+        assert solver._tau_terms.cache_info().currsize == cached
+
+
 class TestSolvability:
     def test_exact_data_bounded(self):
         prob = problem(0.5)

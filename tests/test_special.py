@@ -257,6 +257,12 @@ class TestKernelBits:
         alone = np.array([ml_array(alpha, beta, x[i : i + 1])[0] for i in range(n)])
         assert _same_bits(ml_array(alpha, beta, x), alone)
 
+    def test_asymptotic_kept_term_at_the_cap_raises(self):
+        # the kernel caps log-magnitudes before exp, which must never move a
+        # kept term: at |x| = 1e-305 the first term is already ~e^702
+        with pytest.raises(NumericalError, match=r"asymptotic term reaches e\^700 for alpha=0.5"):
+            special._asym_vec(0.5, 1.0, np.array([-1e-305]))
+
     def test_overflowing_y_warns_nothing(self):
         # |x|**(1/alpha) = 1e600 overflows to inf, an asymptotic-band y;
         # exp(-log|x| + ...) holds ~|log x| * 2**-53 ~ 8e-14 relative there
