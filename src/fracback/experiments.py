@@ -161,9 +161,14 @@ class ErrorTable:
                 raise DomainError("ErrorTable: one error per alpha required")
             for v in row:
                 check_real("ErrorTable", "error", v, *NONNEGATIVE)
-        import hashlib  # OpenSSL: ~3.7 MB resident and ~30 ms, so only a table loads it
-
-        digest = hashlib.sha256(self.to_csv().encode("utf-8")).hexdigest()
+        try:  # CPython's own sha256: ~0.02 MB, where hashlib loads OpenSSL (~3.5 MB resident)
+            from _sha2 import sha256  # 3.12+
+        except ImportError:
+            try:
+                from _sha256 import sha256  # 3.10-3.11
+            except ImportError:
+                from hashlib import sha256
+        digest = sha256(self.to_csv().encode("utf-8")).hexdigest()
         object.__setattr__(self, "content_hash", digest)
 
     @property

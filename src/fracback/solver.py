@@ -22,10 +22,10 @@ config serves as the verification oracle.
 Memo policy: E_{alpha,1}(-lambda tau^alpha) and the memory nodes, weights
 and kernel E_{alpha,alpha}(-lambda (tau-s)^alpha) do not depend on the
 source.  A bounded LRU cache keyed by (alpha, tau, modeset, quad,
-temporal_subintervals) holds them, so the problems of all noise levels
-share them.  A time t < tau is used once per table and is not memoized;
-F(tau) is summed per call from the problem's own source.  A problem with
-no source terms builds no kernel and fills no memo.
+temporal_subintervals, kernel) holds them, so the problems of all noise
+levels share them.  A time t < tau is used once per table and is not
+memoized; F(tau) is summed per call from the problem's own source.  With
+no source terms, kernel=False builds and memoizes the E_{alpha,1} row alone.
 
 All per-mode reductions happen in fixed ModeSet order, so results are
 bit-identical across runs and thread counts.
@@ -226,10 +226,9 @@ def _tau_terms(*key) -> tuple[np.ndarray, ...]:
 
 
 def _terms(prob: TimeFractionalProblem, t: float) -> tuple[np.ndarray, ...]:
-    key = (prob.alpha, t, prob.modeset, prob.quad, prob.temporal_subintervals)
-    if not prob.source.terms:  # f = 0 needs no memory kernel, and leaves _tau_terms alone
-        return _terms_at(*key, kernel=False)
-    return _tau_terms(*key) if t == prob.tau else _terms_at(*key)
+    kernel = bool(prob.source.terms)  # f = 0 needs none; its tau row is memoized on its own key
+    key = (prob.alpha, t, prob.modeset, prob.quad, prob.temporal_subintervals, kernel)
+    return (_tau_terms if t == prob.tau else _terms_at)(*key)
 
 
 def _memory(prob: TimeFractionalProblem, *kernel: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ reduced configuration file so the suite stays fast.
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -500,25 +502,43 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, env=env, timeout=120,
         )
 
-    def test_backward_request_loads_neither_openssl_nor_a_thread_pool(self, tmp_path):
-        # hashlib (OpenSSL, ~3.7 MB resident) serves only a table's sha256 and
-        # concurrent.futures (~0.7 MB) only threads > 1; a top-level import of
-        # either would add its memory back to every fresh-process request
+    # hashlib (OpenSSL, ~3.5 MB resident) and concurrent.futures (~0.7 MB)
+    # are needed by no fresh-process request and no threads=1 table; a top-level
+    # import of either would add its memory back to every such process
+    _FRESH = {
+        "backward": (
+            "argv = ['backward', '--alpha', '0.8', '--t', '0.01', '--out', sys.argv[1]]\n"
+            "assert fracback.cli.main(argv) == 0\n"
+        ),
+        "table1": (
+            "cfg = fracback.ExperimentConfig(alphas=(0.8,), truncation=4, sweep=(1e-2, 1e-3, 1e-4))\n"
+            "tab = fracback.run_table1(cfg)\n"
+            "print(tab.content_hash)\n"
+            "print(repr(tab.to_csv()))\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_FRESH))
+    def test_fresh_process_loads_neither_openssl_nor_a_thread_pool(self, tmp_path, case):
         src = str(Path(__file__).resolve().parents[1] / "src")
         script = (
             "import sys\n"
             "import fracback.cli\n"
-            "argv = ['backward', '--alpha', '0.8', '--t', '0.01', '--out', sys.argv[1]]\n"
-            "assert fracback.cli.main(argv) == 0\n"
-            "print(sorted({'hashlib', '_hashlib', 'concurrent.futures'} & set(sys.modules)))\n"
+            + self._FRESH[case]
+            + "print(sorted({'hashlib', '_hashlib', 'concurrent.futures'} & set(sys.modules)))\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path)],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
-        assert (tmp_path / "backward.csv").exists()
+        *out, loaded = done.stdout.splitlines()
+        assert loaded == "[]"
+        if case == "backward":
+            assert (tmp_path / "backward.csv").exists()
+        else:  # the built-in sha256 gives hashlib's digest of the table's CSV
+            digest, csv = out[-2], ast.literal_eval(out[-1])
+            assert digest == hashlib.sha256(csv.encode("utf-8")).hexdigest()
 
     def test_ml_value_and_domain_error_exit_codes(self):
         ok = self._run("ml", "--alpha", "0.5", "--beta", "1", "--x", "-1e-3")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -177,6 +178,24 @@ class TestErrorTable:
         # derived from the CSV only; a caller cannot set it
         with pytest.raises(TypeError):
             self.table(content_hash="bogus")
+
+    def test_content_hash_falls_back_to_hashlib(self, monkeypatch):
+        # without CPython's built-in module (_sha2 on 3.12+, _sha256 before it)
+        # the digest comes from hashlib, with the same bytes
+        real, used = hashlib.sha256, []
+
+        def spy(data):
+            used.append(data)
+            return real(data)
+
+        monkeypatch.setattr(hashlib, "sha256", spy)
+        want = self.table().content_hash
+        assert not used  # the built-in module serves by default
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        tab = self.table()
+        assert len(used) == 1
+        assert tab.content_hash == want == real(tab.to_csv().encode("utf-8")).hexdigest()
 
     def test_column_lookup(self):
         tab = self.table()

@@ -7,6 +7,7 @@ import dataclasses
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -400,10 +401,13 @@ class TestTauMemo:
 
 class TestHomogeneous:
     def test_zero_source_builds_no_memory_kernel(self, monkeypatch):
-        # f = 0: one E_{alpha,1} call per time, over the distinct eigenvalues,
-        # and no memo entry; the fields keep the bits of a zero-valued term
+        # f = 0: one E_{alpha,1} call per distinct time, over the distinct
+        # eigenvalues, and a tau row memoized under its own key; the fields
+        # keep the bits of a zero-valued term
         import fracback.solver as solver
 
+        # a private memo, so that earlier tests cannot change the count
+        monkeypatch.setattr(solver, "_tau_terms", lru_cache(maxsize=16)(solver._tau_terms.__wrapped__))
         u0 = u0_field()
 
         def fields(prob):
@@ -419,12 +423,14 @@ class TestHomogeneous:
             return ml_array(alpha, beta, x)
 
         monkeypatch.setattr(solver, "ml_array", counting)
-        cached = solver._tau_terms.cache_info().currsize
         got = fields(problem(0.4, source=Source()))
         assert [a.coeffs.tobytes() for a in got] == [b.coeffs.tobytes() for b in want]
-        # tau for g, 0.3, tau and 0.1, tau
-        assert calls == [(0.4, 1.0, len(np.unique(MS8.eigenvalues)))] * 5
-        assert solver._tau_terms.cache_info().currsize == cached
+        # tau for g, 0.3 and 0.1; both inversions read the memoized tau row
+        assert calls == [(0.4, 1.0, len(np.unique(MS8.eigenvalues)))] * 3
+        # the sourced tau row of ``want`` and the kernel-free one of ``got``
+        assert solver._tau_terms.cache_info().currsize == 2
+        rows = [solver._tau_terms(0.4, 1.0, MS8, QuadConfig(), 4, k) for k in (True, False)]
+        assert [len(r) for r in rows] == [4, 1] and len(calls) == 3  # both memo hits
 
 
 class TestSolvability:

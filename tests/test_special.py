@@ -293,8 +293,12 @@ class TestAsymptoticBracketing:
     @pytest.mark.xfail(strict=True, raises=NumericalError)
     @pytest.mark.parametrize(
         "alpha, beta, ys",
-        [(0.149, 1.0, np.geomspace(28, 34, 8)), (0.196, 0.196, np.geomspace(36, 38.5, 5))],
-        ids=["0.149-1", "0.196-0.196"],
+        [
+            (0.149, 1.0, np.geomspace(28, 34, 8)),
+            (0.196, 0.196, np.geomspace(36, 38.5, 5)),
+            (0.149, 0.149, np.geomspace(36, 39.5, 6)),
+        ],
+        ids=["0.149-1", "0.196-0.196", "0.149-0.149"],
     )
     def test_off_grid_alpha_above_y_asym(self, alpha, beta, ys):
         x = -(ys**alpha)
