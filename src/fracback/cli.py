@@ -96,12 +96,12 @@ def load_config(path: str | Path | None) -> tuple[ExperimentConfig, str | None, 
 
 def _settings(args: argparse.Namespace) -> tuple[ExperimentConfig, Path, int]:
     """Merge config file, flags, and environment into the effective settings."""
-    ecfg, cfg_out, cfg_verbosity = load_config(getattr(args, "config", None))
-    mode = getattr(args, "singular_mode", None)
+    ecfg, cfg_out, cfg_verbosity = load_config(args.config)
+    mode = args.singular_mode
     if mode is not None:
         ecfg = dataclasses.replace(ecfg, singular_mode=_SINGULAR_ALIASES.get(mode, mode))
-    out = getattr(args, "out", None) or cfg_out or os.environ.get("FRACBACK_OUT") or "."
-    return ecfg, Path(out), cfg_verbosity + getattr(args, "verbose", 0)
+    out = args.out or cfg_out or os.environ.get("FRACBACK_OUT") or "."
+    return ecfg, Path(out), cfg_verbosity + args.verbose
 
 
 def _ensure_dir(out: Path) -> None:

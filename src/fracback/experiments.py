@@ -263,8 +263,6 @@ def _seeded_coeffs(size: int, level: float, seed: int, stream: int) -> np.ndarra
     rng = np.random.default_rng([seed, stream])
     r = rng.uniform(-1.0, 1.0, size)
     norm = float(np.sqrt(np.sum(r * r)))
-    if norm == 0.0:
-        return np.zeros(size)
     return r * (level / norm)
 
 

@@ -19,13 +19,13 @@ config (default: 4-point composite rule on 4 subintervals applied
 directly to the weakly singular integrand); a graded high-subinterval
 config serves as the verification oracle.
 
-Memo policy: E_{alpha,1}(-lambda tau^alpha) and the memory nodes, weights
-and kernel E_{alpha,alpha}(-lambda (tau-s)^alpha) do not depend on the
-source.  A bounded LRU cache keyed by (alpha, tau, modeset, quad,
-temporal_subintervals, kernel) holds them, so the problems of all noise
-levels share them.  A time t < tau is used once per table and is not
-memoized; F(tau) is summed per call from the problem's own source.  With
-no source terms, kernel=False builds and memoizes the E_{alpha,1} row alone.
+Memo policy: a time step gives E_{alpha,1}(-lambda t^alpha) and F(t).  At t =
+tau its source-free part (E_{alpha,1} and the memory nodes, weights and kernel
+E_{alpha,alpha}(-lambda (tau-s)^alpha)) sits in a bounded LRU cache keyed by
+(alpha, tau, modeset, quad, temporal_subintervals, kernel), which the problems
+of all noise levels share.  A time t < tau is used once per table and is not
+memoized; F is summed per call from the problem's own source.  With no source
+terms, kernel=False memoizes the E_{alpha,1} row alone, and F is +0.0.
 
 All per-mode reductions happen in fixed ModeSet order, so results are
 bit-identical across runs and thread counts.
@@ -155,21 +155,19 @@ class TimeFractionalProblem:
 
 
 class ChoiceRule(str, Enum):
-    """Parameter-choice rules for the regularization time t_eta."""
+    """Parameter-choice rules for t_eta; PAPER_TABLE2 is SOURCE_CONDITION at p = 1."""
 
     SOURCE_CONDITION = "source_condition"
-    PLAIN = "plain"
     PAPER_TABLE2 = "paper_table2"
 
 
 @dataclass(frozen=True)
 class RegularizationChoice:
-    """A rule plus its noise level eta and rule parameters p / gamma."""
+    """A rule plus its noise level eta and its source-condition order p."""
 
     rule: ChoiceRule
     eta: float
     p: float = 1.0
-    gamma: float = 0.5
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -177,7 +175,6 @@ class RegularizationChoice:
         )
         check_real("RegularizationChoice", "eta", self.eta, *NONNEGATIVE)
         check_real("RegularizationChoice", "p", self.p, *UNIT)
-        check_real("RegularizationChoice", "gamma", self.gamma, lambda v: 0 < v < 1, "in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -225,38 +222,36 @@ def _tau_terms(*key) -> tuple[np.ndarray, ...]:
     return terms
 
 
-def _terms(prob: TimeFractionalProblem, t: float) -> tuple[np.ndarray, ...]:
+def _step(prob: TimeFractionalProblem, t: float) -> tuple[np.ndarray, np.ndarray | float]:
+    """E_{alpha,1}(-lambda t^alpha) and F_n(t) for every mode at time t, F from
+    the problem's own source; F = +0.0, as the sum over a zero source gives,
+    when the source has no terms."""
     kernel = bool(prob.source.terms)  # f = 0 needs none; its tau row is memoized on its own key
     key = (prob.alpha, t, prob.modeset, prob.quad, prob.temporal_subintervals, kernel)
-    return (_tau_terms if t == prob.tau else _terms_at)(*key)
-
-
-def _memory(prob: TimeFractionalProblem, *kernel: np.ndarray) -> np.ndarray:
-    """F_n(t) for every mode at once, from the kernel at t and the problem's
-    source; +0.0, as the sum over a zero source gives, when there is no kernel."""
+    e1, *memory = (_tau_terms if t == prob.tau else _terms_at)(*key)
     if not kernel:
-        return np.zeros(prob.modeset.size)
-    pts, wts, E = kernel
+        return e1, 0.0
+    pts, wts, E = memory
     C = prob.source.coefficient_batch(prob.modeset, prob.quad, pts)
-    return np.einsum("ns,s->n", E * C, wts, optimize=False)
+    return e1, np.einsum("ns,s->n", E * C, wts, optimize=False)
 
 
 def _evolve(prob: TimeFractionalProblem, start: np.ndarray, t: float) -> SpectralField:
     """E_{alpha,1}(-lambda t^alpha) start + F(t), for a time t > 0."""
-    e1, *kernel = _terms(prob, t)
-    return SpectralField(prob.modeset, e1 * start + _memory(prob, *kernel))
+    e1, F = _step(prob, t)
+    return SpectralField(prob.modeset, e1 * start + F)
 
 
 def _inverted(prob: TimeFractionalProblem, g: SpectralField) -> np.ndarray:
     """(g_n - F_n(tau)) / E_{alpha,1}(-lambda_n tau^alpha): the naive inversion."""
-    etau, *kernel = _terms(prob, prob.tau)
+    etau, Ftau = _step(prob, prob.tau)
     if np.any(etau == 0.0):
         bad = prob.modeset.modes[int(np.argmax(etau == 0.0))]
         raise NumericalError(
             "backward_reconstruct: E_{alpha,1}(-lambda tau^alpha) underflowed "
             f"to zero for mode {bad}; the inversion is not representable"
         )
-    return (g.coeffs - _memory(prob, *kernel)) / etau
+    return (g.coeffs - Ftau) / etau
 
 
 def forward_solve(
@@ -331,7 +326,7 @@ def solvability_diagnostic(
 def choose_t(
     choice: RegularizationChoice, alpha: float, tau: float = 1.0
 ) -> float:
-    """Regularization time t_eta from the rule; must land strictly below tau."""
+    """Regularization time t_eta = eta^(1/((p+1) alpha)); must land strictly below tau."""
     check_type("choose_t", "choice", choice, RegularizationChoice)
     check_real("choose_t", "alpha", alpha, *UNIT)
     check_real("choose_t", "tau", tau, *POSITIVE)
@@ -339,12 +334,8 @@ def choose_t(
         raise ParameterChoiceError(
             f"choose_t: rule needs a positive noise level, got eta={choice.eta!r}"
         )
-    if choice.rule is ChoiceRule.PLAIN:
-        expo = (1.0 - choice.gamma) / alpha
-    else:  # PAPER_TABLE2 is the source-condition rule at p = 1
-        p = 1.0 if choice.rule is ChoiceRule.PAPER_TABLE2 else choice.p
-        expo = 1.0 / ((p + 1.0) * alpha)
-    t = choice.eta**expo
+    p = 1.0 if choice.rule is ChoiceRule.PAPER_TABLE2 else choice.p
+    t = choice.eta ** (1.0 / ((p + 1.0) * alpha))
     if t >= tau:
         raise ParameterChoiceError(
             f"choose_t: rule {choice.rule.value} with eta={choice.eta} gives "

@@ -480,10 +480,6 @@ class TestChooseT:
         choice = RegularizationChoice(ChoiceRule.PAPER_TABLE2, eta=1e-3)
         assert choose_t(choice, 0.5) == 1e-3
 
-    def test_plain_example(self):
-        choice = RegularizationChoice(ChoiceRule.PLAIN, eta=1e-4, gamma=0.5)
-        assert choose_t(choice, 0.5) == 1e-4
-
     def test_eta_must_be_positive(self):
         with pytest.raises(ParameterChoiceError):
             choose_t(RegularizationChoice(ChoiceRule.PAPER_TABLE2, eta=0.0), 0.5)
@@ -497,7 +493,7 @@ class TestChooseT:
         with pytest.raises(DomainError):
             RegularizationChoice(ChoiceRule.SOURCE_CONDITION, eta=1e-3, p=1.5)
         with pytest.raises(DomainError):
-            RegularizationChoice(ChoiceRule.PLAIN, eta=1e-3, gamma=1.0)
+            RegularizationChoice("plain", eta=1e-3)
         with pytest.raises(DomainError):
             choose_t(RegularizationChoice(ChoiceRule.PAPER_TABLE2, eta=1e-3), 1.5)
         with pytest.raises(DomainError):

@@ -99,6 +99,15 @@ class TestMLQueryDomain:
         with pytest.raises(DomainError, match="ml_array: x must be real numbers"):
             ml_array(0.5, 1, ["x"])
 
+    def test_non_finite_value_raises(self, monkeypatch, capsys):
+        # ml_array's last guard: a regime that returns inf is a NumericalError,
+        # which the CLI reports with exit code 4
+        monkeypatch.setattr(special, "_taylor_vec", lambda alpha, beta, x: np.full_like(x, np.inf))
+        with pytest.raises(NumericalError, match="non-finite value"):
+            ml_array(0.5, 1.0, [-0.5])
+        assert main(["ml", "--alpha", "0.5", "--beta", "1", "--x", "-0.5"]) == 4
+        assert "non-finite value" in capsys.readouterr().err
+
 
 class TestMLExamples:
     def test_at_zero(self):
@@ -305,6 +314,16 @@ class TestAsymptoticBracketing:
         got = ml_array(alpha, beta, x)
         want = np.array([float(ml_taylor(alpha, beta, -v)) for v in x])
         assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+
+    # alpha = beta one ulp below 1: all 64 terms of the asymptotic table sit on
+    # a Gamma pole, so _asym_vec returns 0.0 where E is ~1e-18 and ~1e-20 (a
+    # relative error of 1).  The near-(1, 1) band is ROADMAP item 1's.
+    @pytest.mark.xfail(strict=True, raises=AssertionError)
+    def test_all_pole_table_near_one_one(self):
+        a = 0.9999999999999999
+        x = np.array([-40.0, -60.0])
+        want = np.array([ml_ref(a, a, v) for v in x])
+        assert np.all(np.abs(ml_array(a, a, x) - want) <= 1e-10 * np.abs(want))
 
 
 _PAIRS =tuple((a, b) for a in (0.1, 0.2, 0.4, 0.6, 0.8) for b in (a, 1.0))
