@@ -1,7 +1,7 @@
 """Gamma and Mittag-Leffler evaluation on the non-positive real axis.
 
 The Mittag-Leffler function E_{a,b}(x) = sum_k x^k / Gamma(a*k + b) is
-evaluated for a in (0, 1], b > 0 and x <= 0 with a three-regime scheme
+evaluated for a in (0, 1], any b > 0 and x <= 0 with a three-regime scheme
 keyed to y = |x|**(1/a):
 
 * small y: truncated Taylor series in extended (80-bit) precision,
@@ -12,9 +12,11 @@ keyed to y = |x|**(1/a):
   x**(-k) / Gamma(b - a*k), truncated at its globally smallest term
   (Gorenflo, Kilbas, Mainardi & Rogosin 2014, sec. 4.7), with the
   reciprocal gamma handled in log space through the reflection formula;
-  each argument's term table grows until that term lies over two periods
-  (2/a terms) of the reflection factor's |sin| before the table's end,
-  and rows are summed in cache-sized blocks, each over its own width;
+  each argument's term table grows until that term lies two periods (2/a
+  terms) of the reflection factor's |sin| before the table's end, which
+  also ends a terminating series (a = 1, integer b); rows are summed in
+  cache-sized blocks, each over its own width; a first omitted term above
+  3e-10 of the sum (as at large b) raises NumericalError, never a guess;
 * the intermediate band, where both of the above lose accuracy to
   cancellation: a Chebyshev surrogate of log E fitted to the Taylor series
   summed in decimal arithmetic, its coefficients 1/Gamma(a*k + b) from
@@ -178,16 +180,17 @@ def _taylor_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=512)
-def _asym_table(alpha: float, beta: float, kmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """log|1/Gamma(beta - alpha*k)| and its parity-adjusted sign, k = 1..kmax."""
-    logs = np.empty(kmax)
-    signs = np.empty(kmax)
+def _asym_table(alpha: float, beta: float, kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (logs, signs, live) for k = 1..kmax: log|1/Gamma(beta - alpha*k)|, +inf on
+    a pole so no argmin picks it; the parity-adjusted sign, +-0 on a pole; the indices off one."""
+    logs, signs = np.empty(kmax), np.empty(kmax)
     for i in range(kmax):
-        k = i + 1
-        lg, sg = _inv_gamma_log_sign(beta - alpha * k)
-        logs[i] = lg
-        signs[i] = sg * (1.0 if k % 2 else -1.0)
-    return logs, signs
+        lg, sg = _inv_gamma_log_sign(beta - alpha * (i + 1))
+        logs[i] = math.inf if sg == 0.0 else lg
+        signs[i] = sg * (-1.0 if i % 2 else 1.0)
+    live = np.flatnonzero(signs)
+    logs.flags.writeable = signs.flags.writeable = live.flags.writeable = False
+    return logs, signs, live
 
 
 _ASYM_BLOCK = 1024  # rows at 64 columns, fewer as the table grows: 512 KB per temporary
@@ -198,39 +201,30 @@ def _asym_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     """Asymptotic series truncated at the globally smallest term.
 
     Term magnitudes decrease and then grow factorially; cutting at the
-    global minimum leaves an error of the order of the first omitted
-    term.  Bracketing that minimum can take ~|x|**(1/alpha)/alpha terms
-    near the regime boundary, so the term table grows geometrically,
-    row by row, until either the minimum is interior or the tail is
-    negligible.  1/Gamma(beta - alpha*k) carries a |sin(pi*(beta - alpha*k))|
-    factor of period 1/alpha in k, so a minimum within two periods of the
-    table's end may be a dip of that factor, not interior.  Terms past the
-    cut and on poles are exact zeros, and a row's width is set by its own
-    growth alone, so a row's value does not depend on the rest of the batch
-    and rows are summed in blocks of _ASYM_BLOCK * 64 // kmax, bit for bit.
+    global minimum leaves an error of the order of the first omitted term.
+    Bracketing that minimum can take ~|x|**(1/alpha)/alpha terms near the
+    regime boundary, so the term table grows geometrically, row by row,
+    until either the minimum is interior or the tail is negligible; a
+    terminating series (alpha = 1, integer beta) stops at its last live term.
+    1/Gamma(beta - alpha*k) carries a |sin(pi*(beta - alpha*k))| factor of
+    period 1/alpha in k, so a minimum within two periods of the table's end
+    may be a dip of that factor, not interior.  Terms past the cut and on
+    poles are exact zeros, and a row's width is set by its own growth alone,
+    so a row's value does not depend on the rest of the batch and rows are
+    summed in blocks of _ASYM_BLOCK * 64 // kmax, bit for bit.
     """
     lx = np.log(np.abs(x))
-    # Gamma(beta - alpha*k) sits on a pole for every k >= beta when alpha = 1
-    # and beta is an integer: the series terminates and is exact up to an
-    # exponentially small remainder, so there is never a reason to grow it.
-    terminates = alpha >= 1.0 - 1e-12 and abs(beta - round(beta)) < 1e-12
     reach = math.ceil(2.0 / alpha)
     out = np.empty_like(x)
     rows = np.arange(len(x))
     kmax = 64
     while len(rows):
-        logs, signs = _asym_table(alpha, beta, kmax)
-        pole = signs == 0.0
-        live = np.flatnonzero(~pole)
+        logs, signs, live = _asym_table(alpha, beta, kmax)
         if len(live) == 0:
             # every term sits on a Gamma pole; the algebraic part vanishes
             out[rows] = 0.0
             break
         ks = np.arange(1, kmax + 1)
-        # poles are the only non-finite logs: +inf keeps them out of the
-        # argmin, and a rank past every k keeps them out of the sum
-        logs = np.where(pole, np.inf, logs)
-        rank = np.where(pole, kmax + 1, ks)
         regrow = []
         height = max(1, _ASYM_BLOCK * 64 // kmax)
         for start in range(0, len(rows), height):
@@ -239,7 +233,7 @@ def _asym_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
             logmag = np.multiply.outer(-lx[blk], ks)
             logmag += logs
             kopt = np.argmin(logmag, axis=1)
-            if not terminates and kmax < 65536:
+            if kmax < 65536:
                 # a tail already ~e^-45 below the leading term cannot matter
                 tail_big = logmag[:, live[-1]] > logmag[:, live[0]] - 45.0
                 grow = (kopt >= kmax - 1 - reach) & tail_big
@@ -250,13 +244,13 @@ def _asym_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
             pos = np.searchsorted(live, kopt, side="right")
             has_next = np.flatnonzero(pos < len(live))
             next_log = logmag[has_next, live[pos[has_next]]]
-            # numpy's SIMD exp is ~5x slower on a vector holding an infinity,
-            # so the log-magnitudes are capped before it and the cut terms get
-            # a zero weight after it; a kept term at the cap raises
+            # numpy's SIMD exp is ~5x slower on a vector holding an infinity, so
+            # the log-magnitudes are capped before it; cut terms get a zero weight
+            # after it, a pole's zero sign zeroes its e^700, a kept term raises
             np.minimum(logmag, _ASYM_CLAMP, out=logmag)
             terms = np.exp(logmag, out=logmag)
             terms *= signs
-            terms *= rank <= ks[kopt][:, None]
+            terms *= ks <= ks[kopt][:, None]
             if max(terms.max(initial=0.0), -terms.min(initial=0.0)) >= math.exp(_ASYM_CLAMP):
                 raise NumericalError(
                     f"ml_array: asymptotic term reaches e^{_ASYM_CLAMP:g} for "
@@ -378,12 +372,12 @@ def _decimal_log_ml(alpha: float, beta: float, xs: list[float]) -> list[float]:
 
     The worst cancellation, at the largest |x|, sets the working precision
     of the whole batch, and of its coefficients 1/Gamma(a*k + b) at least;
-    each x is summed over the number of terms its own accuracy target needs.
+    each x is summed to 10**-(d + 8) of min(1, 1/Gamma(b)), as E <= 1/Gamma(b).
     """
     digits = [_digits(abs(x) ** (1.0 / alpha)) for x in xs]
-    nterms = []
+    nterms, first = [], max(0.0, math.lgamma(beta))
     for x, d in zip(xs, digits):
-        lx, target, k = math.log(-x), -(d + 8) * math.log(10.0), 1
+        lx, target, k = math.log(-x), -(d + 8) * math.log(10.0) - first, 1
         while k * lx - math.lgamma(alpha * k + beta) >= target or (alpha * k + beta) ** alpha <= -x:
             k = k + max(1, k // 8)
             if k > 200_000:

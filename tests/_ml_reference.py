@@ -28,7 +28,7 @@ def ml_taylor(alpha: float, beta: float, y: float, dps: int | None = None) -> mp
         while True:
             term = mx**k / mp.gamma(ma * k + mb)
             s += term
-            if k > 4 and abs(term) < mp.mpf(10) ** (-dps) * (abs(s) + 1):
+            if k > 4 and abs(term) < mp.mpf(10) ** (-dps) * abs(s):
                 break
             k += 1
             if k > 200000:

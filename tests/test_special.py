@@ -326,6 +326,36 @@ class TestAsymptoticBracketing:
         assert np.all(np.abs(ml_array(a, a, x) - want) <= 1e-10 * np.abs(want))
 
 
+class TestLargeBeta:
+    # At alpha = 1 and integer beta the asymptotic series terminates; a
+    # shortcut once cut it after 64 terms (7.4e-8 off at (70, -40), 4.2e-2 at
+    # (80, -45)).  The gap fit once summed each node to 10**-(d + 8) absolute,
+    # below 1/Gamma(beta) at large beta, and fitted a constant (0.46 off at
+    # (65, -30)).  (80, -45) is 2.6e-9 off: the acceptance check bounds the
+    # first omitted term, not the rounding of terms ~e^11 above the value.
+    @pytest.mark.parametrize("beta, x, tol", [(70, -40.0, 1e-8), (80, -45.0, 1e-8), (65, -30.0, 1e-10)])
+    def test_unit_alpha_matches_the_closed_form(self, beta, x, tol):
+        # E_{1,b}(z) = z**(1 - b) (e**z - sum_{m < b - 1} z**m / m!), integer b
+        with mp.workdps(200):
+            z = mp.mpf(x)
+            want = z ** (1 - beta) * (mp.exp(z) - mp.fsum(z**m / mp.factorial(m) for m in range(beta - 1)))
+        assert abs(ml(1.0, float(beta), x) - want) <= tol * abs(want)
+
+    # the gap band (y < 40 here) at large beta: 0.68 off, a "gap surrogate
+    # failed" raise and 0.47 off before its target became relative
+    @pytest.mark.parametrize("alpha, beta, y", [(0.5, 65.0, 30.0), (0.3, 50.0, 20.0), (0.9, 90.0, 39.0)])
+    def test_gap_band_matches_the_reference(self, alpha, beta, y):
+        x = -(y**alpha)
+        want = ml_taylor(alpha, beta, -x)
+        assert abs(ml(alpha, beta, x) - want) <= 1e-10 * abs(want)
+
+    def test_asymptotic_table_owns_its_poles_read_only(self):
+        # 1/Gamma(3 - k) sits on a pole for every k >= 3
+        logs, signs, live = special._asym_table(1.0, 3.0, 64)
+        assert live.tolist() == [0, 1] and np.all(logs[2:] == np.inf) and np.all(signs[2:] == 0.0)
+        assert not any(a.flags.writeable for a in (logs, signs, live))
+
+
 _PAIRS =tuple((a, b) for a in (0.1, 0.2, 0.4, 0.6, 0.8) for b in (a, 1.0))
 _TAYLOR_ALPHAS = tuple(i / 10 for i in range(1, 11))
 
