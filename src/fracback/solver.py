@@ -110,8 +110,8 @@ class Term:
         else:
             spatial = self.spatial
         tvals = np.array([float(self.temporal(float(sj))) for sj in s])
-        if np.isnan(tvals).any():
-            raise NumericalError("Term: temporal factor returned NaN")
+        if not np.isfinite(tvals).all():
+            raise NumericalError("Term: temporal factor returned a non-finite value")
         return spatial[:, None] * tvals[None, :]
 
 

@@ -193,7 +193,7 @@ def _asym_table(alpha: float, beta: float, kmax: int) -> tuple[np.ndarray, np.nd
     return logs, signs, live
 
 
-_ASYM_BLOCK = 1024  # rows at 64 columns, fewer as the table grows: 512 KB per temporary
+_ASYM_BLOCK = 256  # rows at 64 columns, fewer as the table grows: 128 KB per temporary
 _ASYM_CLAMP = 700.0  # a kept term's log-magnitude at or above it raises
 
 
@@ -211,11 +211,14 @@ def _asym_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     may be a dip of that factor, not interior.  Terms past the cut and on
     poles are exact zeros, and a row's width is set by its own growth alone,
     so a row's value does not depend on the rest of the batch and rows are
-    summed in blocks of _ASYM_BLOCK * 64 // kmax, bit for bit.
+    summed in blocks of _ASYM_BLOCK * 64 // kmax, bit for bit.  Each row's
+    log first-omitted term is kept, and the accuracy check runs once on all
+    rows after the last block.
     """
     lx = np.log(np.abs(x))
     reach = math.ceil(2.0 / alpha)
     out = np.empty_like(x)
+    omitted = np.full_like(x, -np.inf)  # no live term past the cut: no error estimate
     rows = np.arange(len(x))
     kmax = 64
     while len(rows):
@@ -243,7 +246,7 @@ def _asym_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
             # the first omitted non-pole term estimates the truncation error
             pos = np.searchsorted(live, kopt, side="right")
             has_next = np.flatnonzero(pos < len(live))
-            next_log = logmag[has_next, live[pos[has_next]]]
+            omitted[blk[has_next]] = logmag[has_next, live[pos[has_next]]]
             # numpy's SIMD exp is ~5x slower on a vector holding an infinity, so
             # the log-magnitudes are capped before it; cut terms get a zero weight
             # after it, a pole's zero sign zeroes its e^700, a kept term raises
@@ -257,17 +260,15 @@ def _asym_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
                     f"alpha={alpha!r}, beta={beta!r}"
                 )
             out[blk] = np.sum(terms, axis=1)
-            # refuse to return values the series cannot actually support
-            floor = np.zeros(len(blk))
-            floor[has_next] = np.exp(next_log)
-            bad = floor > 3e-10 * np.abs(out[blk])
-            if np.any(bad):
-                raise NumericalError(
-                    f"ml_array: asymptotic series cannot reach the accuracy "
-                    f"target for alpha={alpha!r}, beta={beta!r}, x={x[blk[np.argmax(bad)]]!r}"
-                )
         rows = np.concatenate(regrow) if regrow else rows[:0]
         kmax *= 4
+    # refuse to return values the series cannot actually support
+    bad = np.exp(omitted) > 3e-10 * np.abs(out)
+    if np.any(bad):
+        raise NumericalError(
+            f"ml_array: asymptotic series cannot reach the accuracy "
+            f"target for alpha={alpha!r}, beta={beta!r}, x={x[np.argmax(bad)]!r}"
+        )
     return out
 
 

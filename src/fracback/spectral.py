@@ -10,9 +10,13 @@ cannot resolve the highest retained modes (with 4 subintervals the mode-23
 inner products alias with O(1) error), so :func:`project` refines the grid
 to ``cfg.subintervals * M`` subintervals per direction.  That keeps the
 configured density per wavelength of the highest mode and pushes the
-aliasing error of every retained coefficient below ~5e-12.  All reductions
-run in a fixed order, so projections are bit-identical across runs and
-thread counts.
+aliasing error of every retained coefficient below ~5e-12.  The n^d grid of
+node values is never formed: the integrand is built a block of at most 32
+columns of the last axis at a time, each block's leading axes are
+contracted into an n x M^(d-1) buffer, and the last axis is contracted
+once at the end.  That sums in the order of a contraction of the whole
+grid, to the bit.  All reductions run in a fixed order, so projections are
+bit-identical across runs and thread counts.
 """
 
 from __future__ import annotations
@@ -128,6 +132,13 @@ def project(
     return _project(f, modeset, cfg)
 
 
+# At most this many columns of the last grid axis per integrand block, 123 KB
+# in d = 2 at 480 nodes.  The n columns are cut into near-equal blocks, so
+# none is one column wide (n >= 2): einsum sums a one-column block in
+# another order, and every wider block in the whole grid's, to the bit.
+_COLUMNS = 32
+
+
 # One entry per (function, grid); the benchmark uses two per configuration.
 @lru_cache(maxsize=32)
 def _project(f, modeset: ModeSet, cfg: QuadConfig) -> SpectralField:
@@ -137,14 +148,30 @@ def _project(f, modeset: ModeSet, cfg: QuadConfig) -> SpectralField:
     sw = np.sin(np.outer(ks, pts)) * wts[None, :]
     grid, n = pts.tolist(), len(pts)  # f gets Python floats
     if isinstance(f, tuple):
-        vals = reduce(np.multiply.outer, [np.array([g(x) for x in grid], np.float64) for g in f])
+        axes = [np.array([g(x) for x in grid], np.float64) for g in f]
+
+        def block(lo: int, hi: int) -> np.ndarray:
+            return reduce(np.multiply.outer, [*axes[:-1], axes[-1][lo:hi]])
     else:
-        nodes = itertools.product(grid, repeat=d)
-        vals = np.fromiter((f(*p) for p in nodes), np.float64, n**d).reshape((n,) * d)
-    if np.isnan(vals).any():
-        raise NumericalError("project: integrand returned NaN")
-    for _ in range(d):  # contract the leading grid axis; its mode axis goes last
-        vals = np.einsum("mi,i...->...m", sw, vals, optimize=False)
+
+        def block(lo: int, hi: int) -> np.ndarray:
+            nodes = itertools.product(*[grid] * (d - 1), grid[lo:hi])
+            vals = np.fromiter((f(*p) for p in nodes), np.float64, n ** (d - 1) * (hi - lo))
+            return vals.reshape((n,) * (d - 1) + (hi - lo,))
+
+    # contract the leading grid axis (its mode axis goes last) of each column
+    # block, into a buffer with the F-order strides einsum gives the whole grid
+    part = np.empty((n,) + (modeset.truncation,) * (d - 1), order="F")
+    nblk = -(-n // _COLUMNS)
+    for lo, hi in itertools.pairwise(n * i // nblk for i in range(nblk + 1)):
+        with np.errstate(over="ignore", invalid="ignore"):  # factor products: checked next
+            vals = block(lo, hi)
+        if not np.isfinite(vals).all():
+            raise NumericalError("project: integrand returned a non-finite value")
+        for _ in range(d - 1):
+            vals = np.einsum("mi,i...->...m", sw, vals, optimize=False)
+        part[lo:hi] = vals
+    vals = np.einsum("mi,i...->...m", sw, part, optimize=False)
     # (2/pi)^(d/2) is sqrt(2/pi) in d=1 and 2/pi in d=2, to the bit
     return SpectralField(modeset, ((2.0 / math.pi) ** (d / 2) * vals).ravel())
 

@@ -211,6 +211,14 @@ class TestForwardSolve:
         with pytest.raises(DomainError):
             forward_solve(prob, other, 0.5)
 
+    def test_non_finite_temporal_value_is_numerical_error(self):
+        # an infinite F(s) once surfaced as a DomainError on the coefficients
+        ones = SpectralField(MS8, np.ones(MS8.size))
+        for bad in (math.nan, math.inf, -math.inf):
+            prob = problem(0.6, source=Source(Term(np.ones(MS8.size), lambda s: bad)))
+            with pytest.raises(NumericalError, match="temporal factor returned a non-finite value"):
+                forward_solve(prob, ones, 0.5)
+
     def test_t_out_of_range(self):
         prob = problem(0.6)
         u0 = u0_field()

@@ -509,17 +509,19 @@ class TestTaylorStop:
 
     def test_asymptotic_blocks_bounded_at_every_width(self):
         # at alpha = 0.02 rows near y_asym grow their table to thousands of
-        # columns; a block of 1,024 rows would hold ~32 MB per temporary
-        alpha, beta = 0.02, 1.0
-        y_a = special._regime_bounds(alpha, beta)[1]
-        x = -(np.geomspace(y_a, 3 * y_a, 3000) ** alpha)
-        tracemalloc.start()
-        try:
-            special._asym_vec(alpha, beta, x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+        # columns; a block of 1,024 rows would hold ~32 MB per temporary.
+        # At (0.8, 0.8) most rows stay at 64 columns, where blocks of 1,024
+        # rows held 512 KB per temporary (a 1.5 MB peak)
+        for alpha, beta, n, bound in ((0.02, 1.0, 3000, 8 * 2**20), (0.8, 0.8, 6000, 2**20)):
+            y_a = special._regime_bounds(alpha, beta)[1]
+            x = -(np.geomspace(y_a, 3 * y_a, n) ** alpha)
+            tracemalloc.start()
+            try:
+                special._asym_vec(alpha, beta, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (alpha, beta)
 
 
 class TestGapFit:

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
 
+import fracback.spectral as spectral
 from fracback import (
     DomainError,
     ModeSet,
@@ -19,6 +22,7 @@ from fracback import (
     project,
     write_csv,
 )
+from fracback.quadrature import composite_nodes
 from _quadrature_sums import integrate_2d
 
 MS2 = ModeSet(dimension=2, truncation=30)
@@ -166,9 +170,62 @@ class TestProjection:
             assert abs(f.coeff(2) - want) <= 1e-10, form
 
     def test_nan_integrand_rejected(self):
+        # an infinite node value is a breakdown like a NaN, not a bad coefficient
         for form in FORMS:
-            with pytest.raises(NumericalError):
-                project(_integrand(form, lambda x: math.nan, _one), MS2, CFG)
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(NumericalError, match="integrand returned a non-finite value"):
+                    project(_integrand(form, lambda x: bad, _one), MS2, CFG)
+        # finite factors whose product overflows
+        with pytest.raises(NumericalError, match="non-finite"):
+            project((lambda x: 1e200, lambda x: 1e200), MS2, CFG)
+
+    def test_each_node_value_computed_once(self):
+        # the integrand is built in column blocks, none of which may call a
+        # factor again: d x n factor calls, n^d pointwise calls
+        calls = {"x": 0, "y": 0, "xy": 0}
+
+        def fx(x):
+            calls["x"] += 1
+            return math.sin(x)
+
+        def fy(y):
+            calls["y"] += 1
+            return _decay(y)
+
+        def fxy(x, y):
+            calls["xy"] += 1
+            return math.sin(x) * _decay(y)
+
+        n = CFG.points * CFG.subintervals * MS2.truncation
+        project((fx, fy), MS2, CFG)
+        project(fxy, MS2, CFG)
+        assert calls == {"x": n, "y": n, "xy": n * n}
+
+    def test_blocks_sum_in_the_whole_grid_order(self):
+        # reference: contract the whole n^d grid of node values; 3 points on
+        # 11 subintervals make n = 33, one column past a block of 32
+        cases = ((QuadConfig(points=3, subintervals=1), ModeSet(2, 11)), (CFG, MS2), (CFG, MS1))
+        for cfg, ms in cases:
+            d, m = ms.dimension, ms.truncation
+            pts, wts = composite_nodes(0.0, math.pi, cfg, subintervals=cfg.subintervals * m)
+            sw = np.sin(np.outer(np.arange(1.0, m + 1), pts)) * wts[None, :]
+            factors = (math.cos, _decay)[:d]
+            vals = reduce(np.multiply.outer, [np.array([g(x) for x in pts.tolist()]) for g in factors])
+            for _ in range(d):
+                vals = np.einsum("mi,i...->...m", sw, vals, optimize=False)
+            want = ((2.0 / math.pi) ** (d / 2) * vals).ravel()
+            assert project(factors, ms, cfg).coeffs.tobytes() == want.tobytes(), (cfg, ms)
+
+    def test_projection_in_bounded_memory(self):
+        # the 480 x 480 grid of node values alone was 1.8 MB
+        spectral._project.cache_clear()
+        tracemalloc.start()
+        try:
+            project((math.sin, math.sin), MS2, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_factors_give_the_bits_of_the_pointwise_product(self):
         def g(x):
