@@ -19,9 +19,11 @@ keyed to y = |x|**(1/a):
   3e-10 of the sum (as at large b) raises NumericalError, never a guess;
 * the intermediate band, where both of the above lose accuracy to
   cancellation: a Chebyshev surrogate of log E fitted to the Taylor series
-  summed in decimal arithmetic, its coefficients 1/Gamma(a*k + b) from
-  Stirling's series, one table per a for b = 1 and b = a.  The fit is a
-  pure, memoized function of (a, b), safe to call from threads.
+  summed in decimal arithmetic, each node at the precision its own
+  cancellation needs, its coefficients 1/Gamma(a*k + b) from Stirling's
+  series worked in integer fixed point, one table per a for b = 1 and b = a
+  that grows from its last entry.  The fit is a pure, memoized function of
+  (a, b), safe to call from threads.
 
 All paths are deterministic and pure; a cached value is replaced, never mutated.
 A value depends on its argument and at most on the batch's largest |x|
@@ -278,7 +280,8 @@ def _asym_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
 
 
 # pi to 102 digits, correctly rounded; unary + rounds it to the context
-# precision, which the gap fit keeps below 83 digits
+# precision.  The gap fit keeps that below 83 digits, whose 1/Gamma tables
+# read pi to 2**-313 < 10**-94
 _PI = Decimal(
     "3.14159265358979323846264338327950288419716939937510"
     "582097494459230781640628620899862803482534211706798"
@@ -299,51 +302,87 @@ def _stirling_coeffs() -> tuple[Fraction, ...]:
     return tuple(Fraction(-(-1) ** m * c, 4**m * (4**m - 1) * (2*m - 1)) for m, c in enumerate(t, 1))
 
 
-def _rgamma_table(alpha: float, beta: float, n: int) -> list[Decimal]:
-    """1/Gamma(beta + alpha*k) for k < n in the current decimal context.
+def _atanh(u: int, bits: int) -> int:
+    """atanh(u/2**bits) * 2**bits, rounded down, for 0 <= u << 2**bits."""
+    u2, t, j, acc = u * u >> bits, u, 1, u
+    while t:
+        t = t * u2 >> bits
+        j += 2
+        acc += t // j
+    return acc
+
+
+def _exp(x: int, bits: int) -> int:
+    """e**(x/2**bits) * 2**bits, rounded down, for 0 <= x << 2**bits."""
+    t = acc = 1 << bits
+    for j in itertools.count(1):
+        t = (t * x >> bits) // j
+        if not t:
+            return acc
+        acc += t
+
+
+@lru_cache(maxsize=8)
+def _fixed_consts(bits: int) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """ln(1 + j/64) for j <= 64, e**(j/64) for j < 148, ln 10 and ln sqrt(2 pi), each times
+    2**bits and rounded down: the logs summed from ln((65 + j)/(64 + j)) = 2 atanh(1/(129 + 2j)),
+    the exponentials as powers of e**(1/64), both 16 bits finer; ln 2 pi by Decimal.ln."""
+    fine = bits + 16
+    logs, exps, e64 = [0], [1 << fine], _exp(1 << fine - 6, fine)
+    for j in range(64):
+        logs.append(logs[-1] + 2 * _atanh((1 << fine) // (129 + 2 * j), fine))
+    while len(exps) < 148:
+        exps.append(exps[-1] * e64 >> fine)
+    with localcontext(Context(int(fine * 0.302) + 5, ROUND_HALF_EVEN, traps=_TRAPS)):
+        root = int((2 * _PI).ln() * (1 << fine - 1))
+    ln10 = 3 * logs[64] + logs[16]  # 10 = 2**3 * (1 + 16/64)
+    return tuple(v >> 16 for v in logs), tuple(v >> 16 for v in exps), ln10 >> 16, root >> 16
+
+
+def _rgamma_table(alpha: float, beta: float, n: int, start: int = 0) -> list[Decimal]:
+    """1/Gamma(beta + alpha*k) for start <= k < n in the current decimal context.
 
     Stirling's series at z = w + s >= Z, where Z puts the first omitted term
-    below 10**-prec, and 1/Gamma(w) = w (w + 1) ... (w + s - 1) / Gamma(z).
-    log z is carried from one z to the next, log z = log z' + 2 atanh(u) with
-    u = (z - z')/(z + z') and |u| <= max(alpha, 1)/(2Z), so the table calls
-    Decimal.ln once, at k = 0, and each coefficient costs one exp.
+    below 10**-prec, and 1/Gamma(w) = w (w + 1) ... (w + s - 1) / Gamma(z),
+    worked in integers scaled by 2**B, B = prec digits plus 40 bits.  w and
+    the rising product are exact, from the dyadic alpha and beta.  log z =
+    e log 2 + log(1 + j/64) + 2 atanh(u), for z in 2**e [1 + j/64, 1 + (j + 1)/64)
+    and u <= 1/128, and 1/Gamma(z) = 10**q e**(i/64) e**r with r < 1/64, so
+    Decimal.ln and exp run only for the memoized constants.  Entry k depends
+    on alpha, beta, k and prec alone, and is rounded to the context once.
     """
     prec = getcontext().prec
     cs = _stirling_coeffs()
     zmin = math.ceil(10.0 ** ((prec + math.log10(abs(cs[-1]))) / (2 * _STIRLING_TERMS + 1)))
-    cs = [Decimal(c.numerator) / c.denominator for c in reversed(cs[:-1])]
-    half, scale = Decimal("0.5"), 1 / (2 * +_PI).sqrt()
-    da, db = Decimal(alpha), Decimal(beta)
-    out = []
-    for k in range(n):
-        w = da * k + db
-        s = max(0, math.ceil(zmin - w))
-        z = w + s
-        if k == 0:
-            lz = z.ln()
-        else:
-            u = (z - prev) / (z + prev)
-            u2, t, j, acc, last = u * u, u, 1, u, 0
-            while acc != last:
-                last = acc
-                t *= u2
-                j += 2
-                acc += t / j
-            lz += 2 * acc
-        r, h = 1 / (z * z), Decimal(0)
+    bits = math.ceil(prec * math.log2(10.0)) + 40
+    logs, exps, ln10, root = _fixed_consts(bits)
+    cs = [(c.numerator << bits) // c.denominator for c in reversed(cs[:-1])]
+    (an, ad), (bn, bd) = alpha.as_integer_ratio(), beta.as_integer_ratio()
+    den = max(ad, bd)  # both powers of two: w = (an k + bn)/den below
+    an, bn, ed = an * (den // ad), bn * (den // bd), den.bit_length() - 1
+    one, low, out = Decimal(1 << bits), (1 << bits - 6) - 1, []
+    for k in range(start, n):
+        w = an * k + bn
+        s = max(0, zmin - (w >> ed))
+        z = (w + (s << ed)) << bits >> ed
+        e = z.bit_length() - 1 - bits
+        j = (z >> e + bits - 6) - 64
+        zj = 64 + j << e + bits - 6
+        lz = e * logs[64] + logs[j] + 2 * _atanh(((z - zj) << bits) // (z + zj), bits)
+        r, h = (1 << 3 * bits) // (z * z), 0
         for c in cs:
-            h = h * r + c
-        g = (z - (z - half) * lz - h / z).exp() * scale
+            h = (h * r >> bits) + c
+        q, lg = divmod(z - ((z - (1 << bits - 1)) * lz >> bits) - (h << bits) // z - root, ln10)
+        g = exps[lg >> bits - 6] * _exp(lg & low, bits)
         for i in range(s):
-            g *= w + i
-        out.append(g)
-        prev = z
+            g *= w + (i << ed)
+        out.append((Decimal(g >> ed * s + bits) / one).scaleb(q))
     return out
 
 
 _MARGIN = 1.02  # the fit domain overlaps both regime thresholds by this factor
 _TRAPS = [InvalidOperation, DivisionByZero, Overflow]  # not the caller's, nor its rounding
-# alpha -> one slot for its 1/Gamma(1 + alpha*k) table (~0.1 MB), for the last 4 alphas
+# alpha -> one slot for its 1/Gamma(1 + alpha*k) table (0.04-0.18 MB at the tables'), last 4 alphas
 _unit_box = lru_cache(maxsize=4)(lambda alpha: [()])
 
 
@@ -354,26 +393,28 @@ def _digits(y: float) -> int:
 def _series_coeffs(alpha: float, beta: float, n: int) -> list[Decimal] | tuple[Decimal, ...]:
     """1/Gamma(alpha*k + beta) for k < n or more, at the current precision or better.  beta = 1
     and beta = alpha (1/Gamma(alpha*k) = alpha k/Gamma(1 + alpha*k)) share a table at the larger
-    of their fits' precisions, built from k = 0 as it grows: entry k depends on alpha and k."""
+    of their fits' precisions, extended from its last entry as it grows: entry k depends on
+    alpha and k alone, so either fit may come first."""
     if beta != 1.0 and beta != alpha:
         return _rgamma_table(alpha, beta, n)
     box, m = _unit_box(alpha), n + (beta != 1.0)
     unit = box[0]
-    if len(unit) < m:  # two threads may both build it; either way it is the same table
+    if len(unit) < m:  # two threads may both extend it; either way it is the same table
         prec = max(_digits(_regime_bounds(alpha, b)[1] * _MARGIN) for b in (alpha, 1.0)) + 17
         with localcontext(Context(prec, ROUND_HALF_EVEN, traps=_TRAPS)):
-            unit = box[0] = tuple(_rgamma_table(alpha, 1.0, m))
-    if beta == 1.0:  # (alpha, alpha) needs more entries: only a repeated fit could read it again
-        box[0] = ()
+            more = _rgamma_table(alpha, 1.0, m, len(unit)) if unit else _rgamma_table(alpha, 1.0, m)
+        unit = box[0] = unit + tuple(more)
     return unit if beta == 1.0 else [Decimal(alpha) * k * unit[k] for k in range(1, m)]
 
 
 def _decimal_log_ml(alpha: float, beta: float, xs: list[float]) -> list[float]:
     """log E_{a,b}(x) for every x <= 0 in xs, by the Taylor series in decimal.
 
-    The worst cancellation, at the largest |x|, sets the working precision
-    of the whole batch, and of its coefficients 1/Gamma(a*k + b) at least;
-    each x is summed to 10**-(d + 8) of min(1, 1/Gamma(b)), as E <= 1/Gamma(b).
+    Each x is summed at the working precision its own cancellation sets,
+    d + 17 digits with d = _digits(|x|**(1/a)), to 10**-(d + 8) of
+    min(1, 1/Gamma(b)), as E <= 1/Gamma(b); the coefficients 1/Gamma(a*k + b)
+    are shared, at the batch's largest d + 17, and the log is taken to 34
+    digits, past the double's 17.
     """
     digits = [_digits(abs(x) ** (1.0 / alpha)) for x in xs]
     nterms, first = [], max(0.0, math.lgamma(beta))
@@ -387,11 +428,12 @@ def _decimal_log_ml(alpha: float, beta: float, xs: list[float]) -> list[float]:
                     f"alpha={alpha!r}, beta={beta!r}, |x|={abs(x)!r}"
                 )
         nterms.append(k)
-    out = []
     # coefficients to 10**-(max(digits) + 10) relative
     with localcontext(Context(max(digits) + 17, ROUND_HALF_EVEN, traps=_TRAPS)):
         coeffs = _series_coeffs(alpha, beta, max(nterms))
-        for x, n in zip(xs, nterms):
+    out = []
+    for x, n, d in zip(xs, nterms, digits):
+        with localcontext(Context(d + 17, ROUND_HALF_EVEN, traps=_TRAPS)) as ctx:
             xd, s = Decimal(x), Decimal(0)
             for c in reversed(coeffs[:n]):
                 s = s * xd + c
@@ -400,6 +442,7 @@ def _decimal_log_ml(alpha: float, beta: float, xs: list[float]) -> list[float]:
                     f"ml_array: extended-precision sum non-positive for "
                     f"alpha={alpha!r}, beta={beta!r}, x={x!r}"
                 )
+            ctx.prec = 34
             out.append(float(s.ln()))
     return out
 

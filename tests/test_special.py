@@ -549,6 +549,20 @@ class TestGapFit:
             "8289d7a53cd25bcf174dc4e4251c44c4cec71245f2525c0927cb6ce7837a2bfc"
         )
 
+    def test_frozen_off_grid_gap_fits(self, fresh_fits):
+        # every coefficient of ten cold fits off the tables' (alpha, beta) grid,
+        # six with beta outside {alpha, 1}, taken before the 1/Gamma table
+        # moved to integer fixed point
+        h = hashlib.sha256()
+        for alpha, beta in (
+            (0.15, 0.5), (0.35, 2.0), (0.7, 1.6), (0.9, 3.3), (0.25, 0.25),
+            (0.55, 1.0), (0.45, 0.7), (0.12, 1.0), (0.65, 0.65), (0.85, 2.7),
+        ):
+            h.update(special._gap_fit.__wrapped__(alpha, beta)[2].tobytes())
+        assert h.hexdigest() == (
+            "d51a11454cb11c1f850836d075b21d6cc5ebb4a904b377e40d86c9e020fd2570"
+        )
+
     def test_cold_fit_ignores_the_callers_decimal_context(self):
         # the fit once worked in a copy of the caller's context: under
         # ROUND_FLOOR the atanh loop of _rgamma_table moved by one ulp a pass
@@ -593,8 +607,32 @@ class TestGapFit:
                 want = mp.rgamma(mp.mpf(0.2) * k + mp.mpf(beta))
                 assert abs(mp.mpf(str(c)) / want - 1) <= tol, (beta, k)
 
+    @pytest.mark.parametrize("alpha, beta", [(0.05, 0.05), (0.99, 0.99), (0.9, 3.3)])
+    def test_reciprocal_gamma_tables_match_mpmath_at_more_pairs(
+        self, monkeypatch, fresh_fits, alpha, beta
+    ):
+        # the table a real fit builds, at small and near-one alpha and at the
+        # frozen pair's beta = 3.3, at the precision the fit chose, D + 17
+        # digits, holds 10**-(D + 10) relative at every 24th entry and the last
+        calls = []
+        table = special._rgamma_table
+
+        def spy(alpha, beta, n):
+            calls.append((decimal.getcontext().prec, beta, table(alpha, beta, n)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(special, "_rgamma_table", spy)
+        special._gap_fit.__wrapped__(alpha, beta)
+        (prec, b, got), = calls
+        assert b == (1.0 if beta == alpha else beta)
+        tol = mp.mpf(10) ** -(prec - 17 + 10)
+        with mp.workdps(prec + 30):
+            for k in [*range(0, len(got), 24), len(got) - 1]:
+                want = mp.rgamma(mp.mpf(alpha) * k + mp.mpf(b))
+                assert abs(mp.mpf(str(got[k])) / want - 1) <= tol, k
+
     def test_pi_literal_rounds_like_mpmath(self):
-        # the Stirling scale 1/sqrt(2 pi) reads pi at the fit's precision
+        # the Stirling constant ln sqrt(2 pi) reads pi to ~100 digits
         with mp.workdps(130):
             ref = decimal.Decimal(mp.nstr(mp.pi, 120))
         for prec in range(10, 101):
@@ -649,6 +687,26 @@ class TestGapFit:
         built.clear()
         special._gap_fit.__wrapped__(0.4, 1.0)
         assert built == [(1.0, n_a1)] and n_a1 < n_aa
+
+    def test_reverse_order_extends_the_table_from_its_end(self, monkeypatch, fresh_fits):
+        # an (alpha, 1) fit before its (alpha, alpha) fit: the longer fit
+        # builds only the entries past the shorter one's, and the table it
+        # leaves is the one a single build at that precision gives
+        built = []
+        table = special._rgamma_table
+
+        def spy(alpha, beta, n, start=0):
+            built.append((beta, start, n))
+            return table(alpha, beta, n, start)
+
+        monkeypatch.setattr(special, "_rgamma_table", spy)
+        special._gap_fit(0.4, 1.0)
+        special._gap_fit(0.4, 0.4)
+        (b1, s1, n1), (b2, s2, n2) = built
+        assert (b1, s1, b2, s2) == (1.0, 0, 1.0, n1) and n1 < n2
+        with decimal.localcontext() as ctx:
+            ctx.prec = 78
+            assert special._unit_box(0.4)[0] == tuple(table(0.4, 1.0, n2))
 
     def test_sourced_problem_builds_one_table_per_alpha(self, monkeypatch, fresh_fits):
         monkeypatch.setattr(solver, "_tau_terms", lru_cache(maxsize=16)(solver._tau_terms.__wrapped__))
