@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
@@ -65,6 +64,7 @@ def load_config(path: str | Path | None) -> tuple[ExperimentConfig, str | None, 
     """(ExperimentConfig, out or None, verbosity) from a strict JSON config file."""
     if path is None:
         return ExperimentConfig(), None, 0
+    import json  # its only user: a request without --config never imports it
     check_type("config", "path", path, (str, os.PathLike))
     try:
         text = Path(path).read_text(encoding="utf-8")

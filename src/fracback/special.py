@@ -19,11 +19,12 @@ keyed to y = |x|**(1/a):
   3e-10 of the sum (as at large b) raises NumericalError, never a guess;
 * the intermediate band, where both of the above lose accuracy to
   cancellation: a Chebyshev surrogate of log E fitted to the Taylor series
-  summed in decimal arithmetic, each node at the precision its own
-  cancellation needs, its coefficients 1/Gamma(a*k + b) from Stirling's
-  series worked in integer fixed point, one table per a for b = 1 and b = a
-  that grows from its last entry.  The fit is a pure, memoized function of
-  (a, b), safe to call from threads.
+  summed in decimal arithmetic, each node at a digit budget sized to the
+  cancellation of a < 1 and again at twice it where Horner's error bound
+  leaves too few digits (toward a = b = 1), its log worked in integer fixed
+  point, as are its coefficients 1/Gamma(a*k + b), from Stirling's series,
+  one table per a for b = 1 and b = a that grows from its last entry.  The
+  fit is a pure, memoized function of (a, b), safe to call from threads.
 
 All paths are deterministic and pure; a cached value is replaced, never mutated.
 A value depends on its argument and at most on the batch's largest |x|
@@ -322,6 +323,15 @@ def _exp(x: int, bits: int) -> int:
         acc += t
 
 
+def _ln(z: int, bits: int, logs: tuple[int, ...]) -> int:
+    """ln(z/2**bits) * 2**bits for z >= 2**bits, with logs = _fixed_consts(bits)[0]: z in
+    2**e [1 + j/64, 1 + (j + 1)/64) gives e ln 2 + ln(1 + j/64) + 2 atanh(u), u <= 1/128."""
+    e = z.bit_length() - 1 - bits
+    j = (z >> e + bits - 6) - 64
+    zj = 64 + j << e + bits - 6
+    return e * logs[64] + logs[j] + 2 * _atanh(((z - zj) << bits) // (z + zj), bits)
+
+
 @lru_cache(maxsize=8)
 def _fixed_consts(bits: int) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
     """ln(1 + j/64) for j <= 64, e**(j/64) for j < 148, ln 10 and ln sqrt(2 pi), each times
@@ -345,11 +355,10 @@ def _rgamma_table(alpha: float, beta: float, n: int, start: int = 0) -> list[Dec
     Stirling's series at z = w + s >= Z, where Z puts the first omitted term
     below 10**-prec, and 1/Gamma(w) = w (w + 1) ... (w + s - 1) / Gamma(z),
     worked in integers scaled by 2**B, B = prec digits plus 40 bits.  w and
-    the rising product are exact, from the dyadic alpha and beta.  log z =
-    e log 2 + log(1 + j/64) + 2 atanh(u), for z in 2**e [1 + j/64, 1 + (j + 1)/64)
-    and u <= 1/128, and 1/Gamma(z) = 10**q e**(i/64) e**r with r < 1/64, so
-    Decimal.ln and exp run only for the memoized constants.  Entry k depends
-    on alpha, beta, k and prec alone, and is rounded to the context once.
+    the rising product are exact, from the dyadic alpha and beta.  log z is
+    _ln's and 1/Gamma(z) = 10**q e**(i/64) e**r with r < 1/64, so Decimal.ln
+    and exp run only for the memoized constants.  Entry k depends on alpha,
+    beta, k and prec alone, and is rounded to the context once.
     """
     prec = getcontext().prec
     cs = _stirling_coeffs()
@@ -365,10 +374,7 @@ def _rgamma_table(alpha: float, beta: float, n: int, start: int = 0) -> list[Dec
         w = an * k + bn
         s = max(0, zmin - (w >> ed))
         z = (w + (s << ed)) << bits >> ed
-        e = z.bit_length() - 1 - bits
-        j = (z >> e + bits - 6) - 64
-        zj = 64 + j << e + bits - 6
-        lz = e * logs[64] + logs[j] + 2 * _atanh(((z - zj) << bits) // (z + zj), bits)
+        lz = _ln(z, bits, logs)
         r, h = (1 << 3 * bits) // (z * z), 0
         for c in cs:
             h = (h * r >> bits) + c
@@ -382,58 +388,75 @@ def _rgamma_table(alpha: float, beta: float, n: int, start: int = 0) -> list[Dec
 
 _MARGIN = 1.02  # the fit domain overlaps both regime thresholds by this factor
 _TRAPS = [InvalidOperation, DivisionByZero, Overflow]  # not the caller's, nor its rounding
-# alpha -> one slot for its 1/Gamma(1 + alpha*k) table (0.04-0.18 MB at the tables'), last 4 alphas
+# alpha -> one slot for its 1/Gamma(1 + alpha*k) table (0.03-0.10 MB at the tables'), last 4 alphas
 _unit_box = lru_cache(maxsize=4)(lambda alpha: [()])
+_KEPT = 30  # digits a lean node sum keeps past its cancellation, or it is summed at full budget
+_LN_BITS = 128  # the node logs' fixed point: ln S to ~2**-120 before its one rounding to a double
 
 
-def _digits(y: float) -> int:
-    return int(0.87 * y) + 30  # decimal digits the Taylor sum at y = |x|**(1/a) cancels, plus 30
+def _digits(y: float, full: bool = False) -> int:
+    # digits for the Taylor sum at y = |x|**(1/a).  For a < 1 it cancels ~0.434 y digits (sum
+    # |c_k x**k| ~ e**y / a; E decays algebraically): the lean budget adds 20.  Toward a = b = 1,
+    # E ~ e**-y and it cancels up to 0.87 y: the full budget adds 30, for nodes under _KEPT digits
+    return int(0.87 * y) + 30 if full else int(0.44 * y) + 20
 
 
 def _series_coeffs(alpha: float, beta: float, n: int) -> list[Decimal] | tuple[Decimal, ...]:
     """1/Gamma(alpha*k + beta) for k < n or more, at the current precision or better.  beta = 1
     and beta = alpha (1/Gamma(alpha*k) = alpha k/Gamma(1 + alpha*k)) share a table at the larger
-    of their fits' precisions, extended from its last entry as it grows: entry k depends on
-    alpha and k alone, so either fit may come first."""
-    if beta != 1.0 and beta != alpha:
+    of their fits' lean precisions, extended from its last entry as it grows: entry k depends on
+    alpha and k alone, so either fit may come first.  A full-budget sum builds its own table."""
+    prec = max(_digits(_regime_bounds(alpha, b)[1] * _MARGIN) for b in (alpha, 1.0)) + 17
+    if beta != 1.0 and beta != alpha or getcontext().prec > prec:
         return _rgamma_table(alpha, beta, n)
     box, m = _unit_box(alpha), n + (beta != 1.0)
     unit = box[0]
     if len(unit) < m:  # two threads may both extend it; either way it is the same table
-        prec = max(_digits(_regime_bounds(alpha, b)[1] * _MARGIN) for b in (alpha, 1.0)) + 17
         with localcontext(Context(prec, ROUND_HALF_EVEN, traps=_TRAPS)):
             more = _rgamma_table(alpha, 1.0, m, len(unit)) if unit else _rgamma_table(alpha, 1.0, m)
         unit = box[0] = unit + tuple(more)
     return unit if beta == 1.0 else [Decimal(alpha) * k * unit[k] for k in range(1, m)]
 
 
-def _decimal_log_ml(alpha: float, beta: float, xs: list[float]) -> list[float]:
-    """log E_{a,b}(x) for every x <= 0 in xs, by the Taylor series in decimal.
+def _term_counts(
+    alpha: float, beta: float, xs: list[float], digits: list[int]
+) -> tuple[list[int], list[float]]:
+    """Per x, the first k of 1, 2, ..., k + max(1, k // 8), ... whose term |x|**k/Gamma(a*k + b)
+    is below 10**-(d + 8) min(1, 1/Gamma(b)), as E <= 1/Gamma(b), and past the peak, (a*k + b)**a
+    > |x|, and the log of the largest term visited, k = 0 included; each k's lgamma and power are
+    computed once for all x."""
+    lx, ax, k = np.array([math.log(-x) for x in xs]), -np.array(xs), 1
+    target = -(np.array(digits) + 8) * math.log(10.0) - max(0.0, math.lgamma(beta))
+    counts, peaks = np.zeros(len(xs), dtype=np.int64), np.full(len(xs), -math.lgamma(beta))
+    while (live := counts == 0).any():
+        logt = k * lx - math.lgamma(alpha * k + beta)
+        np.maximum(peaks, logt, out=peaks, where=live)
+        counts[live & (logt < target) & ((alpha * k + beta) ** alpha > ax)] = k
+        k = k + max(1, k // 8)
+        if k > 200_000 and 0 in counts:
+            raise NumericalError(
+                f"ml_array: series length cap exceeded for "
+                f"alpha={alpha!r}, beta={beta!r}, |x|={abs(xs[counts.tolist().index(0)])!r}"
+            )
+    return counts.tolist(), peaks.tolist()
 
-    Each x is summed at the working precision its own cancellation sets,
-    d + 17 digits with d = _digits(|x|**(1/a)), to 10**-(d + 8) of
-    min(1, 1/Gamma(b)), as E <= 1/Gamma(b); the coefficients 1/Gamma(a*k + b)
-    are shared, at the batch's largest d + 17, and the log is taken to 34
-    digits, past the double's 17.
-    """
-    digits = [_digits(abs(x) ** (1.0 / alpha)) for x in xs]
-    nterms, first = [], max(0.0, math.lgamma(beta))
-    for x, d in zip(xs, digits):
-        lx, target, k = math.log(-x), -(d + 8) * math.log(10.0) - first, 1
-        while k * lx - math.lgamma(alpha * k + beta) >= target or (alpha * k + beta) ** alpha <= -x:
-            k = k + max(1, k // 8)
-            if k > 200_000:
-                raise NumericalError(
-                    f"ml_array: series length cap exceeded for "
-                    f"alpha={alpha!r}, beta={beta!r}, |x|={abs(x)!r}"
-                )
-        nterms.append(k)
+
+def _decimal_log_ml(alpha: float, beta: float, xs: list[float], full: bool = False) -> list[float]:
+    """log E_{a,b}(x) for every x <= 0 in xs, by the Taylor series in decimal: each x summed at
+    d + 17 digits, d = _digits(|x|**(1/a), full), to _term_counts' count, with 1/Gamma(a*k + b)
+    shared at the batch's largest d + 17, and log S = log m + e log 10 for S = m 10**e worked in
+    _LN_BITS fixed point and rounded once to a double.  Horner's error is at most gamma_2n sum
+    |c_k x**k| (Higham 2002, 5.1), that sum at most n times the largest term visited: an x whose
+    lean sum keeps fewer than _KEPT digits past this cancellation is summed again at full budget."""
+    digits = [_digits(abs(x) ** (1.0 / alpha), full) for x in xs]
+    nterms, peaks = _term_counts(alpha, beta, xs, digits)
     # coefficients to 10**-(max(digits) + 10) relative
     with localcontext(Context(max(digits) + 17, ROUND_HALF_EVEN, traps=_TRAPS)):
         coeffs = _series_coeffs(alpha, beta, max(nterms))
-    out = []
-    for x, n, d in zip(xs, nterms, digits):
-        with localcontext(Context(d + 17, ROUND_HALF_EVEN, traps=_TRAPS)) as ctx:
+    logs, _, ln10, _ = _fixed_consts(_LN_BITS)
+    out, redo = [], []
+    for x, n, d, peak in zip(xs, nterms, digits, peaks):
+        with localcontext(Context(d + 17, ROUND_HALF_EVEN, traps=_TRAPS)):
             xd, s = Decimal(x), Decimal(0)
             for c in reversed(coeffs[:n]):
                 s = s * xd + c
@@ -442,8 +465,14 @@ def _decimal_log_ml(alpha: float, beta: float, xs: list[float]) -> list[float]:
                     f"ml_array: extended-precision sum non-positive for "
                     f"alpha={alpha!r}, beta={beta!r}, x={x!r}"
                 )
-            ctx.prec = 34
-            out.append(float(s.ln()))
+            e = s.as_tuple().exponent
+            m = int(s.scaleb(-e))
+        out.append((_ln(m << _LN_BITS, _LN_BITS, logs) + e * ln10) / (1 << _LN_BITS))
+        if not full and d + 17 - (math.log(n) + peak - out[-1]) / math.log(10.0) < _KEPT:
+            redo.append(len(out) - 1)
+    if redo:
+        for i, v in zip(redo, _decimal_log_ml(alpha, beta, [xs[i] for i in redo], True)):
+            out[i] = v
     return out
 
 

@@ -540,6 +540,21 @@ class TestModuleEntryPoint:
             digest, csv = out[-2], ast.literal_eval(out[-1])
             assert digest == hashlib.sha256(csv.encode("utf-8")).hexdigest()
 
+    def test_request_without_a_config_imports_no_json(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = (
+            "import sys\n"
+            "import fracback.cli\n"
+            + self._FRESH["backward"]
+            + "print('json' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+
     def test_ml_value_and_domain_error_exit_codes(self):
         ok = self._run("ml", "--alpha", "0.5", "--beta", "1", "--x", "-1e-3")
         assert (ok.returncode, ok.stdout, ok.stderr) == (0, "0.998872620081151\n", "")

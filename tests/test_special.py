@@ -524,6 +524,22 @@ class TestTaylorStop:
             assert peak < bound, (alpha, beta)
 
 
+def _term_count(alpha, beta, x, full=False):
+    # the first k of 1, 2, ..., k + max(1, k // 8), ... whose term is below
+    # 10**-(D + 8) min(1, 1/Gamma(beta)), D = _digits(|x|**(1/alpha)), and
+    # past the peak, (alpha*k + beta)**alpha > |x|, and the largest log term
+    # of the k = 0 and the visited ones: one x at a time
+    d = special._digits(abs(x) ** (1.0 / alpha), full)
+    lx, target, k = math.log(-x), -(d + 8) * math.log(10.0) - max(0.0, math.lgamma(beta)), 1
+    peak = -math.lgamma(beta)
+    while True:
+        logt = k * lx - math.lgamma(alpha * k + beta)
+        peak = max(peak, logt)
+        if logt < target and (alpha * k + beta) ** alpha > -x:
+            return k, peak
+        k = k + max(1, k // 8)
+
+
 class TestGapFit:
     def test_cold_fit_on_threads_gives_the_serial_bits(self):
         # the gap fit is built on first use, so four threads that all find it
@@ -563,6 +579,66 @@ class TestGapFit:
             "d51a11454cb11c1f850836d075b21d6cc5ebb4a904b377e40d86c9e020fd2570"
         )
 
+    def test_frozen_near_one_gap_fits(self):
+        # every coefficient of eight cold fits near (alpha, beta) = (1, 1), where
+        # E falls toward e**-y and the Taylor sum cancels the most digits, taken
+        # before the nodes were first summed at a lean digit budget
+        h = hashlib.sha256()
+        for alpha, beta in (
+            (0.999, 1.0), (0.999, 0.999), (0.9999, 1.0), (1.0, 1.5),
+            (1.0, 1.000001), (0.995, 1.3), (0.97, 0.97), (1.0, 2.0),
+        ):
+            h.update(special._gap_fit.__wrapped__(alpha, beta)[2].tobytes())
+        assert h.hexdigest() == (
+            "250687f33c08d48a7a2a6619a66e37f6159732b53373933e2c2d3b8ebf4762ef"
+        )
+
+    @staticmethod
+    def _nodes(alpha, beta, every=1):
+        # the x of the fit's 65 nodes, the largest |x| first, then its 16 checks
+        y_t, y_a = special._regime_bounds(alpha, beta)
+        lo, hi = math.log(y_t / special._MARGIN), math.log(y_a * special._MARGIN)
+        vs = [*(0.5 * (lo + hi) + 0.5 * (hi - lo) * special._cheb_cos(65)[1][::every])]
+        vs += [] if every > 1 else [*(lo + (hi - lo) * (np.arange(16) + 0.5) / 16.0)]
+        return [-math.exp(alpha * v) for v in vs]
+
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("alpha, beta", [(0.2, 0.2), (0.9, 3.3), (1.0, 1.000001)])
+    def test_term_counts_follow_the_scalar_rule(self, alpha, beta, full):
+        xs = self._nodes(alpha, beta)
+        digits = [special._digits(abs(x) ** (1.0 / alpha), full) for x in xs]
+        counts, peaks = special._term_counts(alpha, beta, xs, digits)
+        assert list(zip(counts, peaks)) == [_term_count(alpha, beta, x, full) for x in xs]
+
+    @pytest.mark.parametrize("alpha, beta", [(0.2, 0.2), (0.8, 1.0), (0.999, 1.0), (1.0, 1.000001)])
+    def test_nodes_are_the_correctly_rounded_log(self, alpha, beta):
+        # the largest |x| and every 8th node: E from mpmath's series at 0.87 y
+        # + 40 digits, which resolves E ~ e**-y near (1, 1)
+        xs = self._nodes(alpha, beta, every=8)
+        got = special._decimal_log_ml(alpha, beta, xs)
+        for x, v in zip(xs, got):
+            dps = int(0.87 * abs(x) ** (1.0 / alpha)) + 40
+            e = ml_taylor(alpha, beta, -x, dps=dps)
+            with mp.workdps(dps):
+                assert v == float(mp.log(e)), x
+
+    def test_full_budget_redo_only_near_one_one(self, monkeypatch, fresh_fits):
+        redone = []
+        log_ml = special._decimal_log_ml
+
+        def spy(alpha, beta, xs, full=False):
+            if full:
+                redone.extend((alpha, beta, x) for x in xs)
+            return log_ml(alpha, beta, xs, full)
+
+        monkeypatch.setattr(special, "_decimal_log_ml", spy)
+        for alpha in (0.2, 0.4, 0.6, 0.8):
+            special._gap_fit.__wrapped__(alpha, alpha)
+            special._gap_fit.__wrapped__(alpha, 1.0)
+        assert redone == []  # every table pair node keeps _KEPT digits at the lean budget
+        special._gap_fit.__wrapped__(1.0, 1.000001)
+        assert (1.0, 1.000001, self._nodes(1.0, 1.000001)[0]) in redone
+
     def test_cold_fit_ignores_the_callers_decimal_context(self):
         # the fit once worked in a copy of the caller's context: under
         # ROUND_FLOOR the atanh loop of _rgamma_table moved by one ulp a pass
@@ -577,8 +653,9 @@ class TestGapFit:
     def test_reciprocal_gamma_table_matches_mpmath(self, monkeypatch, fresh_fits):
         # the shared table of a real (0.2, 0.2) fit, at the precision it chose,
         # and the beta = alpha coefficients read from it hold 10**-(D + 10)
-        # relative, D = 61 the digits of the fit's largest |x| (0.87 * 1.02 *
-        # 36 + 30): no worse than the Spouge bound it replaced
+        # relative, D the digits of the fit's largest |x|, y = 1.02 * 36: no
+        # worse than the Spouge bound it replaced
+        d = special._digits(36.0 * special._MARGIN)
         calls = []
         table = special._rgamma_table
 
@@ -589,14 +666,14 @@ class TestGapFit:
         monkeypatch.setattr(special, "_rgamma_table", spy)
         special._gap_fit.__wrapped__(0.2, 0.2)
         (prec, beta, n, unit), = calls
-        assert (prec, beta) == (78, 1.0)
+        assert (prec, beta) == (d + 17, 1.0)
         with decimal.localcontext() as ctx:
             ctx.prec = prec
             derived = special._series_coeffs(0.2, 0.2, n - 1)
             low = special._rgamma_table(0.2, 0.05, 64)  # w = 0.05 + 0.2k < 13
         assert len(calls) == 2  # the derived coefficients built no table
-        tol = mp.mpf(10) ** -(61 + 10)
-        # Stirling's series starts at z = 66 here: k < 325 are shifted up to
+        tol = mp.mpf(10) ** -(d + 10)
+        # Stirling's series starts at z = 26 here: k < 125 are shifted up to
         # it, larger k are not; the largest k has the largest |log Gamma|
         ks = [*range(0, n - 1, 29), n - 2]
         cases = [(k, 1.0, unit[k]) for k in [*ks, n - 1]]  # 1/Gamma(0.2k + 1)
@@ -705,7 +782,7 @@ class TestGapFit:
         (b1, s1, n1), (b2, s2, n2) = built
         assert (b1, s1, b2, s2) == (1.0, 0, 1.0, n1) and n1 < n2
         with decimal.localcontext() as ctx:
-            ctx.prec = 78
+            ctx.prec = special._digits(36.0 * special._MARGIN) + 17
             assert special._unit_box(0.4)[0] == tuple(table(0.4, 1.0, n2))
 
     def test_sourced_problem_builds_one_table_per_alpha(self, monkeypatch, fresh_fits):
@@ -718,8 +795,10 @@ class TestGapFit:
             return table(alpha, beta, n)
 
         monkeypatch.setattr(special, "_rgamma_table", spy)
+        # one entry past the (alpha, alpha) fit's term count at its largest |x|
+        size = _term_count(0.4, 0.4, -(36.0 * special._MARGIN) ** 0.4)[0] + 1
         pp = paper_problem(ExperimentConfig(alphas=(0.4,), truncation=8))
-        assert built == [(0.4, 1.0, 583)]  # at tau only the kernel has gap arguments
+        assert built == [(0.4, 1.0, size)]  # at tau only the kernel has gap arguments
         # at t = 1e-2 E_{alpha,1} has gap arguments too: _terms_at fits the
         # kernel's (alpha, alpha) first, whose table the (alpha, 1) fit then
         # reads; the reverse order builds two tables
@@ -727,7 +806,7 @@ class TestGapFit:
         special._unit_box.cache_clear()
         built.clear()
         pp.reconstruct(0.4, 1e-2)
-        assert built == [(0.4, 1.0, 583)]
+        assert built == [(0.4, 1.0, size)]
 
     def test_stirling_coeffs_match_the_bernoulli_recurrence(self):
         b = [Fraction(1)]  # Bernoulli numbers: sum_{j <= n} C(n + 1, j) B_j = 0
