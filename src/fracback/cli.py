@@ -43,18 +43,11 @@ from .experiments import (
     run_table2,
     run_table3,
 )
-from .quadrature import SingularMode
 from .solver import forward_solve, solvability_diagnostic
 from .special import ml
 from .spectral import write_csv
 
 __all__ = ["load_config", "main"]
-
-# Short singular-mode tokens; ExperimentConfig checks every other token itself.
-_SINGULAR_ALIASES = {
-    "paper": SingularMode.PAPER_DIRECT,
-    "graded": SingularMode.GRADED_SUBSTITUTION,
-}
 
 _EXPERIMENT_KEYS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
 _CONFIG_KEYS = _EXPERIMENT_KEYS | {"out", "verbosity"}
@@ -80,9 +73,6 @@ def load_config(path: str | Path | None) -> tuple[ExperimentConfig, str | None, 
     if unknown:
         raise DomainError(f"config: unknown keys {unknown} in {path}")
     fields = {k: v for k, v in data.items() if k in _EXPERIMENT_KEYS}
-    mode = fields.get("singular_mode")
-    if isinstance(mode, str):
-        fields["singular_mode"] = _SINGULAR_ALIASES.get(mode, mode)
     try:
         experiment = ExperimentConfig(**fields)
     except (TypeError, ValueError) as exc:
@@ -97,9 +87,8 @@ def load_config(path: str | Path | None) -> tuple[ExperimentConfig, str | None, 
 def _settings(args: argparse.Namespace) -> tuple[ExperimentConfig, Path, int]:
     """Merge config file, flags, and environment into the effective settings."""
     ecfg, cfg_out, cfg_verbosity = load_config(args.config)
-    mode = args.singular_mode
-    if mode is not None:
-        ecfg = dataclasses.replace(ecfg, singular_mode=_SINGULAR_ALIASES.get(mode, mode))
+    if args.singular_mode is not None:  # ExperimentConfig checks the token
+        ecfg = dataclasses.replace(ecfg, singular_mode=args.singular_mode)
     out = args.out or cfg_out or os.environ.get("FRACBACK_OUT") or "."
     return ecfg, Path(out), cfg_verbosity + args.verbose
 
@@ -223,9 +212,8 @@ _COMMON = (
     _flag("--config", metavar="PATH", help="JSON config file (strict keys)"),
     _flag("--out", metavar="DIR",
           help="output directory (fallback: config file, $FRACBACK_OUT, '.')"),
-    _flag("--singular-mode",
-          choices=sorted([*_SINGULAR_ALIASES, *(m.value for m in SingularMode)]),
-          help="quadrature treatment of the weakly singular kernel"),
+    _flag("--singular-mode", metavar="MODE",
+          help="quadrature treatment of the weakly singular kernel: paper or graded"),
     _flag("-v", "--verbose", action="count", default=0, help="diagnostics on stderr"),
 )
 _ALPHA = _flag("--alpha", type=float, default=0.8, help="fractional order (default 0.8)")

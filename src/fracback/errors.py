@@ -71,7 +71,7 @@ def check_type(where: str, name: str, v, cls):
 
 
 def check_enum(where: str, name: str, cls, v):
-    """v as a member of the enum cls, looked up by member or by value."""
+    """v as a member of the enum cls: cls(v), so by member, by value or by cls._missing_."""
     try:
         return cls(v)
     except ValueError:

@@ -85,10 +85,15 @@ _RULES: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {
 
 
 class SingularMode(str, Enum):
-    """How singular_nodes treats the (t-s)^(alpha-1) kernel."""
+    """How singular_nodes treats the (t-s)^(alpha-1) kernel.  A member is
+    found by its value or by the value's first word, ``paper`` or ``graded``."""
 
     PAPER_DIRECT = "paper_direct"
     GRADED_SUBSTITUTION = "graded_substitution"
+
+    @classmethod
+    def _missing_(cls, value):
+        return next((m for m in cls if m.value.partition("_")[0] == value), None)
 
 
 @dataclass(frozen=True)

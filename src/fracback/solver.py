@@ -21,11 +21,12 @@ config serves as the verification oracle.
 
 Memo policy: a time step gives E_{alpha,1}(-lambda t^alpha) and F(t).  At t =
 tau its source-free part (E_{alpha,1} and the memory nodes, weights and kernel
-E_{alpha,alpha}(-lambda (tau-s)^alpha)) sits in a bounded LRU cache keyed by
-(alpha, tau, modeset, quad, temporal_subintervals, kernel), which the problems
-of all noise levels share.  A time t < tau is used once per table and is not
-memoized; F is summed per call from the problem's own source.  With no source
-terms, kernel=False memoizes the E_{alpha,1} row alone, and F is +0.0.
+E_{alpha,alpha}(-lambda (tau-s)^alpha)) is memoized: the read-only kernel
+builder itself, under a bounded LRU cache keyed by its arguments (alpha, tau,
+modeset, quad, temporal_subintervals, kernel) and shared by the problems of all
+noise levels.  A time t < tau is used once per table and is not memoized; F is
+summed per call from the problem's own source.  With no source terms,
+kernel=False memoizes the E_{alpha,1} row alone, and F is +0.0.
 
 All per-mode reductions happen in fixed ModeSet order, so results are
 bit-identical across runs and thread counts.
@@ -202,24 +203,22 @@ def _terms_at(
     """E_{alpha,1}(-lambda t^alpha) and, with ``kernel``, memory nodes s and
     weights w and the kernel E_{alpha,alpha}(-lambda (t-s)^alpha), for every
     mode at time t, evaluated once per distinct eigenvalue (387 of 900 at
-    truncation 30)."""
+    truncation 30).  The arrays are read-only, so a memoized row can be shared."""
     lam, inv = np.unique(modeset.eigenvalues, return_inverse=True)
-    if not kernel:
-        return (ml_array(alpha, 1.0, -lam * t**alpha)[inv],)
-    pts, wts, z = singular_nodes(t, alpha, quad, subintervals=subintervals)
-    X = -np.outer(lam, z)
-    # (alpha, alpha) first: its gap fit builds the 1/Gamma table that (alpha, 1) reads
-    E = ml_array(alpha, alpha, X.ravel()).reshape(X.shape)[inv]
-    return ml_array(alpha, 1.0, -lam * t**alpha)[inv], pts, wts, E
-
-
-# ~0.1 MB per entry at the benchmark size; 16 holds every alpha of a few configurations.
-@lru_cache(maxsize=16)
-def _tau_terms(*key) -> tuple[np.ndarray, ...]:
-    terms = _terms_at(*key)
+    memory = ()
+    if kernel:
+        pts, wts, z = singular_nodes(t, alpha, quad, subintervals=subintervals)
+        X = -np.outer(lam, z)
+        # (alpha, alpha) first: its gap fit builds the 1/Gamma table that (alpha, 1) reads
+        memory = (pts, wts, ml_array(alpha, alpha, X.ravel()).reshape(X.shape)[inv])
+    terms = (ml_array(alpha, 1.0, -lam * t**alpha)[inv], *memory)
     for arr in terms:
         arr.flags.writeable = False
     return terms
+
+
+# ~0.1 MB per entry at the benchmark size; 16 holds every alpha of a few configurations.
+_tau_terms = lru_cache(maxsize=16)(_terms_at)
 
 
 def _step(prob: TimeFractionalProblem, t: float) -> tuple[np.ndarray, np.ndarray | float]:

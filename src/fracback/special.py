@@ -394,11 +394,12 @@ _KEPT = 30  # digits a lean node sum keeps past its cancellation, or it is summe
 _LN_BITS = 128  # the node logs' fixed point: ln S to ~2**-120 before its one rounding to a double
 
 
-def _digits(y: float, full: bool = False) -> int:
-    # digits for the Taylor sum at y = |x|**(1/a).  For a < 1 it cancels ~0.434 y digits (sum
-    # |c_k x**k| ~ e**y / a; E decays algebraically): the lean budget adds 20.  Toward a = b = 1,
-    # E ~ e**-y and it cancels up to 0.87 y: the full budget adds 30, for nodes under _KEPT digits
-    return int(0.87 * y) + 30 if full else int(0.44 * y) + 20
+def _digits(alpha: float, y: float, full: bool = False) -> int:
+    # digits for the Taylor sum at y = |x|**(1/a).  For a < 1 it cancels ~0.434 y + log10(1/a)
+    # digits (sum |c_k x**k| ~ e**y / a; E decays algebraically): the lean budget adds 20 plus
+    # floor(log10(1/a)), 0 for a > 0.1.  Toward a = b = 1, E ~ e**-y and it cancels up to 0.87 y:
+    # the full budget adds 30, for nodes under _KEPT digits
+    return int(0.87 * y) + 30 if full else int(0.44 * y) + 20 + max(0, int(-math.log10(alpha)))
 
 
 def _series_coeffs(alpha: float, beta: float, n: int) -> list[Decimal] | tuple[Decimal, ...]:
@@ -406,7 +407,7 @@ def _series_coeffs(alpha: float, beta: float, n: int) -> list[Decimal] | tuple[D
     and beta = alpha (1/Gamma(alpha*k) = alpha k/Gamma(1 + alpha*k)) share a table at the larger
     of their fits' lean precisions, extended from its last entry as it grows: entry k depends on
     alpha and k alone, so either fit may come first.  A full-budget sum builds its own table."""
-    prec = max(_digits(_regime_bounds(alpha, b)[1] * _MARGIN) for b in (alpha, 1.0)) + 17
+    prec = max(_digits(alpha, _regime_bounds(alpha, b)[1] * _MARGIN) for b in (alpha, 1.0)) + 17
     if beta != 1.0 and beta != alpha or getcontext().prec > prec:
         return _rgamma_table(alpha, beta, n)
     box, m = _unit_box(alpha), n + (beta != 1.0)
@@ -443,12 +444,12 @@ def _term_counts(
 
 def _decimal_log_ml(alpha: float, beta: float, xs: list[float], full: bool = False) -> list[float]:
     """log E_{a,b}(x) for every x <= 0 in xs, by the Taylor series in decimal: each x summed at
-    d + 17 digits, d = _digits(|x|**(1/a), full), to _term_counts' count, with 1/Gamma(a*k + b)
+    d + 17 digits, d = _digits(a, |x|**(1/a), full), to _term_counts' count, with 1/Gamma(a*k + b)
     shared at the batch's largest d + 17, and log S = log m + e log 10 for S = m 10**e worked in
     _LN_BITS fixed point and rounded once to a double.  Horner's error is at most gamma_2n sum
     |c_k x**k| (Higham 2002, 5.1), that sum at most n times the largest term visited: an x whose
     lean sum keeps fewer than _KEPT digits past this cancellation is summed again at full budget."""
-    digits = [_digits(abs(x) ** (1.0 / alpha), full) for x in xs]
+    digits = [_digits(alpha, abs(x) ** (1.0 / alpha), full) for x in xs]
     nterms, peaks = _term_counts(alpha, beta, xs, digits)
     # coefficients to 10**-(max(digits) + 10) relative
     with localcontext(Context(max(digits) + 17, ROUND_HALF_EVEN, traps=_TRAPS)):

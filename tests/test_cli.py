@@ -130,18 +130,37 @@ class TestConfig:
             load_config(str(tmp_path / "absent.json"))
 
     def test_singular_tokens(self, cfg_file):
-        from fracback import SingularMode
+        # the library, a config file and the flag resolve a token alike,
+        # through SingularMode itself
+        from fracback import QuadConfig, SingularMode
+        from fracback.cli import _settings
 
-        assert (
-            load_config(cfg_file({"singular_mode": "paper"}))[0].singular_mode
-            is SingularMode.PAPER_DIRECT
-        )
-        assert (
-            load_config(cfg_file({"singular_mode": "graded"}))[0].singular_mode
-            is SingularMode.GRADED_SUBSTITUTION
-        )
-        with pytest.raises(DomainError):
+        for token, want in (
+            ("paper", SingularMode.PAPER_DIRECT),
+            ("paper_direct", SingularMode.PAPER_DIRECT),
+            ("graded", SingularMode.GRADED_SUBSTITUTION),
+            ("graded_substitution", SingularMode.GRADED_SUBSTITUTION),
+        ):
+            assert QuadConfig(singular_mode=token).singular_mode is want
+            assert ExperimentConfig(singular_mode=token).singular_mode is want
+            assert load_config(cfg_file({"singular_mode": token}))[0].singular_mode is want
+            args = build_parser().parse_args(["table", "--id", "1", "--singular-mode", token])
+            assert _settings(args)[0].singular_mode is want, token
+
+    def test_bogus_singular_token(self, cfg_file, tmp_path, capsys):
+        from fracback import QuadConfig
+
+        for make in (QuadConfig, ExperimentConfig):
+            with pytest.raises(DomainError, match="unknown singular mode 'spooky'"):
+                make(singular_mode="spooky")
+        with pytest.raises(DomainError, match="unknown singular mode 'spooky'"):
             load_config(cfg_file({"singular_mode": "spooky"}))
+        bad = cfg_file({**REDUCED, "singular_mode": "spooky"}, name="bad.json")
+        good = cfg_file(REDUCED, name="good.json")
+        for argv in (["--config", bad], ["--config", good, "--singular-mode", "spooky"]):
+            assert main(["backward", *argv, "--t", "0.5", "--out", str(tmp_path)]) == 2
+            assert "unknown singular mode 'spooky'" in capsys.readouterr().err
+        assert not (tmp_path / "backward.csv").exists()
 
     def test_readme_lists_the_schema_keys(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -385,6 +385,26 @@ class TestReconstructNoisy:
 
 
 class TestTauMemo:
+    def test_memo_is_the_kernel_builder(self):
+        import fracback.solver as solver
+
+        assert solver._tau_terms.__wrapped__ is solver._terms_at
+
+    @pytest.mark.parametrize("quad", [QuadConfig(), GRADED])
+    def test_terms_are_read_only_at_tau_and_before(self, quad):
+        # a memoized tau row is shared by every problem of its key, so no
+        # caller may write through it; the builder hands out read-only rows
+        # at every t, so a t < tau row is no different
+        import fracback.solver as solver
+
+        for t in (1.0, 0.3):
+            for kernel, size in ((True, 4), (False, 1)):
+                terms = solver._terms_at(0.4, t, MS8, quad, 4, kernel)
+                assert len(terms) == size
+                assert not any(arr.flags.writeable for arr in terms), (t, kernel)
+                with pytest.raises(ValueError, match="read-only"):
+                    terms[0][0] = 0.0
+
     def test_threads_filling_the_memo_see_the_serial_result(self):
         # problems that differ only in their source share one memo entry;
         # more threads than cores race to build it on a short switch interval

@@ -526,10 +526,10 @@ class TestTaylorStop:
 
 def _term_count(alpha, beta, x, full=False):
     # the first k of 1, 2, ..., k + max(1, k // 8), ... whose term is below
-    # 10**-(D + 8) min(1, 1/Gamma(beta)), D = _digits(|x|**(1/alpha)), and
+    # 10**-(D + 8) min(1, 1/Gamma(beta)), D = _digits(alpha, |x|**(1/alpha)), and
     # past the peak, (alpha*k + beta)**alpha > |x|, and the largest log term
     # of the k = 0 and the visited ones: one x at a time
-    d = special._digits(abs(x) ** (1.0 / alpha), full)
+    d = special._digits(alpha, abs(x) ** (1.0 / alpha), full)
     lx, target, k = math.log(-x), -(d + 8) * math.log(10.0) - max(0.0, math.lgamma(beta)), 1
     peak = -math.lgamma(beta)
     while True:
@@ -606,7 +606,7 @@ class TestGapFit:
     @pytest.mark.parametrize("alpha, beta", [(0.2, 0.2), (0.9, 3.3), (1.0, 1.000001)])
     def test_term_counts_follow_the_scalar_rule(self, alpha, beta, full):
         xs = self._nodes(alpha, beta)
-        digits = [special._digits(abs(x) ** (1.0 / alpha), full) for x in xs]
+        digits = [special._digits(alpha, abs(x) ** (1.0 / alpha), full) for x in xs]
         counts, peaks = special._term_counts(alpha, beta, xs, digits)
         assert list(zip(counts, peaks)) == [_term_count(alpha, beta, x, full) for x in xs]
 
@@ -639,6 +639,21 @@ class TestGapFit:
         special._gap_fit.__wrapped__(1.0, 1.000001)
         assert (1.0, 1.000001, self._nodes(1.0, 1.000001)[0]) in redone
 
+    def test_no_full_budget_redo_at_small_alpha(self, monkeypatch, fresh_fits):
+        # sum |c_k x**k| ~ e**y / alpha: the lean budget's digit per decade of
+        # alpha below 0.1 pays for the 1/alpha, which summed 11 of this fit's
+        # nodes twice, and 56 of the (0.01, 0.01) fit's
+        redone = []
+        log_ml = special._decimal_log_ml
+
+        def spy(alpha, beta, xs, full=False):
+            redone.extend(xs if full else [])
+            return log_ml(alpha, beta, xs, full)
+
+        monkeypatch.setattr(special, "_decimal_log_ml", spy)
+        special._gap_fit.__wrapped__(0.02, 0.02)
+        assert redone == []
+
     def test_cold_fit_ignores_the_callers_decimal_context(self):
         # the fit once worked in a copy of the caller's context: under
         # ROUND_FLOOR the atanh loop of _rgamma_table moved by one ulp a pass
@@ -655,7 +670,7 @@ class TestGapFit:
         # and the beta = alpha coefficients read from it hold 10**-(D + 10)
         # relative, D the digits of the fit's largest |x|, y = 1.02 * 36: no
         # worse than the Spouge bound it replaced
-        d = special._digits(36.0 * special._MARGIN)
+        d = special._digits(0.2, 36.0 * special._MARGIN)
         calls = []
         table = special._rgamma_table
 
@@ -782,7 +797,7 @@ class TestGapFit:
         (b1, s1, n1), (b2, s2, n2) = built
         assert (b1, s1, b2, s2) == (1.0, 0, 1.0, n1) and n1 < n2
         with decimal.localcontext() as ctx:
-            ctx.prec = special._digits(36.0 * special._MARGIN) + 17
+            ctx.prec = special._digits(0.4, 36.0 * special._MARGIN) + 17
             assert special._unit_box(0.4)[0] == tuple(table(0.4, 1.0, n2))
 
     def test_sourced_problem_builds_one_table_per_alpha(self, monkeypatch, fresh_fits):
