@@ -30,7 +30,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .errors import NONNEGATIVE, DomainError, NumericalError, check_int, check_real, check_type
+from .errors import NONNEGATIVE, DomainError, NumericalError
+from .errors import check_enum, check_int, check_real, check_type
 from .experiments import (
     ErrorTable,
     ExperimentConfig,
@@ -43,6 +44,7 @@ from .experiments import (
     run_table2,
     run_table3,
 )
+from .quadrature import SingularMode
 from .solver import forward_solve, solvability_diagnostic
 from .special import ml
 from .spectral import write_csv
@@ -87,8 +89,9 @@ def load_config(path: str | Path | None) -> tuple[ExperimentConfig, str | None, 
 def _settings(args: argparse.Namespace) -> tuple[ExperimentConfig, Path, int]:
     """Merge config file, flags, and environment into the effective settings."""
     ecfg, cfg_out, cfg_verbosity = load_config(args.config)
-    if args.singular_mode is not None:  # ExperimentConfig checks the token
-        ecfg = dataclasses.replace(ecfg, singular_mode=args.singular_mode)
+    if args.singular_mode is not None:
+        mode = check_enum("--singular-mode", "singular mode", SingularMode, args.singular_mode)
+        ecfg = dataclasses.replace(ecfg, singular_mode=mode)
     out = args.out or cfg_out or os.environ.get("FRACBACK_OUT") or "."
     return ecfg, Path(out), cfg_verbosity + args.verbose
 

@@ -71,11 +71,14 @@ def check_type(where: str, name: str, v, cls):
 
 
 def check_enum(where: str, name: str, cls, v):
-    """v as a member of the enum cls: cls(v), so by member, by value or by cls._missing_."""
+    """v as a member of the enum cls: cls(v), so by member, by value or by cls._missing_.
+    A bad v's message lists the values and each value's first word cls._missing_ takes."""
     try:
         return cls(v)
     except ValueError:
-        tokens = [m.value for m in cls]
+        values = [m.value for m in cls]
+        words = [t.partition("_")[0] for t in values]
+        tokens = [w for w in words if cls._missing_(w) is not None] + values
         raise DomainError(f"{where}: unknown {name} {v!r}, must be one of {tokens}") from None
 
 

@@ -325,7 +325,7 @@ def solvability_diagnostic(
 def choose_t(
     choice: RegularizationChoice, alpha: float, tau: float = 1.0
 ) -> float:
-    """Regularization time t_eta = eta^(1/((p+1) alpha)); must land strictly below tau."""
+    """Regularization time t_eta = eta^(1/((p+1) alpha)); must land in (0, tau)."""
     check_type("choose_t", "choice", choice, RegularizationChoice)
     check_real("choose_t", "alpha", alpha, *UNIT)
     check_real("choose_t", "tau", tau, *POSITIVE)
@@ -335,9 +335,9 @@ def choose_t(
         )
     p = 1.0 if choice.rule is ChoiceRule.PAPER_TABLE2 else choice.p
     t = choice.eta ** (1.0 / ((p + 1.0) * alpha))
-    if t >= tau:
+    if not 0.0 < t < tau:  # t = 0: eta's root underflowed, an unregularized inversion
         raise ParameterChoiceError(
             f"choose_t: rule {choice.rule.value} with eta={choice.eta} gives "
-            f"t={t} >= tau={tau}; reduce eta or pick another rule"
+            f"t={t} outside (0, tau={tau}); change eta or pick another rule"
         )
     return t

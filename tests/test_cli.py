@@ -157,9 +157,12 @@ class TestConfig:
             load_config(cfg_file({"singular_mode": "spooky"}))
         bad = cfg_file({**REDUCED, "singular_mode": "spooky"}, name="bad.json")
         good = cfg_file(REDUCED, name="good.json")
-        for argv in (["--config", bad], ["--config", good, "--singular-mode", "spooky"]):
+        tokens = "['paper', 'graded', 'paper_direct', 'graded_substitution']"
+        flag = ["--config", good, "--singular-mode", "spooky"]
+        for argv, where in ((["--config", bad], "QuadConfig"), (flag, "--singular-mode")):
             assert main(["backward", *argv, "--t", "0.5", "--out", str(tmp_path)]) == 2
-            assert "unknown singular mode 'spooky'" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"{where}: unknown singular mode 'spooky', must be one of {tokens}" in err
         assert not (tmp_path / "backward.csv").exists()
 
     def test_readme_lists_the_schema_keys(self):
@@ -294,16 +297,14 @@ class TestForwardBackward:
         field = SpectralField(pp.modeset, [float(l.rsplit(",", 1)[1]) for l in lines])
         assert l2_error(field, pp.u0) == run_table3(pp.config).column(0.8)[1]
 
-    def test_backward_parameter_choice_failure_names_level(
-        self, cfg_file, tmp_path, capsys
-    ):
-        cfg = cfg_file(REDUCED)
-        rc = main([
-            "backward", "--config", cfg, "--out", str(tmp_path), "--delta", "1.0",
-        ])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "eta=1.0" in err
+    def test_backward_parameter_choice_failure_names_level(self, cfg_file, tmp_path, capsys):
+        # eta = 1 gives t >= tau; eta = 1e-200 at alpha = 0.2 a t that underflows to 0
+        common = ["backward", "--config", cfg_file(REDUCED), "--out", str(tmp_path), "-v"]
+        low = ["--alpha", "0.2", "--eps", "1e-200"]
+        for flags, eta in ((["--delta", "1.0"], "1.0"), (low, "1e-200")):
+            assert main(common + flags) == 2
+            assert f"eta={eta} gives t=" in capsys.readouterr().err
+        assert not (tmp_path / "backward.csv").exists()
 
     def test_singular_mode_changes_backward_field(self, cfg_file, tmp_path):
         cfg = cfg_file(REDUCED)
@@ -402,23 +403,13 @@ class TestTableAndFig4:
         assert header == "level,alpha_0.4,alpha_0.8"
 
     def test_table_threads_and_rerun_identical(self, cfg_file, tmp_path, capsys):
-        cfg = cfg_file(REDUCED)
-        outs = [tmp_path / f"r{i}" for i in range(3)]
-        argsets = [
-            ["table", "--id", "2", "--config", cfg, "--out", str(outs[0])],
-            ["table", "--id", "2", "--config", cfg, "--out", str(outs[1]), "--threads", "3"],
-            ["table", "--id", "2", "--config", cfg, "--out", str(outs[2])],
-        ]
-        hashes = []
-        for argv in argsets:
-            assert main(argv) == 0
-            stdout = capsys.readouterr().out
-            hashes.append(
-                next(l.split()[1] for l in stdout.splitlines() if l.startswith("sha256"))
-            )
-        assert hashes[0] == hashes[1] == hashes[2]
-        blobs = [(o / "table2.csv").read_bytes() for o in outs]
-        assert blobs[0] == blobs[1] == blobs[2]
+        cfg, runs = cfg_file(REDUCED), []
+        for i, threads in enumerate(([], ["--threads", "3"], [])):
+            out = tmp_path / f"r{i}"
+            assert main(["table", "--id", "2", "--config", cfg, "--out", str(out), *threads]) == 0
+            sha = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("sha256"))
+            runs.append((sha, (out / "table2.csv").read_bytes()))
+        assert runs[0] == runs[1] == runs[2]
 
     def test_table_id_choices(self, cfg_file):
         with pytest.raises(SystemExit) as exc:

@@ -46,6 +46,7 @@ from fracback import (
 )
 from fracback import experiments
 from _benchmark_oracle import direct_rule_error, exact_error
+from _pins import check_pin
 
 PI = math.pi
 
@@ -478,44 +479,24 @@ class TestTableRuns:
                 col = tab.column(a)
                 assert all(b < a_ for a_, b in zip(col, col[1:])), (tab.table_id, a)
 
+    @pytest.mark.pin
     def test_frozen_entries(self, table1_run, table2_run, table3_run):
-        # regression pins: this implementation's measured outputs
         t1, t2, t3 = table1_run[0], table2_run[0], table3_run[0]
-        assert t1.column(0.8)[0] == pytest.approx(0.38615710229077793, rel=1e-12)
-        assert t1.column(0.2)[0] == pytest.approx(2.165310868696927, rel=1e-12)
-        assert t1.column(0.6)[3] == pytest.approx(0.01699168612992996, rel=1e-12)
-        assert t2.column(0.8)[0] == pytest.approx(0.4776975206495476, rel=1e-12)
-        assert t3.column(0.8)[0] == pytest.approx(0.47269123929659435, rel=1e-12)
+        check_pin("entry.tables", (
+            t1.column(0.8)[0], t1.column(0.2)[0], t1.column(0.6)[3], t2.column(0.8)[0], t3.column(0.8)[0],
+        ))
 
-    def test_frozen_hashes(
-        self,
-        table1_run,
-        table2_run,
-        table3_run,
-        table1_six_point_run,
-        table2_six_point_run,
-        table3_six_point_run,
-    ):
-        # full-table byte-level regression pins (sha256 over the CSV text)
-        assert table1_run[0].content_hash == (
-            "2def2ba4531a7f6233af46dff0662ee045a971b78b829d53855e3b60c6cee356"
-        )
-        assert table2_run[0].content_hash == (
-            "c784723f0edde345cd7ceef04011190ada4d4c3fb41e026d122e56107b47fd5e"
-        )
-        assert table3_run[0].content_hash == (
-            "5d198d9d1fb5ba60b4109ac0d1b83fdfeac26b670b19416c756db63391465e4b"
-        )
-        # the 6-point configuration of the printed tables
-        assert table1_six_point_run[0].content_hash == (
-            "38add2751764191112407a7d540e5ae476b3a3edf31c29171fa6dc5d445d95ea"
-        )
-        assert table2_six_point_run[0].content_hash == (
-            "ca14e828c37f64c2d7ee681babd41b686829f6a881cc993a356a36f5f206b4be"
-        )
-        assert table3_six_point_run[0].content_hash == (
-            "4f1bce54df788fc8f2b2a2819906b28810bec2fe1eeb146585d5c649df1fe5c1"
-        )
+    @pytest.mark.pin
+    @pytest.mark.parametrize(
+        "name",
+        ["hash.table1", "hash.table2", "hash.table3",
+         "hash.table1_six_point", "hash.table2_six_point", "hash.table3_six_point"],
+    )
+    def test_frozen_hashes(self, name, request):
+        # every byte of the table's CSV, its content_hash's input; the run
+        # is the session fixture named after the pin (hash.table1 -> table1_run)
+        table = request.getfixturevalue(name.removeprefix("hash.") + "_run")[0]
+        check_pin(name, [table.to_csv()])
 
     def test_config_echo(self, table1_run, default_config):
         assert table1_run[0].config is default_config

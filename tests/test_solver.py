@@ -517,6 +517,11 @@ class TestChooseT:
             choose_t(RegularizationChoice(ChoiceRule.PAPER_TABLE2, eta=1.0), 0.5)
         assert "eta=1.0" in str(err.value)
 
+    def test_t_that_underflows_to_zero_rejected(self):
+        # 1e-200 ** (1 / 0.4) is below the least subnormal: t = 0, no regularization
+        with pytest.raises(ParameterChoiceError, match="eta=1e-200 gives t=0.0 outside"):
+            choose_t(RegularizationChoice(ChoiceRule.PAPER_TABLE2, eta=1e-200), 0.2)
+
     def test_invalid_rule_parameters(self):
         with pytest.raises(DomainError):
             RegularizationChoice(ChoiceRule.SOURCE_CONDITION, eta=1e-3, p=1.5)

@@ -4,11 +4,11 @@ and agreement with the independent extended-precision reference."""
 from __future__ import annotations
 
 import decimal
-import hashlib
 import math
 import re
 import tracemalloc
 import warnings
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
@@ -34,6 +34,7 @@ from fracback import (
 from fracback.cli import main
 
 from _ml_reference import ml_asymptotic, ml_ref, ml_taylor
+from _pins import check_pin
 
 
 class TestGamma:
@@ -225,36 +226,30 @@ class TestMLProperties:
 
 
 class TestKernelBits:
+    @pytest.mark.pin
     def test_frozen_table_pairs(self):
         # every bit of E at the eight (alpha, beta) pairs of the tables, one
         # batch per pair; a kernel change that moves any bit fails here
         y = np.logspace(-6, 5, 3000)
-        h = hashlib.sha256()
-        for alpha in (0.2, 0.4, 0.6, 0.8):
-            for beta in (alpha, 1.0):
-                h.update(ml_array(alpha, beta, -(y**alpha)).tobytes())
-        assert h.hexdigest() == (
-            "7b03bf13790ecb3bf5106ced7a3dd84fa3a50c493322d14edf8cac4675c1dfd1"
-        )
+        pairs = [(alpha, beta) for alpha in (0.2, 0.4, 0.6, 0.8) for beta in (alpha, 1.0)]
+        check_pin("kernel.table_pairs", [ml_array(a, b, -(y**a)) for a, b in pairs])
 
+    @pytest.mark.pin
     def test_frozen_taylor_kernel(self):
         # every bit of the Taylor kernel over its band, for each pair batched,
         # every 97th argument alone, and batched with 0, a subnormal and ulp
         # neighbours of the top; a change to its terms or its stop fails here
-        h = hashlib.sha256()
+        chunks = []
         for alpha in _TAYLOR_ALPHAS:
             for beta in _taylor_betas(alpha):
                 y_t = special._regime_bounds(alpha, beta)[0]
                 x = -(np.geomspace(1e-8, y_t, 1000) ** alpha)
                 below = np.nextafter(x[-1], 0.0)
                 edge = [0.0, -5e-324, below, np.nextafter(below, 0.0), np.nextafter(x[-1], -np.inf)]
-                h.update(special._taylor_vec(alpha, beta, x).tobytes())
-                for xi in x[::97]:
-                    h.update(special._taylor_vec(alpha, beta, np.array([xi])).tobytes())
-                h.update(special._taylor_vec(alpha, beta, np.concatenate([x, edge])).tobytes())
-        assert h.hexdigest() == (
-            "13d1ccb412cc9d424fcfaa197618f6e1d40940438dd82af3bd10cff50b3f0820"
-        )
+                chunks.append(special._taylor_vec(alpha, beta, x))
+                chunks += [special._taylor_vec(alpha, beta, np.array([xi])) for xi in x[::97]]
+                chunks.append(special._taylor_vec(alpha, beta, np.concatenate([x, edge])))
+        check_pin("kernel.taylor", chunks)
 
     def test_asymptotic_blocks_match_lone_arguments(self):
         # 2 blocks + 1 row; near y_asym most rows grow their table, so rows
@@ -540,6 +535,9 @@ def _term_count(alpha, beta, x, full=False):
         k = k + max(1, k // 8)
 
 
+_Table = namedtuple("_Table", "prec alpha beta n start entries")
+
+
 class TestGapFit:
     def test_cold_fit_on_threads_gives_the_serial_bits(self):
         # the gap fit is built on first use, so four threads that all find it
@@ -554,44 +552,37 @@ class TestGapFit:
             got = list(pool.map(lambda _: ml_array(alpha, beta, x), range(4), timeout=60))
         assert all(_same_bits(g, want) for g in got)
 
+    @staticmethod
+    def _cold_coeffs(pairs):
+        return [special._gap_fit.__wrapped__(alpha, beta)[2] for alpha, beta in pairs]
+
+    @pytest.mark.pin
     def test_frozen_gap_fits(self):
         # every coefficient of five cold fits, taken before the 1/Gamma table
         # moved from Spouge to Stirling, over all three _regime_bounds
         # branches: beta = alpha, beta in [0.5, 2.5], beta < 0.5 or > 2.5
-        h = hashlib.sha256()
-        for alpha, beta in ((0.2, 0.2), (0.5, 0.5), (0.8, 1.0), (0.4, 0.45), (0.9, 3.3)):
-            h.update(special._gap_fit.__wrapped__(alpha, beta)[2].tobytes())
-        assert h.hexdigest() == (
-            "8289d7a53cd25bcf174dc4e4251c44c4cec71245f2525c0927cb6ce7837a2bfc"
-        )
+        pairs = ((0.2, 0.2), (0.5, 0.5), (0.8, 1.0), (0.4, 0.45), (0.9, 3.3))
+        check_pin("fit.branches", self._cold_coeffs(pairs))
 
+    @pytest.mark.pin
     def test_frozen_off_grid_gap_fits(self, fresh_fits):
         # every coefficient of ten cold fits off the tables' (alpha, beta) grid,
         # six with beta outside {alpha, 1}, taken before the 1/Gamma table
         # moved to integer fixed point
-        h = hashlib.sha256()
-        for alpha, beta in (
+        check_pin("fit.off_grid", self._cold_coeffs((
             (0.15, 0.5), (0.35, 2.0), (0.7, 1.6), (0.9, 3.3), (0.25, 0.25),
             (0.55, 1.0), (0.45, 0.7), (0.12, 1.0), (0.65, 0.65), (0.85, 2.7),
-        ):
-            h.update(special._gap_fit.__wrapped__(alpha, beta)[2].tobytes())
-        assert h.hexdigest() == (
-            "d51a11454cb11c1f850836d075b21d6cc5ebb4a904b377e40d86c9e020fd2570"
-        )
+        )))
 
+    @pytest.mark.pin
     def test_frozen_near_one_gap_fits(self):
         # every coefficient of eight cold fits near (alpha, beta) = (1, 1), where
         # E falls toward e**-y and the Taylor sum cancels the most digits, taken
         # before the nodes were first summed at a lean digit budget
-        h = hashlib.sha256()
-        for alpha, beta in (
+        check_pin("fit.near_one", self._cold_coeffs((
             (0.999, 1.0), (0.999, 0.999), (0.9999, 1.0), (1.0, 1.5),
             (1.0, 1.000001), (0.995, 1.3), (0.97, 0.97), (1.0, 2.0),
-        ):
-            h.update(special._gap_fit.__wrapped__(alpha, beta)[2].tobytes())
-        assert h.hexdigest() == (
-            "250687f33c08d48a7a2a6619a66e37f6159732b53373933e2c2d3b8ebf4762ef"
-        )
+        )))
 
     @staticmethod
     def _nodes(alpha, beta, every=1):
@@ -622,16 +613,7 @@ class TestGapFit:
             with mp.workdps(dps):
                 assert v == float(mp.log(e)), x
 
-    def test_full_budget_redo_only_near_one_one(self, monkeypatch, fresh_fits):
-        redone = []
-        log_ml = special._decimal_log_ml
-
-        def spy(alpha, beta, xs, full=False):
-            if full:
-                redone.extend((alpha, beta, x) for x in xs)
-            return log_ml(alpha, beta, xs, full)
-
-        monkeypatch.setattr(special, "_decimal_log_ml", spy)
+    def test_full_budget_redo_only_near_one_one(self, redone):
         for alpha in (0.2, 0.4, 0.6, 0.8):
             special._gap_fit.__wrapped__(alpha, alpha)
             special._gap_fit.__wrapped__(alpha, 1.0)
@@ -639,18 +621,10 @@ class TestGapFit:
         special._gap_fit.__wrapped__(1.0, 1.000001)
         assert (1.0, 1.000001, self._nodes(1.0, 1.000001)[0]) in redone
 
-    def test_no_full_budget_redo_at_small_alpha(self, monkeypatch, fresh_fits):
+    def test_no_full_budget_redo_at_small_alpha(self, redone):
         # sum |c_k x**k| ~ e**y / alpha: the lean budget's digit per decade of
         # alpha below 0.1 pays for the 1/alpha, which summed 11 of this fit's
         # nodes twice, and 56 of the (0.01, 0.01) fit's
-        redone = []
-        log_ml = special._decimal_log_ml
-
-        def spy(alpha, beta, xs, full=False):
-            redone.extend(xs if full else [])
-            return log_ml(alpha, beta, xs, full)
-
-        monkeypatch.setattr(special, "_decimal_log_ml", spy)
         special._gap_fit.__wrapped__(0.02, 0.02)
         assert redone == []
 
@@ -665,28 +639,20 @@ class TestGapFit:
             got = special._gap_fit.__wrapped__(0.8, 1.0)[2].tobytes()
         assert got == want
 
-    def test_reciprocal_gamma_table_matches_mpmath(self, monkeypatch, fresh_fits):
+    def test_reciprocal_gamma_table_matches_mpmath(self, tables):
         # the shared table of a real (0.2, 0.2) fit, at the precision it chose,
         # and the beta = alpha coefficients read from it hold 10**-(D + 10)
         # relative, D the digits of the fit's largest |x|, y = 1.02 * 36: no
         # worse than the Spouge bound it replaced
         d = special._digits(0.2, 36.0 * special._MARGIN)
-        calls = []
-        table = special._rgamma_table
-
-        def spy(alpha, beta, n):
-            calls.append((decimal.getcontext().prec, beta, n, table(alpha, beta, n)))
-            return calls[-1][3]
-
-        monkeypatch.setattr(special, "_rgamma_table", spy)
         special._gap_fit.__wrapped__(0.2, 0.2)
-        (prec, beta, n, unit), = calls
+        (prec, _, beta, n, _, unit), = tables
         assert (prec, beta) == (d + 17, 1.0)
         with decimal.localcontext() as ctx:
             ctx.prec = prec
             derived = special._series_coeffs(0.2, 0.2, n - 1)
             low = special._rgamma_table(0.2, 0.05, 64)  # w = 0.05 + 0.2k < 13
-        assert len(calls) == 2  # the derived coefficients built no table
+        assert len(tables) == 2  # the derived coefficients built no table
         tol = mp.mpf(10) ** -(d + 10)
         # Stirling's series starts at z = 26 here: k < 125 are shifted up to
         # it, larger k are not; the largest k has the largest |log Gamma|
@@ -700,22 +666,12 @@ class TestGapFit:
                 assert abs(mp.mpf(str(c)) / want - 1) <= tol, (beta, k)
 
     @pytest.mark.parametrize("alpha, beta", [(0.05, 0.05), (0.99, 0.99), (0.9, 3.3)])
-    def test_reciprocal_gamma_tables_match_mpmath_at_more_pairs(
-        self, monkeypatch, fresh_fits, alpha, beta
-    ):
+    def test_reciprocal_gamma_tables_match_mpmath_at_more_pairs(self, tables, alpha, beta):
         # the table a real fit builds, at small and near-one alpha and at the
         # frozen pair's beta = 3.3, at the precision the fit chose, D + 17
         # digits, holds 10**-(D + 10) relative at every 24th entry and the last
-        calls = []
-        table = special._rgamma_table
-
-        def spy(alpha, beta, n):
-            calls.append((decimal.getcontext().prec, beta, table(alpha, beta, n)))
-            return calls[-1][2]
-
-        monkeypatch.setattr(special, "_rgamma_table", spy)
         special._gap_fit.__wrapped__(alpha, beta)
-        (prec, b, got), = calls
+        (prec, _, b, _, _, got), = tables
         assert b == (1.0 if beta == alpha else beta)
         tol = mp.mpf(10) ** -(prec - 17 + 10)
         with mp.workdps(prec + 30):
@@ -739,12 +695,36 @@ class TestGapFit:
         monkeypatch.setattr(special, "_gap_fit", lru_cache(maxsize=128)(special._gap_fit.__wrapped__))
         monkeypatch.setattr(special, "_unit_box", lru_cache(maxsize=4)(special._unit_box.__wrapped__))
 
-    # the eight table pairs and three more alphas, (alpha, alpha) first as in
-    # the solver, and the sha256 of their cold coefficients, taken before the
-    # (alpha, 1) and (alpha, alpha) fits shared one 1/Gamma table
-    _COLD_PAIRS = [(a, b) for a in (0.05, 0.2, 0.3, 0.4, 0.6, 0.8, 0.99) for b in (a, 1.0)]
-    _COLD_SHA = "36e737e938ba4cee145043510656495107dd72900f1134b62ab8e942fda2ef9d"
+    @pytest.fixture()
+    def tables(self, monkeypatch, fresh_fits):
+        # every 1/Gamma table built, with the decimal precision it was built at
+        built, table = [], special._rgamma_table
 
+        def spy(alpha, beta, n, start=0):
+            built.append(_Table(decimal.getcontext().prec, alpha, beta, n, start, table(alpha, beta, n, start)))
+            return built[-1].entries
+
+        monkeypatch.setattr(special, "_rgamma_table", spy)
+        return built
+
+    @pytest.fixture()
+    def redone(self, monkeypatch, fresh_fits):
+        # (alpha, beta, x) of every node summed again at the full digit budget
+        nodes, log_ml = [], special._decimal_log_ml
+
+        def spy(alpha, beta, xs, full=False):
+            nodes.extend((alpha, beta, x) for x in xs if full)
+            return log_ml(alpha, beta, xs, full)
+
+        monkeypatch.setattr(special, "_decimal_log_ml", spy)
+        return nodes
+
+    # the eight table pairs and three more alphas, (alpha, alpha) first as in
+    # the solver; their cold coefficients' pin was taken before the (alpha, 1)
+    # and (alpha, alpha) fits shared one 1/Gamma table
+    _COLD_PAIRS = [(a, b) for a in (0.05, 0.2, 0.3, 0.4, 0.6, 0.8, 0.99) for b in (a, 1.0)]
+
+    @pytest.mark.pin
     @pytest.mark.parametrize("order", ["solver", "reverse", "threads"])
     def test_cold_fits_keep_their_bits_in_any_order(self, fresh_fits, order):
         pairs, fit = self._COLD_PAIRS, special._gap_fit.__wrapped__
@@ -753,75 +733,50 @@ class TestGapFit:
                 fits = dict(zip(pairs, pool.map(lambda p: fit(*p), pairs, timeout=120)))
         else:
             fits = {p: fit(*p) for p in (pairs if order == "solver" else pairs[::-1])}
-        h = hashlib.sha256()
-        for p in pairs:
-            h.update(fits[p][2].tobytes())
-        assert h.hexdigest() == self._COLD_SHA
+        check_pin("fit.cold_any_order", [fits[p][2] for p in pairs])
 
-    def test_alpha_fits_share_one_table_sized_by_need(self, monkeypatch, fresh_fits):
-        built, asked = [], []
-        table, coeffs = special._rgamma_table, special._series_coeffs
-
-        def spy(alpha, beta, n):
-            built.append((beta, n))
-            return table(alpha, beta, n)
-
-        monkeypatch.setattr(special, "_rgamma_table", spy)
+    def test_alpha_fits_share_one_table_sized_by_need(self, monkeypatch, tables):
+        asked, coeffs = [], special._series_coeffs
         monkeypatch.setattr(special, "_series_coeffs", lambda a, b, n: asked.append(n) or coeffs(a, b, n))
         special._gap_fit(0.4, 0.4)
         special._gap_fit(0.4, 1.0)
         # each fit asks for its largest term count; one table, one entry past
         # the (alpha, alpha) count, serves both
         n_aa, n_a1 = asked
-        assert built == [(1.0, n_aa + 1)]
+        assert [(t.beta, t.n) for t in tables] == [(1.0, n_aa + 1)]
         # a lone (alpha, 1) fit builds only its own, shorter, length
         special._unit_box.cache_clear()
-        built.clear()
+        tables.clear()
         special._gap_fit.__wrapped__(0.4, 1.0)
-        assert built == [(1.0, n_a1)] and n_a1 < n_aa
+        assert [(t.beta, t.n) for t in tables] == [(1.0, n_a1)] and n_a1 < n_aa
 
-    def test_reverse_order_extends_the_table_from_its_end(self, monkeypatch, fresh_fits):
+    def test_reverse_order_extends_the_table_from_its_end(self, tables):
         # an (alpha, 1) fit before its (alpha, alpha) fit: the longer fit
         # builds only the entries past the shorter one's, and the table it
         # leaves is the one a single build at that precision gives
-        built = []
-        table = special._rgamma_table
-
-        def spy(alpha, beta, n, start=0):
-            built.append((beta, start, n))
-            return table(alpha, beta, n, start)
-
-        monkeypatch.setattr(special, "_rgamma_table", spy)
         special._gap_fit(0.4, 1.0)
         special._gap_fit(0.4, 0.4)
-        (b1, s1, n1), (b2, s2, n2) = built
+        [(b1, s1, n1), (b2, s2, n2)] = [(t.beta, t.start, t.n) for t in tables]
         assert (b1, s1, b2, s2) == (1.0, 0, 1.0, n1) and n1 < n2
         with decimal.localcontext() as ctx:
             ctx.prec = special._digits(0.4, 36.0 * special._MARGIN) + 17
-            assert special._unit_box(0.4)[0] == tuple(table(0.4, 1.0, n2))
+            assert special._unit_box(0.4)[0] == tuple(special._rgamma_table(0.4, 1.0, n2))
 
-    def test_sourced_problem_builds_one_table_per_alpha(self, monkeypatch, fresh_fits):
+    def test_sourced_problem_builds_one_table_per_alpha(self, monkeypatch, tables):
         monkeypatch.setattr(solver, "_tau_terms", lru_cache(maxsize=16)(solver._tau_terms.__wrapped__))
-        built = []
-        table = special._rgamma_table
-
-        def spy(alpha, beta, n):
-            built.append((alpha, beta, n))
-            return table(alpha, beta, n)
-
-        monkeypatch.setattr(special, "_rgamma_table", spy)
         # one entry past the (alpha, alpha) fit's term count at its largest |x|
         size = _term_count(0.4, 0.4, -(36.0 * special._MARGIN) ** 0.4)[0] + 1
         pp = paper_problem(ExperimentConfig(alphas=(0.4,), truncation=8))
-        assert built == [(0.4, 1.0, size)]  # at tau only the kernel has gap arguments
+        # at tau only the kernel has gap arguments
+        assert [(t.alpha, t.beta, t.n) for t in tables] == [(0.4, 1.0, size)]
         # at t = 1e-2 E_{alpha,1} has gap arguments too: _terms_at fits the
         # kernel's (alpha, alpha) first, whose table the (alpha, 1) fit then
         # reads; the reverse order builds two tables
         special._gap_fit.cache_clear()
         special._unit_box.cache_clear()
-        built.clear()
+        tables.clear()
         pp.reconstruct(0.4, 1e-2)
-        assert built == [(0.4, 1.0, size)]
+        assert [(t.alpha, t.beta, t.n) for t in tables] == [(0.4, 1.0, size)]
 
     def test_stirling_coeffs_match_the_bernoulli_recurrence(self):
         b = [Fraction(1)]  # Bernoulli numbers: sum_{j <= n} C(n + 1, j) B_j = 0

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import math
 import tracemalloc
 from functools import reduce
@@ -23,6 +22,7 @@ from fracback import (
     write_csv,
 )
 from fracback.quadrature import composite_nodes
+from _pins import check_pin
 from _quadrature_sums import integrate_2d
 
 MS2 = ModeSet(dimension=2, truncation=30)
@@ -253,18 +253,16 @@ class TestProjection:
             with pytest.raises(DomainError):
                 project(f, ms, CFG)
 
-    def test_frozen_projection_bytes(self):
-        # the integrands no table hash covers: 1-D pointwise, 1-D factors on a
-        # 6-point 3-subinterval rule, and a non-separable 2-D pointwise f
-        cases = [
-            (_decay, MS1, CFG, "1a958f4761ab813b8bd1c669aabdacc93538bc3264bb16941b2d40225238f6dd"),
-            ((_decay,), MS1, QuadConfig(6, 3),
-             "ed53c8c0bf5430c1b6b333ab2f46bf83fd809d66d15b6ed73681e226c8ce7d96"),
-            (_wave, MS2, CFG, "833b9bb5bd6df4be434b47f644d8cbf44816c7a8af3b70d6b2fb59ce2ac5dab1"),
-        ]
-        for f, ms, cfg, want in cases:
-            got = hashlib.sha256(project(f, ms, cfg).coeffs.tobytes()).hexdigest()
-            assert got == want, f
+    # the integrands no table hash covers: 1-D pointwise, 1-D factors on a
+    # 6-point 3-subinterval rule, and a non-separable 2-D pointwise f
+    @pytest.mark.pin
+    @pytest.mark.parametrize(("name", "f", "ms", "cfg"), [
+        ("project.1d_pointwise", _decay, MS1, CFG),
+        ("project.1d_factors", (_decay,), MS1, QuadConfig(6, 3)),
+        ("project.2d_wave", _wave, MS2, CFG),
+    ], ids=["1d_pointwise", "1d_factors", "2d_wave"])
+    def test_frozen_projection_bytes(self, name, f, ms, cfg):
+        check_pin(name, [project(f, ms, cfg).coeffs])
 
     def test_eigenfunction_projects_to_unit_vector(self):
         for indices in ((1, 1), (2, 3), (7, 30)):
