@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import POSITIVE, UNIT, check_enum, check_int, check_real, check_type
+from .errors import POSITIVE, UNIT, NumericalError, check_enum, check_int, check_real, check_type
 
 __all__ = [
     "QuadConfig",
@@ -153,7 +153,11 @@ def singular_nodes(
     if cfg.singular_mode is SingularMode.PAPER_DIRECT:
         pts, wts = composite_nodes(0.0, t, cfg, subintervals)
         d = t - pts
-        return pts, wts * d ** (alpha - 1.0), d**alpha
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked next
+            wts = wts * d ** (alpha - 1.0)
+        if not np.isfinite(wts).all():  # subnormal t: a node at s = t, or the power overflows
+            raise NumericalError(f"singular_nodes: (t-s)^(alpha-1) is not finite at a node, t={t!r}")
+        return pts, wts, d**alpha
     # graded: int_0^{t^alpha} g(t - u^(1/alpha)) du / alpha
     u, wu = composite_nodes(0.0, t**alpha, cfg, subintervals)
     return t - u ** (1.0 / alpha), wu / alpha, u

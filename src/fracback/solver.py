@@ -187,7 +187,7 @@ class SolvabilityReport:
 
 
 def _check_time(t: float, tau: float, what: str) -> float:
-    return check_real(what, "t", t, lambda v: 0.0 <= v <= tau, f"not outside [0, {tau}]")
+    return check_real(what, "t", t, lambda v: 0.0 <= v <= tau, f"in [0, {tau}]")
 
 
 def _check_field(what: str, prob: TimeFractionalProblem, name: str, f: SpectralField) -> None:
@@ -244,13 +244,16 @@ def _evolve(prob: TimeFractionalProblem, start: np.ndarray, t: float) -> Spectra
 def _inverted(prob: TimeFractionalProblem, g: SpectralField) -> np.ndarray:
     """(g_n - F_n(tau)) / E_{alpha,1}(-lambda_n tau^alpha): the naive inversion."""
     etau, Ftau = _step(prob, prob.tau)
-    if np.any(etau == 0.0):
-        bad = prob.modeset.modes[int(np.argmax(etau == 0.0))]
-        raise NumericalError(
-            "backward_reconstruct: E_{alpha,1}(-lambda tau^alpha) underflowed "
-            f"to zero for mode {bad}; the inversion is not representable"
-        )
-    return (g.coeffs - Ftau) / etau
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked next
+        base = (g.coeffs - Ftau) / etau
+    for bad, why in ((etau == 0.0, "E_{alpha,1}(-lambda tau^alpha) underflowed to zero"),
+                     (~np.isfinite(base), "the quotient overflowed")):
+        if np.any(bad):
+            raise NumericalError(
+                f"backward_reconstruct: {why} for mode {prob.modeset.modes[int(np.argmax(bad))]}"
+                "; the inversion is not representable"
+            )
+    return base
 
 
 def forward_solve(

@@ -7,7 +7,7 @@ keyed to y = |x|**(1/a):
 * small y: truncated Taylor series in extended (80-bit) precision,
   summed over |x|**k with the odd terms subtracted, which rounds exactly
   as the signed series, in one loop over k that also decides a term-ratio
-  stopping rule on the rows at the batch's largest |x|;
+  stopping rule on the batch's largest |x| alone;
 * large y: the divergent asymptotic series sum_{k>=1} (-1)**(k+1)
   x**(-k) / Gamma(b - a*k), truncated at its globally smallest term
   (Gorenflo, Kilbas, Mainardi & Rogosin 2014, sec. 4.7), with the
@@ -138,14 +138,13 @@ def _taylor_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     the n terms of a batch-wide stopping rule on the largest ratio
     term_k / max(1e-300, term_0..term_k), decided in the sum loop itself.
     With c_k = 1/Gamma(alpha*k + beta) that ratio is min(|x|**k c_k/1e-300,
-    min_j |x|**(k-j) c_k/c_j), which grows with |x|, and is computed to
-    (2k+3)*2**-64 < 1e-14 relative: rows below (1 - 1e-13) max|x| cannot
-    hold the maximum (a ratio of exactly 1 ties), so the rule reads only the
-    few rows above, as scalars, and n follows from the batch's largest |x|.
+    min_j |x|**(k-j) c_k/c_j), which grows with |x|.  Distinct doubles differ
+    by at least 2**-53 relative; the ratio grows that gap (k - j)-fold, far
+    above its (2k+3)*2**-64 rounding where the rule stops, so the rule reads
+    the row of the largest |x| alone, as scalars.
     """
     ax = np.abs(x).astype(_LD)
-    top = np.flatnonzero(ax >= ax.max() * (1.0 - 1e-13)).tolist()
-    runs = [_LD(1e-300)] * len(top)
+    top, run = int(np.argmax(ax)), _LD(1e-300)
     acc, pw, term = np.zeros_like(ax), np.ones_like(ax), np.empty_like(ax)
     kmax, prev = 64, math.inf
     coeffs = _taylor_coeffs(alpha, beta, kmax)
@@ -163,12 +162,8 @@ def _taylor_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
         np.multiply(pw, coeffs[k], out=term)
         (np.subtract if k % 2 else np.add)(acc, term, out=acc)
         pw *= ax
-        bound = 0.0
-        for j, i in enumerate(top):
-            t = term[i]
-            if t > runs[j]:
-                runs[j] = t
-            bound = max(bound, float(t / runs[j]))
+        run = max(run, term[top])
+        bound = float(term[top] / run)
         if k >= 4:  # the rule starts at k = 4, where prev = inf makes the ratio 0
             ratio = min(bound / prev if prev > 0.0 else 0.0, 0.999)
             if bound / max(1.0 - ratio, 1e-3) < _LD_EPS * 1e-2:

@@ -267,7 +267,7 @@ class TestForwardBackward:
     def test_t_out_of_range_exit_2(self, cfg_file, tmp_path, capsys):
         cfg = cfg_file(REDUCED)
         assert main(["forward", "--config", cfg, "--out", str(tmp_path), "--t", "1.5"]) == 2
-        assert "outside" in capsys.readouterr().err
+        assert "t must be in [0, 1.0], got 1.5" in capsys.readouterr().err
 
     def test_backward_requires_t_or_noise(self, cfg_file, tmp_path, capsys):
         cfg = cfg_file(REDUCED)
@@ -324,6 +324,18 @@ class TestForwardBackward:
         ])
         assert rc == 4
         assert "underflow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, why", [
+        (["forward", "--t", "5e-324"], "not finite at a node, t=5e-324"),
+        (["backward", "--t", "1e-3", "--eps", "1e308"], "quotient overflowed"),
+        (["backward", "--t", "1e-3", "--delta", "1e308"], "quotient overflowed"),
+    ])
+    def test_non_finite_result_exit_4(self, argv, why, cfg_file, tmp_path, capsys):
+        # a node at s = t or an inversion past the double range is a numerical
+        # failure, not the non-finite SpectralField (exit 2) it once surfaced as
+        common = ["--config", cfg_file(REDUCED), "--out", str(tmp_path), "--alpha", "0.8"]
+        assert main(argv + common) == 4
+        assert why in capsys.readouterr().err
 
 
 class TestFlagValidation:

@@ -10,6 +10,7 @@ import pytest
 
 from fracback import (
     DomainError,
+    NumericalError,
     QuadConfig,
     SingularMode,
     composite_nodes,
@@ -204,6 +205,24 @@ class TestIntegrateSingular:
         for t in (0.0, -1.0):
             with pytest.raises(DomainError):
                 integrate_singular(lambda s: 1.0, t, 0.5, QuadConfig())
+
+    def test_subnormal_t_raises_in_direct_mode(self):
+        # at t = 5e-324 a paper_direct node rounds to s = t, where (t-s)^(alpha-1)
+        # is infinite, and at alpha = 0.01, t = 1e-310 the power overflows; the
+        # graded weights hold no such factor.  A leaked RuntimeWarning fails here
+        for t, alpha in ((5e-324, 0.8), (1e-310, 0.01)):
+            with pytest.raises(NumericalError, match=f"t={t!r}"):
+                singular_nodes(t, alpha, QuadConfig())
+            assert np.isfinite(singular_nodes(t, alpha, GRADED)[1]).all()
+        for alpha in (0.2, 0.5, 0.8):
+            failed = 0
+            for m in range(1, 78):
+                try:
+                    assert np.isfinite(singular_nodes(m * 5e-324, alpha, QuadConfig())[1]).all()
+                except NumericalError:
+                    failed += 1
+            assert failed == 30, alpha
+            assert np.isfinite(singular_nodes(1e-320, alpha, QuadConfig())[1]).all()
 
     def test_bad_alpha_rejected(self):
         for alpha in (0.0, 1.5):

@@ -223,7 +223,7 @@ class TestForwardSolve:
         prob = problem(0.6)
         u0 = u0_field()
         for t in (-0.1, 1.5):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match=r"t must be in \[0, 1\.0\], got"):
                 forward_solve(prob, u0, t)
 
     def test_alpha_one_heat_oracle(self):
@@ -314,7 +314,16 @@ class TestBackwardReconstruct:
         prob = problem(0.5)
         g = final_value(prob, u0_field())
         for t in (-1e-9, 1.0 + 1e-9):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match=r"t must be in \[0, 1\.0\], got"):
+                backward_reconstruct(prob, g, t)
+
+    def test_overflowing_inversion_raises(self):
+        # g near the double range over E_{alpha,1}(-lambda tau^alpha) < 1 overflows;
+        # numpy's overflow warning would fail this test too (filterwarnings = error)
+        prob = problem(0.8)
+        g = SpectralField(MS8, np.full(MS8.size, 1e308))
+        for t in (0.0, 1e-3):
+            with pytest.raises(NumericalError, match=r"quotient overflowed for mode \(1, 1\)"):
                 backward_reconstruct(prob, g, t)
 
     def test_single_mode_perturbation_amplification(self):

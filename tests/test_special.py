@@ -470,6 +470,9 @@ class TestTaylorStop:
     @settings(max_examples=300)
     @given(batch=_taylor_batches())
     @example(batch=(1.0, 1.0, np.array([_FIRST_BOUND_EDGE])))
+    @example(batch=(0.6, 1.0, np.array([-(6.3**0.6), -0.25, -(6.3**0.6)])))  # the top twice
+    # the runner-up one ulp below the top, first, at the rule's k = 4 edge
+    @example(batch=(1.0, 1.0, np.array([np.nextafter(_FIRST_BOUND_EDGE, 0.0), _FIRST_BOUND_EDGE])))
     def test_top_rows_decide_the_full_batch_stop(self, batch):
         alpha, beta, x = batch
         _, want = _full_batch_taylor(alpha, beta, x)
