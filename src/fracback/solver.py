@@ -209,7 +209,6 @@ def _terms_at(
     if kernel:
         pts, wts, z = singular_nodes(t, alpha, quad, subintervals=subintervals)
         X = -np.outer(lam, z)
-        # (alpha, alpha) first: its gap fit builds the 1/Gamma table that (alpha, 1) reads
         memory = (pts, wts, ml_array(alpha, alpha, X.ravel()).reshape(X.shape)[inv])
     terms = (ml_array(alpha, 1.0, -lam * t**alpha)[inv], *memory)
     for arr in terms:
@@ -316,8 +315,11 @@ def solvability_diagnostic(
     _check_field("solvability_diagnostic", prob, "g", g)
     base = _inverted(prob, g)
     order = np.argsort(prob.modeset.eigenvalues, kind="stable")
-    terms = base[order] ** 2
-    sums = np.cumsum(terms)
+    with np.errstate(over="ignore"):  # checked next
+        sums = np.cumsum(base[order] ** 2)
+    if np.isinf(sums[-1]):
+        k = order[int(np.argmax(np.isinf(sums)))]
+        raise NumericalError(f"solvability_diagnostic: S_K overflowed at mode {prob.modeset.modes[k]}")
     L = len(sums)
     q = max((3 * L) // 4, 1)
     tail = float(sums[-1] - sums[q - 1]) if L > 1 else float(sums[-1])

@@ -23,10 +23,10 @@ keyed to y = |x|**(1/a):
   cancellation of a < 1 and again at twice it where Horner's error bound
   leaves too few digits (toward a = b = 1), its log worked in integer fixed
   point, as are its coefficients 1/Gamma(a*k + b), from Stirling's series,
-  one table per a for b = 1 and b = a that grows from its last entry.  The
-  fit is a pure, memoized function of (a, b), safe to call from threads.
+  in memoized chunks of k that b = 1 and b = a share.  The fit is a pure,
+  memoized function of (a, b), safe to call from threads.
 
-All paths are deterministic and pure; a cached value is replaced, never mutated.
+All paths are deterministic and pure; a cached value is read-only, never mutated.
 A value depends on its argument and at most on the batch's largest |x|
 (the Taylor stopping rule takes a batch maximum), never on the other
 arguments, their order or count.
@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from decimal import ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation
-from decimal import Overflow, getcontext, localcontext
+from decimal import Overflow, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -221,10 +221,8 @@ def _asym_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     kmax = 64
     while len(rows):
         logs, signs, live = _asym_table(alpha, beta, kmax)
-        if len(live) == 0:
-            # every term sits on a Gamma pole; the algebraic part vanishes
-            out[rows] = 0.0
-            break
+        if len(live) == 0:  # all kmax terms vanish on poles, yet E != 0: no value to give
+            raise NumericalError(f"ml_array: all asymptotic terms on Gamma poles, {alpha=}, {beta=}")
         ks = np.arange(1, kmax + 1)
         regrow = []
         height = max(1, _ASYM_BLOCK * 64 // kmax)
@@ -328,10 +326,10 @@ def _ln(z: int, bits: int, logs: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=8)
-def _fixed_consts(bits: int) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
-    """ln(1 + j/64) for j <= 64, e**(j/64) for j < 148, ln 10 and ln sqrt(2 pi), each times
-    2**bits and rounded down: the logs summed from ln((65 + j)/(64 + j)) = 2 atanh(1/(129 + 2j)),
-    the exponentials as powers of e**(1/64), both 16 bits finer; ln 2 pi by Decimal.ln."""
+def _fixed_consts(bits: int) -> tuple[tuple[int, ...], tuple[int, ...], int, int, tuple[int, ...]]:
+    """ln(1 + j/64) (j <= 64), e**(j/64) (j < 148), ln 10, ln sqrt(2 pi) and Stirling's coefficients
+    less the last, reversed, each times 2**bits, rounded down; the exponentials are powers of e**(1/64)
+    and ln((65 + j)/(64 + j)) = 2 atanh(1/(129 + 2j)) sums the logs, both 16 bits finer."""
     fine = bits + 16
     logs, exps, e64 = [0], [1 << fine], _exp(1 << fine - 6, fine)
     for j in range(64):
@@ -341,50 +339,49 @@ def _fixed_consts(bits: int) -> tuple[tuple[int, ...], tuple[int, ...], int, int
     with localcontext(Context(int(fine * 0.302) + 5, ROUND_HALF_EVEN, traps=_TRAPS)):
         root = int((2 * _PI).ln() * (1 << fine - 1))
     ln10 = 3 * logs[64] + logs[16]  # 10 = 2**3 * (1 + 16/64)
-    return tuple(v >> 16 for v in logs), tuple(v >> 16 for v in exps), ln10 >> 16, root >> 16
+    cs = tuple((c.numerator << bits) // c.denominator for c in reversed(_stirling_coeffs()[:-1]))
+    return tuple(v >> 16 for v in logs), tuple(v >> 16 for v in exps), ln10 >> 16, root >> 16, cs
 
 
-def _rgamma_table(alpha: float, beta: float, n: int, start: int = 0) -> list[Decimal]:
-    """1/Gamma(beta + alpha*k) for start <= k < n in the current decimal context.
+@lru_cache(maxsize=512)  # ~1.8 KB a chunk at the tables' 53 digits: ~0.9 MB when full
+def _rgamma_table(alpha: float, beta: float, prec: int, j: int) -> tuple[Decimal, ...]:
+    """1/Gamma(beta + alpha*k) to prec digits for _CHUNK*j <= k < _CHUNK*(j + 1).
 
     Stirling's series at z = w + s >= Z, where Z puts the first omitted term
     below 10**-prec, and 1/Gamma(w) = w (w + 1) ... (w + s - 1) / Gamma(z),
     worked in integers scaled by 2**B, B = prec digits plus 40 bits.  w and
     the rising product are exact, from the dyadic alpha and beta.  log z is
     _ln's and 1/Gamma(z) = 10**q e**(i/64) e**r with r < 1/64, so Decimal.ln
-    and exp run only for the memoized constants.  Entry k depends on alpha,
-    beta, k and prec alone, and is rounded to the context once.
+    and exp run only for the memoized constants.  Each entry is rounded once.
     """
-    prec = getcontext().prec
     cs = _stirling_coeffs()
     zmin = math.ceil(10.0 ** ((prec + math.log10(abs(cs[-1]))) / (2 * _STIRLING_TERMS + 1)))
     bits = math.ceil(prec * math.log2(10.0)) + 40
-    logs, exps, ln10, root = _fixed_consts(bits)
-    cs = [(c.numerator << bits) // c.denominator for c in reversed(cs[:-1])]
+    logs, exps, ln10, root, cs = _fixed_consts(bits)
     (an, ad), (bn, bd) = alpha.as_integer_ratio(), beta.as_integer_ratio()
     den = max(ad, bd)  # both powers of two: w = (an k + bn)/den below
     an, bn, ed = an * (den // ad), bn * (den // bd), den.bit_length() - 1
     one, low, out = Decimal(1 << bits), (1 << bits - 6) - 1, []
-    for k in range(start, n):
-        w = an * k + bn
-        s = max(0, zmin - (w >> ed))
-        z = (w + (s << ed)) << bits >> ed
-        lz = _ln(z, bits, logs)
-        r, h = (1 << 3 * bits) // (z * z), 0
-        for c in cs:
-            h = (h * r >> bits) + c
-        q, lg = divmod(z - ((z - (1 << bits - 1)) * lz >> bits) - (h << bits) // z - root, ln10)
-        g = exps[lg >> bits - 6] * _exp(lg & low, bits)
-        for i in range(s):
-            g *= w + (i << ed)
-        out.append((Decimal(g >> ed * s + bits) / one).scaleb(q))
-    return out
+    with localcontext(Context(prec, ROUND_HALF_EVEN, traps=_TRAPS)):
+        for k in range(_CHUNK * j, _CHUNK * (j + 1)):
+            w = an * k + bn
+            s = max(0, zmin - (w >> ed))
+            z = (w + (s << ed)) << bits >> ed
+            lz = _ln(z, bits, logs)
+            r, h = (1 << 3 * bits) // (z * z), 0
+            for c in cs:
+                h = (h * r >> bits) + c
+            q, lg = divmod(z - ((z - (1 << bits - 1)) * lz >> bits) - (h << bits) // z - root, ln10)
+            g = exps[lg >> bits - 6] * _exp(lg & low, bits)
+            for i in range(s):
+                g *= w + (i << ed)
+            out.append((Decimal(g >> ed * s + bits) / one).scaleb(q))
+    return tuple(out)
 
 
 _MARGIN = 1.02  # the fit domain overlaps both regime thresholds by this factor
 _TRAPS = [InvalidOperation, DivisionByZero, Overflow]  # not the caller's, nor its rounding
-# alpha -> one slot for its 1/Gamma(1 + alpha*k) table (0.03-0.10 MB at the tables'), last 4 alphas
-_unit_box = lru_cache(maxsize=4)(lambda alpha: [()])
+_CHUNK = 16  # entries per memoized 1/Gamma chunk: the table pairs leave ~2 % of theirs unread
 _KEPT = 30  # digits a lean node sum keeps past its cancellation, or it is summed at full budget
 _LN_BITS = 128  # the node logs' fixed point: ln S to ~2**-120 before its one rounding to a double
 
@@ -397,21 +394,19 @@ def _digits(alpha: float, y: float, full: bool = False) -> int:
     return int(0.87 * y) + 30 if full else int(0.44 * y) + 20 + max(0, int(-math.log10(alpha)))
 
 
-def _series_coeffs(alpha: float, beta: float, n: int) -> list[Decimal] | tuple[Decimal, ...]:
-    """1/Gamma(alpha*k + beta) for k < n or more, at the current precision or better.  beta = 1
-    and beta = alpha (1/Gamma(alpha*k) = alpha k/Gamma(1 + alpha*k)) share a table at the larger
-    of their fits' lean precisions, extended from its last entry as it grows: entry k depends on
-    alpha and k alone, so either fit may come first.  A full-budget sum builds its own table."""
-    prec = max(_digits(alpha, _regime_bounds(alpha, b)[1] * _MARGIN) for b in (alpha, 1.0)) + 17
-    if beta != 1.0 and beta != alpha or getcontext().prec > prec:
-        return _rgamma_table(alpha, beta, n)
-    box, m = _unit_box(alpha), n + (beta != 1.0)
-    unit = box[0]
-    if len(unit) < m:  # two threads may both extend it; either way it is the same table
-        with localcontext(Context(prec, ROUND_HALF_EVEN, traps=_TRAPS)):
-            more = _rgamma_table(alpha, 1.0, m, len(unit)) if unit else _rgamma_table(alpha, 1.0, m)
-        unit = box[0] = unit + tuple(more)
-    return unit if beta == 1.0 else [Decimal(alpha) * k * unit[k] for k in range(1, m)]
+def _series_coeffs(alpha: float, beta: float, n: int, prec: int) -> list[Decimal]:
+    """1/Gamma(alpha*k + beta) for k < n or more, to prec digits or more.  beta = 1 and beta = alpha
+    (1/Gamma(alpha*k) = alpha k/Gamma(1 + alpha*k), rounded to prec) read the beta = 1 chunks at
+    the larger of their fits' lean precisions; any other beta, or a higher prec, reads its own."""
+    shared = max(_digits(alpha, _regime_bounds(alpha, b)[1] * _MARGIN) for b in (alpha, 1.0)) + 17
+    own = beta not in (1.0, alpha) or prec > shared
+    b, p, m = (beta, prec, n) if own else (1.0, shared, n + (beta != 1.0))
+    table = [c for j in range(-(-m // _CHUNK)) for c in _rgamma_table(alpha, b, p, j)]
+    if own or beta == 1.0:
+        return table
+    a = Decimal(alpha)  # exact, converted once
+    with localcontext(Context(prec, ROUND_HALF_EVEN, traps=_TRAPS)):
+        return [a * k * table[k] for k in range(1, m)]
 
 
 def _term_counts(
@@ -446,10 +441,8 @@ def _decimal_log_ml(alpha: float, beta: float, xs: list[float], full: bool = Fal
     lean sum keeps fewer than _KEPT digits past this cancellation is summed again at full budget."""
     digits = [_digits(alpha, abs(x) ** (1.0 / alpha), full) for x in xs]
     nterms, peaks = _term_counts(alpha, beta, xs, digits)
-    # coefficients to 10**-(max(digits) + 10) relative
-    with localcontext(Context(max(digits) + 17, ROUND_HALF_EVEN, traps=_TRAPS)):
-        coeffs = _series_coeffs(alpha, beta, max(nterms))
-    logs, _, ln10, _ = _fixed_consts(_LN_BITS)
+    coeffs = _series_coeffs(alpha, beta, max(nterms), max(digits) + 17)  # to 10**-(max(digits) + 10)
+    logs, _, ln10, *_ = _fixed_consts(_LN_BITS)
     out, redo = [], []
     for x, n, d, peak in zip(xs, nterms, digits, peaks):
         with localcontext(Context(d + 17, ROUND_HALF_EVEN, traps=_TRAPS)):
@@ -474,7 +467,9 @@ def _decimal_log_ml(alpha: float, beta: float, xs: list[float], full: bool = Fal
 
 @lru_cache(maxsize=3)  # cos(pi k j / (n - 1)) for k, j < n, one matrix per node count
 def _cheb_cos(n: int) -> np.ndarray:
-    return np.array([[math.cos(math.pi * k * j / (n - 1)) for j in range(n)] for k in range(n)])
+    m = np.array([[math.cos(math.pi * k * j / (n - 1)) for j in range(n)] for k in range(n)])
+    m.flags.writeable = False
+    return m
 
 
 def _cheb_fit(vals: list[float]) -> np.ndarray:

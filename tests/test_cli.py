@@ -329,10 +329,12 @@ class TestForwardBackward:
         (["forward", "--t", "5e-324"], "not finite at a node, t=5e-324"),
         (["backward", "--t", "1e-3", "--eps", "1e308"], "quotient overflowed"),
         (["backward", "--t", "1e-3", "--delta", "1e308"], "quotient overflowed"),
+        (["diagnose", "--delta", "1e200"], "S_K overflowed"),
     ])
     def test_non_finite_result_exit_4(self, argv, why, cfg_file, tmp_path, capsys):
         # a node at s = t or an inversion past the double range is a numerical
-        # failure, not the non-finite SpectralField (exit 2) it once surfaced as
+        # failure, not the non-finite SpectralField (exit 2) it once surfaced as,
+        # nor the all-infinite S_K that diagnose once called "bounded" (exit 0)
         common = ["--config", cfg_file(REDUCED), "--out", str(tmp_path), "--alpha", "0.8"]
         assert main(argv + common) == 4
         assert why in capsys.readouterr().err

@@ -497,6 +497,13 @@ class TestSolvability:
         assert all(s == 0.0 for s in report.partial_sums)
         assert report.classification == "bounded"
 
+    def test_overflowing_sums_raise(self):
+        # finite inverted coefficients whose squares pass the double range: the
+        # sums were once all inf, with overflow warnings and the verdict "bounded"
+        g = SpectralField(MS8, np.full(MS8.size, 1e200))
+        with pytest.raises(NumericalError, match=r"S_K overflowed at mode \(1, 1\)"):
+            solvability_diagnostic(problem(0.8), g)
+
 
 class TestAmplification:
     def test_strictly_increasing_in_lambda(self):
