@@ -6,8 +6,7 @@ keyed to y = |x|**(1/a):
 
 * small y: truncated Taylor series in extended (80-bit) precision,
   summed over |x|**k with the odd terms subtracted, which rounds exactly
-  as the signed series, in one loop over k that also decides a term-ratio
-  stopping rule on the batch's largest |x| alone;
+  as the signed series, each row until its sum can no longer change;
 * large y: the divergent asymptotic series sum_{k>=1} (-1)**(k+1)
   x**(-k) / Gamma(b - a*k), truncated at its globally smallest term
   (Gorenflo, Kilbas, Mainardi & Rogosin 2014, sec. 4.7), with the
@@ -27,9 +26,8 @@ keyed to y = |x|**(1/a):
   memoized function of (a, b), safe to call from threads.
 
 All paths are deterministic and pure; a cached value is read-only, never mutated.
-A value depends on its argument and at most on the batch's largest |x|
-(the Taylor stopping rule takes a batch maximum), never on the other
-arguments, their order or count.
+A value depends on its argument alone, never on the other arguments, their
+order or count.
 """
 
 from __future__ import annotations
@@ -134,19 +132,15 @@ def _taylor_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
 
     Sums |x|**k/Gamma(alpha*k + beta) and subtracts the odd terms: rounding
     to nearest is sign-symmetric (fl(|p|*|x|) = |fl(p*x)|, acc - |t| = acc + t),
-    so each partial sum has the bits of the signed series.  Every row gets
-    the n terms of a batch-wide stopping rule on the largest ratio
-    term_k / max(1e-300, term_0..term_k), decided in the sum loop itself.
-    With c_k = 1/Gamma(alpha*k + beta) that ratio is min(|x|**k c_k/1e-300,
-    min_j |x|**(k-j) c_k/c_j), which grows with |x|.  Distinct doubles differ
-    by at least 2**-53 relative; the ratio grows that gap (k - j)-fold, far
-    above its (2k+3)*2**-64 rounding where the rule stops, so the rule reads
-    the row of the largest |x| alone, as scalars.
+    so each partial sum has the bits of the signed series.  A row stops once
+    term_k < |acc| eps/8 (under a quarter ulp) and |x| c_(k+1) < c_k, c_k = 1/Gamma(alpha*k + beta):
+    by Gamma's log-convexity every later term is smaller, so every later add is a no-op.
     """
-    ax = np.abs(x).astype(_LD)
-    top, run = int(np.argmax(ax)), _LD(1e-300)
+    order = np.argsort(x)  # largest |x| first: ratio-test passes are a suffix, live rows a prefix
+    xs = x[order]
+    ax = -xs.astype(_LD)
     acc, pw, term = np.zeros_like(ax), np.ones_like(ax), np.empty_like(ax)
-    kmax, prev = 64, math.inf
+    a, p, t, s, live, kmax = acc, pw, term, ax, len(ax), 64
     coeffs = _taylor_coeffs(alpha, beta, kmax)
     for k in itertools.count():
         if k == kmax:
@@ -159,17 +153,22 @@ def _taylor_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
             coeffs = _taylor_coeffs(alpha, beta, kmax)
         if k == len(coeffs):  # the next term underflows
             break
-        np.multiply(pw, coeffs[k], out=term)
-        (np.subtract if k % 2 else np.add)(acc, term, out=acc)
-        pw *= ax
-        run = max(run, term[top])
-        bound = float(term[top] / run)
-        if k >= 4:  # the rule starts at k = 4, where prev = inf makes the ratio 0
-            ratio = min(bound / prev if prev > 0.0 else 0.0, 0.999)
-            if bound / max(1.0 - ratio, 1e-3) < _LD_EPS * 1e-2:
-                break
-            prev = bound
-    return acc.astype(np.float64)
+        np.multiply(p, coeffs[k], out=t)
+        (np.subtract if k % 2 else np.add)(a, t, out=a)
+        p *= s
+        if k % 8 == 7 and k + 1 < len(coeffs):
+            # |x| < c_k/c_(k+1), less 2**-50 for its rounding, passes |x| c_(k+1) < c_k
+            first = np.searchsorted(xs[:live], float(-coeffs[k] / coeffs[k + 1]) * (1 - 2**-50), "right")
+            moving = np.flatnonzero(t[first:] >= np.abs(a[first:]) * (_LD_EPS / 8.0))
+            end = first + moving[-1] + 1 if len(moving) else first
+            if end < live:
+                if end == 0:
+                    break
+                live = end
+                a, p, t, s = acc[:live], pw[:live], term[:live], ax[:live]
+    out = np.empty_like(x)
+    out[order] = acc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +479,13 @@ def _cheb_fit(vals: list[float]) -> np.ndarray:
 
 
 def _clenshaw(fit: tuple[float, float, np.ndarray], v: np.ndarray) -> np.ndarray:
-    """The fitted series (log E) at every v, by Clenshaw's recurrence."""
+    """The fitted series (log E) at every v, by Clenshaw's recurrence, in place."""
     lo, hi, coeffs = fit
     t = (2.0 * v - lo - hi) / (hi - lo)
-    b1 = b2 = np.zeros_like(t)
-    for c in coeffs[:0:-1]:
-        b1, b2 = 2.0 * t * b1 - b2 + c, b1
+    t2, b1, b2, b0 = 2.0 * t, np.zeros_like(t), np.zeros_like(t), np.empty_like(t)
+    for c in coeffs[:0:-1]:  # b0 = 2 t b1 - b2 + c, rounded in that order
+        np.add(np.subtract(np.multiply(t2, b1, out=b0), b2, out=b0), c, out=b0)
+        b0, b1, b2 = b2, b0, b1
     return t * b1 - b2 + coeffs[0]
 
 

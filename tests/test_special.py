@@ -434,40 +434,35 @@ class TestBatchInvariance:
         assert 0 < sum(counted) <= 387 * 17
 
 
-def _full_batch_taylor(alpha: float, beta: float, x: np.ndarray) -> tuple[int, np.ndarray]:
-    """(term count, values) of the Taylor kernel as one loop over k that
-    takes the stopping rule's bound over every row of the batch."""
+def _unretired_taylor(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
+    """The Taylor kernel's sums with no row taken out: every row summed on the
+    kernel's coefficients, to twice the term count at which the last row froze
+    plus 16 terms, or to the coefficient cut; a row retired early differs."""
     ax = np.abs(x).astype(np.longdouble)
-    acc = np.zeros_like(ax)
-    pw = np.ones_like(ax)
-    run = np.full_like(ax, 1e-300)
-    k, prev_bound = 0, math.inf
-    while True:
-        g = math.lgamma(alpha * k + beta)
-        if g > 11300.0:
-            return k, acc.astype(np.float64)
-        term = pw * np.exp(np.longdouble(-g))
-        if k % 2:
-            acc -= term
-        else:
-            acc += term
-        np.maximum(run, term, out=run)
-        pw *= ax
-        if k >= 4:
-            bound = float((term / run).max())
-            ratio = min(bound / prev_bound if prev_bound > 0 else 0.0, 0.999)
-            if bound / max(1.0 - ratio, 1e-3) < special._LD_EPS * 1e-2:
-                return k + 1, acc.astype(np.float64)
-            prev_bound = bound
+    acc, pw, k, kmax, stop = np.zeros_like(ax), np.ones_like(ax), 0, 64, math.inf
+    while k < stop:
+        while kmax < min(k + 2, special._TAYLOR_CAP + 1):  # the kernel's tables, as it grows them
+            kmax = min(4 * kmax, special._TAYLOR_CAP + 1)
+        coeffs = special._taylor_coeffs(alpha, beta, kmax)
+        if k == len(coeffs):
+            break
+        term = pw * coeffs[k]
+        acc = acc - term if k % 2 else acc + term
+        pw = pw * ax
+        if stop == math.inf and (
+            k + 1 == len(coeffs)
+            or np.all((term < np.abs(acc) * (special._LD_EPS / 8)) & (ax * coeffs[k + 1] < coeffs[k]))
+        ):
+            stop = 2 * k + 16
         k += 1
-        assert k <= special._TAYLOR_CAP
+    return acc.astype(np.float64)
 
 
 @st.composite
 def _taylor_batches(draw):
     """(alpha, beta, x): Taylor-band arguments, with ulp clusters at the top,
-    zeros and subnormals; beta past 171.6 puts 1/Gamma(beta) under the
-    1e-300 floor of the stopping rule's running maximum."""
+    zeros and subnormals; beta past 171.6 puts 1/Gamma(beta) below the
+    double range, so only the extended-precision sum keeps it."""
     alpha = draw(st.one_of(st.sampled_from(_TAYLOR_ALPHAS), st.floats(0.05, 1.0)))
     beta = draw(st.one_of(st.sampled_from(_taylor_betas(alpha)), st.floats(171.7, 400.0)))
     y_t = special._regime_bounds(alpha, beta)[0]
@@ -481,33 +476,68 @@ def _taylor_batches(draw):
     return alpha, beta, np.array(x)
 
 
-# E_{1,1}(x) with x**4/24 just under the rule's threshold: the rule stops at
-# k = 4 only if its first ratio of bounds counts as 0
+# E_{1,1}(x) with x**4/24 just under 1e-2 eps: a row frozen by its fifth term,
+# at the first freeze check
 _FIRST_BOUND_EDGE = -((24.0 * special._LD_EPS * 1e-2) ** 0.25) * (1.0 - 1e-7)
+
+
+def _taylor_examples(test):
+    """The inputs that each property test of the Taylor kernel also runs."""
+    for batch in (
+        (1.0, 1.0, np.array([_FIRST_BOUND_EDGE])),
+        (0.6, 1.0, np.array([-(6.3**0.6), -0.25, -(6.3**0.6)])),  # the top twice
+        # the runner-up one ulp below the top, first
+        (1.0, 1.0, np.array([np.nextafter(_FIRST_BOUND_EDGE, 0.0), _FIRST_BOUND_EDGE])),
+        (0.1, 172.0, np.array([-1.13346158])),  # the top of the band, beta past 171.6
+    ):
+        test = example(batch=batch)(test)
+    return test
 
 
 class TestTaylorStop:
     @settings(max_examples=300)
     @given(batch=_taylor_batches())
-    @example(batch=(1.0, 1.0, np.array([_FIRST_BOUND_EDGE])))
-    @example(batch=(0.6, 1.0, np.array([-(6.3**0.6), -0.25, -(6.3**0.6)])))  # the top twice
-    # the runner-up one ulp below the top, first, at the rule's k = 4 edge
-    @example(batch=(1.0, 1.0, np.array([np.nextafter(_FIRST_BOUND_EDGE, 0.0), _FIRST_BOUND_EDGE])))
-    def test_top_rows_decide_the_full_batch_stop(self, batch):
+    @_taylor_examples
+    def test_batched_row_is_the_lone_row(self, batch):
         alpha, beta, x = batch
-        _, want = _full_batch_taylor(alpha, beta, x)
-        assert _same_bits(special._taylor_vec(alpha, beta, x), want)
+        out = special._taylor_vec(alpha, beta, x)
+        alone = np.concatenate([special._taylor_vec(alpha, beta, x[i : i + 1]) for i in range(len(x))])
+        assert _same_bits(out, alone)
+
+    @settings(max_examples=100)
+    @given(batch=_taylor_batches())
+    @_taylor_examples
+    def test_retired_rows_match_the_unretired_sums(self, batch):
+        alpha, beta, x = batch
+        assert _same_bits(special._taylor_vec(alpha, beta, x), _unretired_taylor(alpha, beta, x))
 
     @given(u=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=12))
-    def test_value_depends_on_the_argument_and_the_batch_top(self, u):
+    def test_taylor_band_value_depends_on_the_argument_alone(self, u):
         for alpha, beta in _PAIRS:
             y_t = special._regime_bounds(alpha, beta)[0]
             x = -((0.99 * y_t * np.array(u)) ** alpha)
-            top = x[np.argmax(np.abs(x))]
             out = ml_array(alpha, beta, x)
             for i in range(len(x)):
-                pair = ml_array(alpha, beta, np.array([x[i], top]))
-                assert _same_bits(out[i : i + 1], pair[:1]), (alpha, beta, x[i])
+                assert _same_bits(out[i : i + 1], ml_array(alpha, beta, x[i : i + 1])), (alpha, beta, x[i])
+
+    def test_rows_at_a_zero_crossing_stop_long_before_the_cut(self, monkeypatch):
+        # E_{0.1,0.05} changes sign at x ~ -0.944, in the Taylor band.  An 80-bit
+        # sum cannot stay 0 while its terms are not (0 + t = t), so the two doubles
+        # either side of the sign change hold the smallest sums, and freeze last:
+        # they must stop within 1,024 terms, where the coefficient cut is ~17,500
+        # terms away and an unfrozen row would run into it
+        alpha, beta = 0.1, 0.05
+        lo, hi = -0.95, -0.94
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (mid, hi) if ml(alpha, beta, mid) < 0.0 else (lo, mid)
+        x = np.array([lo, hi, -0.5, 0.0])
+        sizes = []
+        coeffs = special._taylor_coeffs
+        monkeypatch.setattr(special, "_taylor_coeffs", lambda a, b, n: sizes.append(n) or coeffs(a, b, n))
+        out = special._taylor_vec(alpha, beta, x)
+        assert out[0] < 0.0 < out[1]
+        assert max(sizes) <= 1024
+        assert _same_bits(out, _unretired_taylor(alpha, beta, x))
 
     def test_cap_raises_in_bounded_memory(self):
         # alpha = 1e-300 makes every coefficient 1/Gamma(1 + ~0) = 1, so at
