@@ -86,7 +86,7 @@ class NoiseMode(str, Enum):
 
 def _reals(name: str, vs, ok, want: str) -> tuple[float, ...]:
     """An ExperimentConfig sequence as floats, each checked by check_real."""
-    if not isinstance(vs, Iterable):
+    if isinstance(vs, (str, bytes, Mapping)) or not isinstance(vs, Iterable):
         raise DomainError(f"ExperimentConfig: {name} must be a sequence, got {vs!r}")
     return tuple(check_real("ExperimentConfig", name, v, ok, want) for v in vs)
 

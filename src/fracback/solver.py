@@ -95,6 +95,9 @@ class Term:
                 raise DomainError(f"Term: spatial factors must be callable, got {spatial!r}")
         elif not callable(spatial):
             spatial = check_floats("Term", "spatial", spatial)
+            bad = ~np.isfinite(spatial)
+            if bad.any():
+                raise DomainError(f"Term: spatial must be finite, got {float(spatial[bad][0])!r}")
         if not callable(temporal):
             raise DomainError(f"Term: temporal must be callable, got {temporal!r}")
         self.spatial = spatial
@@ -196,6 +199,12 @@ def _check_field(what: str, prob: TimeFractionalProblem, name: str, f: SpectralF
         raise DomainError(f"{what}: field modeset does not match the problem's")
 
 
+def _refuse(prob: TimeFractionalProblem, bad: np.ndarray, what: str) -> None:
+    """Raise NumericalError naming the first mode where bad holds, if any."""
+    if np.any(bad):
+        raise NumericalError(f"{what} for mode {prob.modeset.modes[int(np.argmax(bad))]}")
+
+
 def _terms_at(
     alpha: float, t: float, modeset: ModeSet, quad: QuadConfig, subintervals: int,
     kernel: bool = True,
@@ -230,14 +239,20 @@ def _step(prob: TimeFractionalProblem, t: float) -> tuple[np.ndarray, np.ndarray
     if not kernel:
         return e1, 0.0
     pts, wts, E = memory
-    C = prob.source.coefficient_batch(prob.modeset, prob.quad, pts)
-    return e1, np.einsum("ns,s->n", E * C, wts, optimize=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        C = prob.source.coefficient_batch(prob.modeset, prob.quad, pts)
+        F = np.einsum("ns,s->n", E * C, wts, optimize=False)
+    _refuse(prob, ~np.isfinite(F), f"the memory term F(t={t!r}) is not finite")
+    return e1, F
 
 
 def _evolve(prob: TimeFractionalProblem, start: np.ndarray, t: float) -> SpectralField:
     """E_{alpha,1}(-lambda t^alpha) start + F(t), for a time t > 0."""
     e1, F = _step(prob, t)
-    return SpectralField(prob.modeset, e1 * start + F)
+    with np.errstate(over="ignore"):  # checked next
+        u = e1 * start + F
+    _refuse(prob, ~np.isfinite(u), f"u(t={t!r}) is not finite")
+    return SpectralField(prob.modeset, u)
 
 
 def _inverted(prob: TimeFractionalProblem, g: SpectralField) -> np.ndarray:
@@ -247,11 +262,7 @@ def _inverted(prob: TimeFractionalProblem, g: SpectralField) -> np.ndarray:
         base = (g.coeffs - Ftau) / etau
     for bad, why in ((etau == 0.0, "E_{alpha,1}(-lambda tau^alpha) underflowed to zero"),
                      (~np.isfinite(base), "the quotient overflowed")):
-        if np.any(bad):
-            raise NumericalError(
-                f"backward_reconstruct: {why} for mode {prob.modeset.modes[int(np.argmax(bad))]}"
-                "; the inversion is not representable"
-            )
+        _refuse(prob, bad, f"backward_reconstruct: {why}")
     return base
 
 

@@ -133,14 +133,14 @@ def _taylor_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     Sums |x|**k/Gamma(alpha*k + beta) and subtracts the odd terms: rounding
     to nearest is sign-symmetric (fl(|p|*|x|) = |fl(p*x)|, acc - |t| = acc + t),
     so each partial sum has the bits of the signed series.  A row stops once
-    term_k < |acc| eps/8 (under a quarter ulp) and |x| c_(k+1) < c_k, c_k = 1/Gamma(alpha*k + beta):
-    by Gamma's log-convexity every later term is smaller, so every later add is a no-op.
+    term_k < |acc| eps/8 (under a quarter ulp).  By Gamma's log-convexity the terms
+    are log-concave in k: up to a row's largest term |acc| <= (k + 1) term_k, so the
+    test passes only past it, where every later term is smaller, every later add a no-op.
     """
-    order = np.argsort(x)  # largest |x| first: ratio-test passes are a suffix, live rows a prefix
-    xs = x[order]
-    ax = -xs.astype(_LD)
+    order = np.argsort(x)  # largest |x| first: live rows are a prefix
+    ax = -x[order].astype(_LD)
     acc, pw, term = np.zeros_like(ax), np.ones_like(ax), np.empty_like(ax)
-    a, p, t, s, live, kmax = acc, pw, term, ax, len(ax), 64
+    a, p, t, s, kmax = acc, pw, term, ax, 64
     coeffs = _taylor_coeffs(alpha, beta, kmax)
     for k in itertools.count():
         if k == kmax:
@@ -156,16 +156,12 @@ def _taylor_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
         np.multiply(p, coeffs[k], out=t)
         (np.subtract if k % 2 else np.add)(a, t, out=a)
         p *= s
-        if k % 8 == 7 and k + 1 < len(coeffs):
-            # |x| < c_k/c_(k+1), less 2**-50 for its rounding, passes |x| c_(k+1) < c_k
-            first = np.searchsorted(xs[:live], float(-coeffs[k] / coeffs[k + 1]) * (1 - 2**-50), "right")
-            moving = np.flatnonzero(t[first:] >= np.abs(a[first:]) * (_LD_EPS / 8.0))
-            end = first + moving[-1] + 1 if len(moving) else first
-            if end < live:
-                if end == 0:
-                    break
-                live = end
-                a, p, t, s = acc[:live], pw[:live], term[:live], ax[:live]
+        if k % 8 == 7:
+            moving = np.flatnonzero(t >= np.abs(a) * (_LD_EPS / 8.0))
+            if len(moving) == 0:
+                break
+            live = moving[-1] + 1
+            a, p, t, s = acc[:live], pw[:live], term[:live], ax[:live]
     out = np.empty_like(x)
     out[order] = acc
     return out
@@ -412,16 +408,17 @@ def _term_counts(
     alpha: float, beta: float, xs: list[float], digits: list[int]
 ) -> tuple[list[int], list[float]]:
     """Per x, the first k of 1, 2, ..., k + max(1, k // 8), ... whose term |x|**k/Gamma(a*k + b)
-    is below 10**-(d + 8) min(1, 1/Gamma(b)), as E <= 1/Gamma(b), and past the peak, (a*k + b)**a
-    > |x|, and the log of the largest term visited, k = 0 included; each k's lgamma and power are
-    computed once for all x."""
-    lx, ax, k = np.array([math.log(-x) for x in xs]), -np.array(xs), 1
+    is below 10**-(d + 8) min(1, 1/Gamma(b)), as E <= 1/Gamma(b), and the log of the largest term
+    visited, k = 0 included; each k's lgamma is computed once for all x.  The terms are log-concave
+    in k and the first, 1/Gamma(b), is above that bound, so the test passes only past the largest
+    term: every later term is smaller, and the alternating tail is below its first term."""
+    lx, k = np.array([math.log(-x) for x in xs]), 1
     target = -(np.array(digits) + 8) * math.log(10.0) - max(0.0, math.lgamma(beta))
     counts, peaks = np.zeros(len(xs), dtype=np.int64), np.full(len(xs), -math.lgamma(beta))
     while (live := counts == 0).any():
         logt = k * lx - math.lgamma(alpha * k + beta)
         np.maximum(peaks, logt, out=peaks, where=live)
-        counts[live & (logt < target) & ((alpha * k + beta) ** alpha > ax)] = k
+        counts[live & (logt < target)] = k
         k = k + max(1, k // 8)
         if k > 200_000 and 0 in counts:
             raise NumericalError(

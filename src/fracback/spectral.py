@@ -173,7 +173,12 @@ def _project(f, modeset: ModeSet, cfg: QuadConfig) -> SpectralField:
         part[lo:hi] = vals
     vals = np.einsum("mi,i...->...m", sw, part, optimize=False)
     # (2/pi)^(d/2) is sqrt(2/pi) in d=1 and 2/pi in d=2, to the bit
-    return SpectralField(modeset, ((2.0 / math.pi) ** (d / 2) * vals).ravel())
+    coeffs = ((2.0 / math.pi) ** (d / 2) * vals).ravel()
+    bad = ~np.isfinite(coeffs)  # from finite node values: an inner product overflowed
+    if bad.any():
+        mode = modeset.modes[np.argmax(bad)]
+        raise NumericalError(f"project: the inner product overflowed for mode {mode}")
+    return SpectralField(modeset, coeffs)
 
 
 def l2_error(a: SpectralField, b: SpectralField) -> float:

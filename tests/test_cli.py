@@ -220,9 +220,16 @@ class TestConfig:
             assert f"{key} must be" in capsys.readouterr().err, (key, value)
 
     def test_scalar_alphas_exit_2(self, cfg_file, tmp_path, capsys):
-        path = cfg_file({**REDUCED, "alphas": 0.5})
-        assert main(["forward", "--config", path, "--t", "0", "--out", str(tmp_path)]) == 2
-        assert "alphas must be a sequence, got 0.5" in capsys.readouterr().err
+        # a string or an object was iterated, and named its first character or key
+        for key, value, shown in (
+            ("alphas", 0.5, "0.5"),
+            ("alphas", "0.5", "'0.5'"),
+            ("sweep", "1e-3", "'1e-3'"),
+            ("alphas", {"0.5": 1}, "{'0.5': 1}"),
+        ):
+            path = cfg_file({**REDUCED, key: value})
+            assert main(["forward", "--config", path, "--t", "0", "--out", str(tmp_path)]) == 2
+            assert f"{key} must be a sequence, got {shown}\n" in capsys.readouterr().err
 
 
 class TestForwardBackward:
@@ -330,13 +337,17 @@ class TestForwardBackward:
         (["backward", "--t", "1e-3", "--eps", "1e308"], "quotient overflowed"),
         (["backward", "--t", "1e-3", "--delta", "1e308"], "quotient overflowed"),
         (["diagnose", "--delta", "1e200"], "S_K overflowed"),
+        (["forward", "--alpha", "0.8", "--eps", "1.79e308"], "memory term F(t=1.0) is not finite"),
+        (["backward", "--alpha", "0.2", "--t", "1e-3", "--eps", "1.7e308"], "memory term F(t=1.0)"),
     ])
     def test_non_finite_result_exit_4(self, argv, why, cfg_file, tmp_path, capsys):
-        # a node at s = t or an inversion past the double range is a numerical
-        # failure, not the non-finite SpectralField (exit 2) it once surfaced as,
-        # nor the all-infinite S_K that diagnose once called "bounded" (exit 0)
+        # a node at s = t, an inversion past the double range or a source noise
+        # whose memory term overflows is a numerical failure, not the non-finite
+        # SpectralField (exit 2) it once surfaced as, with numpy's overflow
+        # warning, nor the all-infinite S_K that diagnose once called "bounded"
+        # (exit 0); a case's own flags come after the default --alpha 0.8
         common = ["--config", cfg_file(REDUCED), "--out", str(tmp_path), "--alpha", "0.8"]
-        assert main(argv + common) == 4
+        assert main(argv[:1] + common + argv[1:]) == 4
         assert why in capsys.readouterr().err
 
 

@@ -89,6 +89,11 @@ class TestExperimentConfig:
     def test_scalar_alphas_is_not_a_sequence(self):
         with pytest.raises(DomainError, match=r"alphas must be a sequence, got 0\.5$"):
             ExperimentConfig(alphas=0.5)
+        for value in ("0.5", b"0.5", {0.5: 1}):
+            with pytest.raises(DomainError, match=r"alphas must be a sequence, got "):
+                ExperimentConfig(alphas=value)
+        with pytest.raises(DomainError, match=r"sweep must be a sequence, got '1e-3'$"):
+            ExperimentConfig(sweep="1e-3")
 
     def test_tau_and_seed_validation(self):
         for tau in (0.0, math.inf, math.nan):

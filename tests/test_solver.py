@@ -148,6 +148,8 @@ class TestSourceCoefficient:
             Term(["a"] * 4, lambda s: 1.0)
         with pytest.raises(DomainError, match="factors must be callable"):
             Term((math.sin, 2.0), lambda s: 1.0)
+        with pytest.raises(DomainError, match="Term: spatial must be finite, got nan"):
+            Term(np.array([1.0, np.nan, 0.0, 0.0]), lambda s: 1.0)
         one_factor = Source(Term((math.sin,), lambda s: 1.0))  # MS8 is 2-D
         with pytest.raises(DomainError, match="callable factors"):
             one_factor.coefficient_batch(MS8, QuadConfig(), np.array([0.5]))
@@ -218,6 +220,21 @@ class TestForwardSolve:
             prob = problem(0.6, source=Source(Term(np.ones(MS8.size), lambda s: bad)))
             with pytest.raises(NumericalError, match="temporal factor returned a non-finite value"):
                 forward_solve(prob, ones, 0.5)
+
+    def test_overflowing_forward_raises(self):
+        # two 1e308 terms sum past the double range; and u0 = f = D, the largest
+        # double, at lambda = 1, where 8-point graded quadrature puts F(t) ~2e-15
+        # relative above (1 - E) D, so E D + F rounds to inf.  Both surfaced as a
+        # RuntimeWarning and a DomainError on the SpectralField
+        big = Term(np.full(MS8.size, 1e308), lambda s: 1.0)
+        prob = problem(0.8, source=Source(big, big))
+        with pytest.raises(NumericalError, match=r"memory term F\(t=1\.0\) is not finite for mode \(1, 1\)"):
+            forward_solve(prob, u0_field(), 1.0)
+        ms, top = ModeSet(1, 1), np.array([np.finfo(float).max])
+        quad = QuadConfig(points=8, singular_mode=SingularMode.GRADED_SUBSTITUTION)
+        prob = problem(0.2, quad=quad, modeset=ms, source=Source(Term(top, lambda s: 1.0)))
+        with pytest.raises(NumericalError, match=r"u\(t=1\.0\) is not finite for mode \(1,\)"):
+            forward_solve(prob, SpectralField(ms, top), 1.0)
 
     def test_t_out_of_range(self):
         prob = problem(0.6)

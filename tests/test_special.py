@@ -539,6 +539,17 @@ class TestTaylorStop:
         assert max(sizes) <= 1024
         assert _same_bits(out, _unretired_taylor(alpha, beta, x))
 
+    def test_a_row_frozen_at_a_table_end_builds_no_longer_table(self, monkeypatch):
+        # E_{0.5,1}(-1.6) freezes at the check after term 63, the first table's
+        # last: a stop on the term test alone builds no 256-term table there
+        x = np.array([-1.6])
+        sizes = []
+        coeffs = special._taylor_coeffs
+        monkeypatch.setattr(special, "_taylor_coeffs", lambda a, b, n: sizes.append(n) or coeffs(a, b, n))
+        out = special._taylor_vec(0.5, 1.0, x)
+        assert sizes == [64]
+        assert _same_bits(out, _unretired_taylor(0.5, 1.0, x))
+
     def test_cap_raises_in_bounded_memory(self):
         # alpha = 1e-300 makes every coefficient 1/Gamma(1 + ~0) = 1, so at
         # x = -1 no term shrinks and the rule runs into the cap
@@ -586,6 +597,17 @@ def _term_count(alpha, beta, x, full=False):
         if logt < target and (alpha * k + beta) ** alpha > -x:
             return k, peak
         k = k + max(1, k // 8)
+
+
+@st.composite
+def _gap_batches(draw):
+    """(alpha, beta, xs, full): up to 8 x across the fit's band, at either budget."""
+    alpha = draw(st.floats(0.01, 1.0))
+    beta = draw(st.one_of(st.sampled_from([alpha, 1.0]), st.floats(0.05, 80.0)))
+    y_t, y_a = special._regime_bounds(alpha, beta)
+    vs = st.floats(math.log(y_t / special._MARGIN), math.log(y_a * special._MARGIN))
+    xs = [-math.exp(alpha * v) for v in draw(st.lists(vs, min_size=1, max_size=8))]
+    return alpha, beta, xs, draw(st.booleans())
 
 
 _Chunk = namedtuple("_Chunk", "alpha beta prec j entries")
@@ -655,6 +677,14 @@ class TestGapFit:
     @pytest.mark.parametrize("alpha, beta", [(0.2, 0.2), (0.9, 3.3), (1.0, 1.000001)])
     def test_term_counts_follow_the_scalar_rule(self, alpha, beta, full):
         xs = self._nodes(alpha, beta)
+        digits = [special._digits(alpha, abs(x) ** (1.0 / alpha), full) for x in xs]
+        counts, peaks = special._term_counts(alpha, beta, xs, digits)
+        assert list(zip(counts, peaks)) == [_term_count(alpha, beta, x, full) for x in xs]
+
+    @settings(max_examples=200)
+    @given(batch=_gap_batches())
+    def test_term_counts_follow_the_scalar_rule_anywhere(self, batch):
+        alpha, beta, xs, full = batch
         digits = [special._digits(alpha, abs(x) ** (1.0 / alpha), full) for x in xs]
         counts, peaks = special._term_counts(alpha, beta, xs, digits)
         assert list(zip(counts, peaks)) == [_term_count(alpha, beta, x, full) for x in xs]

@@ -178,6 +178,11 @@ class TestProjection:
         # finite factors whose product overflows
         with pytest.raises(NumericalError, match="non-finite"):
             project((lambda x: 1e200, lambda x: 1e200), MS2, CFG)
+        # finite node values whose inner products overflow: a DomainError on the
+        # SpectralField once
+        for form in FORMS:
+            with pytest.raises(NumericalError, match=r"inner product overflowed for mode \(1,\)"):
+                project(_integrand(form, lambda x: 1e308), MS1, CFG)
 
     def test_each_node_value_computed_once(self):
         # the integrand is built in column blocks, none of which may call a
