@@ -9,6 +9,7 @@ are checked by :func:`check_int`, :func:`check_real`, :func:`check_enum`,
 (a ``ValueError``) with the message ``"<where>: <name> must be <want>, got
 <value>"``, or ``"<where>: unknown <name> <value>, must be one of [...]"``
 for an enum token.  A bool is not a number, and NaN fails every range.
+The result check :func:`refuse` raises ``"<what> for mode (m, n)"``.
 """
 
 import math
@@ -88,3 +89,10 @@ def check_floats(where: str, name: str, v) -> np.ndarray:
         return np.array(v, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{where}: {name} must be real numbers ({exc})") from None
+
+
+def refuse(what: str, bad, modeset) -> None:
+    """Raise NumericalError naming the first mode where bad (mode axis first) holds, if any."""
+    if np.any(bad):
+        k = int(np.unravel_index(np.argmax(bad), np.shape(bad))[0])
+        raise NumericalError(f"{what} for mode {modeset.modes[k]}")

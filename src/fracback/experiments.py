@@ -42,6 +42,7 @@ from .errors import (
     check_int,
     check_real,
     check_type,
+    refuse,
 )
 from .quadrature import QuadConfig, SingularMode
 from .solver import (
@@ -310,7 +311,10 @@ def noisy_data(
         return g
     if mode is NoiseMode.PAPER_CONSTANT:
         ones = project((_one,) * g.modeset.dimension, g.modeset, quad)
-        return SpectralField(g.modeset, g.coeffs + (delta / 2.0) * ones.coeffs)
+        with np.errstate(over="ignore"):  # checked next
+            coeffs = g.coeffs + (delta / 2.0) * ones.coeffs
+        refuse("noisy_data: the shifted data is not finite", ~np.isfinite(coeffs), g.modeset)
+        return SpectralField(g.modeset, coeffs)
     shift = _seeded_coeffs(g.modeset.size, float(delta), seed, 1)
     return SpectralField(g.modeset, g.coeffs + shift)
 
@@ -329,11 +333,11 @@ def noise_audit(level: float, modeset: ModeSet, quad: QuadConfig) -> NoiseAudit:
     check_real("noise_audit", "level", level, *NONNEGATIVE)
     d = check_type("noise_audit", "modeset", modeset, ModeSet).dimension
     check_type("noise_audit", "quad", quad, QuadConfig)
-    return NoiseAudit(
-        nominal=float(level),
-        function_norm=(level / 2.0) * math.pi ** (d / 2),
-        truncated_norm=(level / 2.0) * hp_norm(project((_one,) * d, modeset, quad), 0.0),
-    )
+    ones = hp_norm(project((_one,) * d, modeset, quad), 0.0)
+    norms = [(level / 2.0) * v for v in (math.pi ** (d / 2), ones)]
+    if not all(map(math.isfinite, norms)):
+        raise NumericalError(f"noise_audit: the norms of level={level!r} overflow")
+    return NoiseAudit(float(level), *norms)
 
 
 _TIMES = tuple(10.0 ** -(i + 1) for i in range(1, 9))

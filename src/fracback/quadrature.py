@@ -122,7 +122,8 @@ def composite_nodes(
     ``cfg.subintervals`` when given (used by internally refined callers).
     """
     check_real("composite_nodes", "a", a, math.isfinite, "finite")
-    check_real("composite_nodes", "b", b, lambda v: a <= v < math.inf, f"finite and >= a={a}")
+    check_real("composite_nodes", "b", b, lambda v: a <= v < math.inf and math.isfinite(v - a),
+               f"finite, >= a={a} and with b - a finite")
     check_type("composite_nodes", "cfg", cfg, QuadConfig)
     nsub = cfg.subintervals if subintervals is None else subintervals
     check_int("composite_nodes", "subintervals", nsub)

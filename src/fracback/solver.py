@@ -54,6 +54,7 @@ from .errors import (
     check_int,
     check_real,
     check_type,
+    refuse,
 )
 from .quadrature import QuadConfig, singular_nodes
 from .special import ml_array
@@ -103,21 +104,6 @@ class Term:
         self.spatial = spatial
         self.temporal = temporal
 
-    def coefficient_batch(
-        self, modeset: ModeSet, quad: QuadConfig, s: np.ndarray
-    ) -> np.ndarray:
-        """(term(., s_j), phi_k) for every mode k and time s_j; shape (modes, len(s))."""
-        if not isinstance(self.spatial, np.ndarray):
-            spatial = project(self.spatial, modeset, quad).coeffs
-        elif self.spatial.shape != (modeset.size,):
-            raise DomainError("Term: coefficient count != modeset size")
-        else:
-            spatial = self.spatial
-        tvals = np.array([float(self.temporal(float(sj))) for sj in s])
-        if not np.isfinite(tvals).all():
-            raise NumericalError("Term: temporal factor returned a non-finite value")
-        return spatial[:, None] * tvals[None, :]
-
 
 class Source:
     """Time-dependent source f = sum of separable terms; Source() is f = 0."""
@@ -131,7 +117,18 @@ class Source:
         """(f(., s_j), phi_k) for every mode k and time s_j; shape (modes, len(s))."""
         out = np.zeros((modeset.size, len(s)))
         for term in self.terms:
-            out = out + term.coefficient_batch(modeset, quad, s)
+            if not isinstance(term.spatial, np.ndarray):
+                spatial = project(term.spatial, modeset, quad).coeffs
+            elif term.spatial.shape != (modeset.size,):
+                raise DomainError("Term: coefficient count != modeset size")
+            else:
+                spatial = term.spatial
+            tvals = np.array([float(term.temporal(float(sj))) for sj in s])
+            if not np.isfinite(tvals).all():
+                raise NumericalError("Term: temporal factor returned a non-finite value")
+            with np.errstate(over="ignore", invalid="ignore"):  # checked next
+                out = out + spatial[:, None] * tvals[None, :]
+        refuse("Source: a coefficient of f is not finite", ~np.isfinite(out), modeset)
         return out
 
 
@@ -199,12 +196,6 @@ def _check_field(what: str, prob: TimeFractionalProblem, name: str, f: SpectralF
         raise DomainError(f"{what}: field modeset does not match the problem's")
 
 
-def _refuse(prob: TimeFractionalProblem, bad: np.ndarray, what: str) -> None:
-    """Raise NumericalError naming the first mode where bad holds, if any."""
-    if np.any(bad):
-        raise NumericalError(f"{what} for mode {prob.modeset.modes[int(np.argmax(bad))]}")
-
-
 def _terms_at(
     alpha: float, t: float, modeset: ModeSet, quad: QuadConfig, subintervals: int,
     kernel: bool = True,
@@ -239,10 +230,10 @@ def _step(prob: TimeFractionalProblem, t: float) -> tuple[np.ndarray, np.ndarray
     if not kernel:
         return e1, 0.0
     pts, wts, E = memory
+    C = prob.source.coefficient_batch(prob.modeset, prob.quad, pts)
     with np.errstate(over="ignore", invalid="ignore"):  # checked next
-        C = prob.source.coefficient_batch(prob.modeset, prob.quad, pts)
         F = np.einsum("ns,s->n", E * C, wts, optimize=False)
-    _refuse(prob, ~np.isfinite(F), f"the memory term F(t={t!r}) is not finite")
+    refuse(f"the memory term F(t={t!r}) is not finite", ~np.isfinite(F), prob.modeset)
     return e1, F
 
 
@@ -251,7 +242,7 @@ def _evolve(prob: TimeFractionalProblem, start: np.ndarray, t: float) -> Spectra
     e1, F = _step(prob, t)
     with np.errstate(over="ignore"):  # checked next
         u = e1 * start + F
-    _refuse(prob, ~np.isfinite(u), f"u(t={t!r}) is not finite")
+    refuse(f"u(t={t!r}) is not finite", ~np.isfinite(u), prob.modeset)
     return SpectralField(prob.modeset, u)
 
 
@@ -262,7 +253,7 @@ def _inverted(prob: TimeFractionalProblem, g: SpectralField) -> np.ndarray:
         base = (g.coeffs - Ftau) / etau
     for bad, why in ((etau == 0.0, "E_{alpha,1}(-lambda tau^alpha) underflowed to zero"),
                      (~np.isfinite(base), "the quotient overflowed")):
-        _refuse(prob, bad, f"backward_reconstruct: {why}")
+        refuse(f"backward_reconstruct: {why}", bad, prob.modeset)
     return base
 
 

@@ -71,22 +71,6 @@ def gamma_fn(x: float) -> float:
     return math.gamma(x)
 
 
-def _inv_gamma_log_sign(t: float) -> tuple[float, float]:
-    """Return (log|1/Gamma(t)|, sign of 1/Gamma(t)); poles map to (-inf, 0)."""
-    if t > 0.0:
-        return -math.lgamma(t), 1.0
-    near = round(t)
-    if abs(t - near) < 1e-13:
-        return -math.inf, 0.0
-    # reflection: 1/Gamma(t) = Gamma(1-t) * sin(pi t) / pi, with the sine
-    # argument reduced exactly so precision survives large |t|
-    r = t - near
-    s = math.sin(math.pi * r)
-    if near % 2:
-        s = -s
-    return math.lgamma(1.0 - t) + math.log(abs(s)) - math.log(math.pi), math.copysign(1.0, s)
-
-
 # ---------------------------------------------------------------------------
 # regime map
 # ---------------------------------------------------------------------------
@@ -178,9 +162,16 @@ def _asym_table(alpha: float, beta: float, kmax: int) -> tuple[np.ndarray, np.nd
     a pole so no argmin picks it; the parity-adjusted sign, +-0 on a pole; the indices off one."""
     logs, signs = np.empty(kmax), np.empty(kmax)
     for i in range(kmax):
-        lg, sg = _inv_gamma_log_sign(beta - alpha * (i + 1))
-        logs[i] = math.inf if sg == 0.0 else lg
-        signs[i] = sg * (-1.0 if i % 2 else 1.0)
+        t, parity = beta - alpha * (i + 1), -1.0 if i % 2 else 1.0
+        near = round(t)
+        if t > 0.0:
+            logs[i], signs[i] = -math.lgamma(t), parity
+        elif abs(t - near) < 1e-13:
+            logs[i], signs[i] = math.inf, 0.0 * parity
+        else:  # reflection: 1/Gamma(t) = Gamma(1-t) sin(pi t)/pi, the sine's argument
+            s = math.sin(math.pi * (t - near))  # reduced exactly so large |t| keeps precision
+            logs[i] = math.lgamma(1.0 - t) + math.log(abs(s)) - math.log(math.pi)
+            signs[i] = math.copysign(1.0, -s if near % 2 else s) * parity
     live = np.flatnonzero(signs)
     logs.flags.writeable = signs.flags.writeable = live.flags.writeable = False
     return logs, signs, live

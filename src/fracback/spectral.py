@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import (
     NONNEGATIVE, DomainError, NumericalError, check_floats, check_int, check_real, check_type,
+    refuse,
 )
 from .quadrature import QuadConfig, composite_nodes
 
@@ -174,10 +175,8 @@ def _project(f, modeset: ModeSet, cfg: QuadConfig) -> SpectralField:
     vals = np.einsum("mi,i...->...m", sw, part, optimize=False)
     # (2/pi)^(d/2) is sqrt(2/pi) in d=1 and 2/pi in d=2, to the bit
     coeffs = ((2.0 / math.pi) ** (d / 2) * vals).ravel()
-    bad = ~np.isfinite(coeffs)  # from finite node values: an inner product overflowed
-    if bad.any():
-        mode = modeset.modes[np.argmax(bad)]
-        raise NumericalError(f"project: the inner product overflowed for mode {mode}")
+    # from finite node values: an inner product overflowed
+    refuse("project: the inner product overflowed", ~np.isfinite(coeffs), modeset)
     return SpectralField(modeset, coeffs)
 
 
@@ -187,7 +186,11 @@ def l2_error(a: SpectralField, b: SpectralField) -> float:
     if a.modeset != check_type("l2_error", "b", b, SpectralField).modeset:
         raise DomainError("l2_error: fields live on different modesets")
     # Python's d ** 2 (libm pow), not numpy's d * d: the two differ in the last bit
-    return math.sqrt(math.fsum(d ** 2 for d in (a.coeffs - b.coeffs).tolist()))
+    try:
+        with np.errstate(over="raise"):  # a difference past the double range
+            return math.sqrt(math.fsum(d ** 2 for d in (a.coeffs - b.coeffs).tolist()))
+    except (FloatingPointError, OverflowError):  # or a square or a partial sum past it
+        raise NumericalError("l2_error: the distance overflows the double range") from None
 
 
 def hp_norm(field: SpectralField, p: float) -> float:

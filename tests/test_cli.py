@@ -337,15 +337,23 @@ class TestForwardBackward:
         (["backward", "--t", "1e-3", "--eps", "1e308"], "quotient overflowed"),
         (["backward", "--t", "1e-3", "--delta", "1e308"], "quotient overflowed"),
         (["diagnose", "--delta", "1e200"], "S_K overflowed"),
-        (["forward", "--alpha", "0.8", "--eps", "1.79e308"], "memory term F(t=1.0) is not finite"),
-        (["backward", "--alpha", "0.2", "--t", "1e-3", "--eps", "1.7e308"], "memory term F(t=1.0)"),
+        # the message text would make these ids long; they are named instead
+        pytest.param(["forward", "--alpha", "0.8", "--eps", "1.79e308"],
+                     "Source: a coefficient of f is not finite for mode (1, 1)", id="forward-eps-overflow"),
+        pytest.param(["backward", "--alpha", "0.2", "--t", "1e-3", "--eps", "1.7e308"],
+                     "Source: a coefficient of f is not finite for mode (1, 1)", id="backward-eps-overflow"),
+        pytest.param(["backward", "--t", "1e-3", "--delta", "1.7e308"],
+                     "noisy_data: the shifted data is not finite for mode (1, 1)", id="backward-delta-overflow"),
+        pytest.param(["diagnose", "--delta", "1.7e308"],
+                     "noisy_data: the shifted data is not finite for mode (1, 1)", id="diagnose-delta-overflow"),
     ])
     def test_non_finite_result_exit_4(self, argv, why, cfg_file, tmp_path, capsys):
-        # a node at s = t, an inversion past the double range or a source noise
-        # whose memory term overflows is a numerical failure, not the non-finite
-        # SpectralField (exit 2) it once surfaced as, with numpy's overflow
-        # warning, nor the all-infinite S_K that diagnose once called "bounded"
-        # (exit 0); a case's own flags come after the default --alpha 0.8
+        # a node at s = t, an inversion past the double range, a source noise
+        # whose coefficients overflow or a data noise whose shift overflows is a
+        # numerical failure, not the non-finite SpectralField (exit 2) it once
+        # surfaced as, with numpy's overflow warning, nor the all-infinite S_K
+        # that diagnose once called "bounded" (exit 0); a case's own flags come
+        # after the default --alpha 0.8
         common = ["--config", cfg_file(REDUCED), "--out", str(tmp_path), "--alpha", "0.8"]
         assert main(argv[:1] + common + argv[1:]) == 4
         assert why in capsys.readouterr().err

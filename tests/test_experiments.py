@@ -408,6 +408,15 @@ class TestNoise:
         cols = noisy_source(Source(), delta, ms).coefficient_batch(ms, self.QUAD, np.array([0.5]))
         assert cols[:, 0].tobytes() == shifted.coeffs.tobytes()
 
+    def test_overflowing_data_noise_raises(self):
+        # (delta/2) times the constant's (1, 1) coefficient 8/pi overflowed: a
+        # RuntimeWarning and a DomainError on the SpectralField, and two inf norms
+        g = SpectralField(self.MS, np.zeros(self.MS.size))
+        with pytest.raises(NumericalError, match=r"shifted data is not finite for mode \(1, 1\)"):
+            noisy_data(g, 1.7e308, self.QUAD)
+        with pytest.raises(NumericalError, match="noise_audit: the norms of level=1.7e"):
+            noise_audit(1.7e308, self.MS, self.QUAD)
+
     def test_noise_audit_rejects_negative(self):
         with pytest.raises(DomainError):
             noise_audit(-0.1, self.MS, self.QUAD)

@@ -123,6 +123,11 @@ class TestCompositeNodes:
         with pytest.raises(DomainError):
             composite_nodes(1.0, 0.0, QuadConfig())
 
+    def test_interval_length_past_the_double_range(self):
+        # b - a = inf once gave NaN nodes and weights with two RuntimeWarnings
+        with pytest.raises(DomainError, match="with b - a finite, got 1e"):
+            composite_nodes(-1e308, 1e308, QuadConfig())
+
 
 class TestIntegrate1D:
     def test_constant(self):

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracback import (
@@ -101,6 +101,58 @@ def memory(prob: TimeFractionalProblem, t: float) -> float:
     return forward_solve(prob, zero, t).coeff(1, 1)
 
 
+def _reference_term_batch(term: Term, modeset: ModeSet, quad: QuadConfig, s: np.ndarray) -> np.ndarray:
+    """One term's columns as Term.coefficient_batch formed them before Source took it over."""
+    if not isinstance(term.spatial, np.ndarray):
+        spatial = project(term.spatial, modeset, quad).coeffs
+    elif term.spatial.shape != (modeset.size,):
+        raise DomainError("Term: coefficient count != modeset size")
+    else:
+        spatial = term.spatial
+    tvals = np.array([float(term.temporal(float(sj))) for sj in s])
+    if not np.isfinite(tvals).all():
+        raise NumericalError("Term: temporal factor returned a non-finite value")
+    return spatial[:, None] * tvals[None, :]
+
+
+# module-level spatial factors, so the projection memo keys them by identity
+def _bump(x: float) -> float:
+    return x * (math.pi - x)
+
+
+def _ramp(x: float) -> float:
+    return math.exp(-x) - 0.25
+
+
+def _wave2(x: float, y: float) -> float:
+    return math.sin(x) * math.cos(2.0 * y) + 0.5 * x
+
+
+_SPATIAL = {  # pointwise functions and per-axis tuples, by dimension
+    1: (math.sin, _bump, (_ramp,), (_bump,)),
+    2: (_wave2, lambda x, y: _bump(x) * _ramp(y), (_bump, _ramp), (math.sin, _bump)),
+}
+_TEMPORAL = (lambda s: 1.0, lambda s: math.exp(-3.0 * s), lambda s: (2.0 - PI2) * math.exp(-PI2 * s))
+
+
+@st.composite
+def _mixed_sources(draw):
+    modeset = draw(st.sampled_from((ModeSet(1, 5), ModeSet(2, 4))))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("vector", "function")))
+        if kind == "vector":
+            values = st.floats(-1e3, 1e3, allow_nan=False)
+            spatial = np.array(draw(st.lists(values, min_size=modeset.size, max_size=modeset.size)))
+        else:
+            spatial = draw(st.sampled_from(_SPATIAL[modeset.dimension]))
+        c = draw(st.floats(-10.0, 10.0, allow_nan=False))
+        temporal = draw(st.sampled_from(_TEMPORAL + (lambda s, c=c: c * s + 1.0,)))
+        terms.append(Term(spatial, temporal))
+    s = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5)))
+    return modeset, terms, s
+
+
 class TestSourceCoefficient:
     def test_benchmark_mode_11(self):
         prob = problem(0.5)
@@ -159,6 +211,30 @@ class TestSourceCoefficient:
         nan = Source(Term(np.ones(MS8.size), lambda s: math.nan))
         with pytest.raises(NumericalError):
             nan.coefficient_batch(MS8, QuadConfig(), np.array([0.5]))
+
+    @settings(max_examples=60)
+    @given(case=_mixed_sources())
+    @example(case=(ModeSet(1, 5), [Term(np.array([-0.0, 1.0, -2.0, 0.0, 3.0]), lambda s: -1.0)],
+                   np.array([0.5])))  # zeros + (-0.0) is +0.0: the sum starts from zeros
+    def test_batch_is_the_per_term_sum_to_the_bit(self, case):
+        # Source forms every term's columns itself, summed left to right from zeros
+        modeset, terms, s = case
+        want = np.zeros((modeset.size, len(s)))
+        for term in terms:
+            want = want + _reference_term_batch(term, modeset, QuadConfig(), s)
+        got = Source(*terms).coefficient_batch(modeset, QuadConfig(), s)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_overflowing_coefficient_raises(self):
+        # 1e308 * 10 once left numpy's overflow warning and four inf coefficients
+        src = Source(Term(np.full(4, 1e308), lambda s: 10.0))
+        with pytest.raises(NumericalError, match=r"Source: a coefficient of f is not finite for mode \(1, 1\)"):
+            src.coefficient_batch(ModeSet(2, 2), QuadConfig(), np.array([0.5]))
+        # the mode is the row of the first bad column entry, not its flat index
+        src = Source(Term(np.array([1.0, 1.0, 1e308, 1.0]), lambda s: 10.0 * s))
+        with pytest.raises(NumericalError, match=r"for mode \(2, 1\)"):
+            src.coefficient_batch(ModeSet(2, 2), QuadConfig(), np.array([0.0, 0.5]))
 
 
 class TestMemoryTerm:
@@ -222,13 +298,14 @@ class TestForwardSolve:
                 forward_solve(prob, ones, 0.5)
 
     def test_overflowing_forward_raises(self):
-        # two 1e308 terms sum past the double range; and u0 = f = D, the largest
-        # double, at lambda = 1, where 8-point graded quadrature puts F(t) ~2e-15
-        # relative above (1 - E) D, so E D + F rounds to inf.  Both surfaced as a
+        # two 1e308 terms sum past the double range, caught by the source's own
+        # check before F is formed; and u0 = f = D, the largest double, at
+        # lambda = 1, where 8-point graded quadrature puts F(t) ~2e-15 relative
+        # above (1 - E) D, so E D + F rounds to inf.  Both surfaced as a
         # RuntimeWarning and a DomainError on the SpectralField
         big = Term(np.full(MS8.size, 1e308), lambda s: 1.0)
         prob = problem(0.8, source=Source(big, big))
-        with pytest.raises(NumericalError, match=r"memory term F\(t=1\.0\) is not finite for mode \(1, 1\)"):
+        with pytest.raises(NumericalError, match=r"Source: a coefficient of f is not finite for mode \(1, 1\)"):
             forward_solve(prob, u0_field(), 1.0)
         ms, top = ModeSet(1, 1), np.array([np.finfo(float).max])
         quad = QuadConfig(points=8, singular_mode=SingularMode.GRADED_SUBSTITUTION)

@@ -371,6 +371,62 @@ class TestLargeBeta:
         assert not any(a.flags.writeable for a in (logs, signs, live))
 
 
+def _inv_gamma_log_sign(t: float) -> tuple[float, float]:
+    """Return (log|1/Gamma(t)|, sign of 1/Gamma(t)); poles map to (-inf, 0)."""
+    if t > 0.0:
+        return -math.lgamma(t), 1.0
+    near = round(t)
+    if abs(t - near) < 1e-13:
+        return -math.inf, 0.0
+    # reflection: 1/Gamma(t) = Gamma(1-t) * sin(pi t) / pi, with the sine
+    # argument reduced exactly so precision survives large |t|
+    r = t - near
+    s = math.sin(math.pi * r)
+    if near % 2:
+        s = -s
+    return math.lgamma(1.0 - t) + math.log(abs(s)) - math.log(math.pi), math.copysign(1.0, s)
+
+
+def _reference_asym_table(alpha: float, beta: float, kmax: int):
+    """_asym_table as it was built from _inv_gamma_log_sign's (-inf, 0) poles."""
+    logs, signs = np.empty(kmax), np.empty(kmax)
+    for i in range(kmax):
+        lg, sg = _inv_gamma_log_sign(beta - alpha * (i + 1))
+        logs[i] = math.inf if sg == 0.0 else lg
+        signs[i] = sg * (-1.0 if i % 2 else 1.0)
+    return logs, signs, np.flatnonzero(signs)
+
+
+_KMAX = st.sampled_from((64, 256))
+_ASYM_ARGS = st.one_of(
+    st.tuples(st.floats(1e-3, 1.0), st.floats(-300.0, 200.0), _KMAX),  # large negative t too
+    st.tuples(st.sampled_from((0.5, 1.0)), st.integers(-40, 60).map(float), _KMAX),  # exact poles
+    st.tuples(  # t within ~1e-13 of an integer, either side of the pole test
+        st.sampled_from((0.25, 0.5, 1.0)),
+        st.integers(-40, 60).flatmap(lambda n: st.floats(n - 2e-13, n + 2e-13)),
+        _KMAX,
+    ),
+)
+
+
+class TestAsymTable:
+    @settings(max_examples=200)
+    @given(args=_ASYM_ARGS)
+    @example(args=(0.5, 1.0, 64))
+    @example(args=(1.0, 3.0, 256))
+    @example(args=(1.0, 1.0 + 5e-14, 64))
+    @example(args=(1.0, -250.5, 256))
+    def test_table_matches_the_reference_bit_for_bit(self, args):
+        # the table owns log|1/Gamma| and its pole form itself; logs, signs
+        # (a pole's +-0 included, by signbit) and live keep every bit
+        got = special._asym_table.__wrapped__(*args)  # unwrapped: no memo entry
+        want = _reference_asym_table(*args)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(np.signbit(got[1]), np.signbit(want[1]))
+        assert np.array_equal(got[2], want[2])
+
+
 _PAIRS =tuple((a, b) for a in (0.1, 0.2, 0.4, 0.6, 0.8) for b in (a, 1.0))
 _TAYLOR_ALPHAS = tuple(i / 10 for i in range(1, 11))
 

@@ -315,6 +315,15 @@ class TestNorms:
             moved += l2_error(f, zero3) != math.sqrt(math.fsum((trio * trio).tolist()))
         assert moved > 0  # these inputs tell the two squares apart
 
+    @pytest.mark.parametrize("a, b", [(1e308, -1e308), (1e200, 0.0), (1e154, 0.0)])
+    def test_distance_past_the_double_range_raises(self, a, b):
+        # the difference, a square and fsum's partial sum each overflowed: an
+        # inf with numpy's warning, and two bare OverflowErrors
+        ms = ModeSet(dimension=1, truncation=4)
+        fa, fb = SpectralField(ms, np.full(4, a)), SpectralField(ms, np.full(4, b))
+        with pytest.raises(NumericalError, match="l2_error: the distance overflows"):
+            l2_error(fa, fb)
+
     def test_modeset_mismatch(self):
         f = SpectralField(MS2, np.zeros(900))
         g = SpectralField(ModeSet(dimension=2, truncation=10), np.zeros(100))
