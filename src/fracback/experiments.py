@@ -51,6 +51,7 @@ from .solver import (
     Source,
     Term,
     TimeFractionalProblem,
+    _reconstruct_batch,
     backward_reconstruct,
     choose_t,
     final_value,
@@ -223,7 +224,7 @@ class PaperProblem:
         prob = self.problems[alpha]
         g = noisy_data(self.finals[alpha], delta, self.quad, mode=cfg.noise_mode, seed=cfg.seed)
         source = noisy_source(prob.source, eps, self.modeset, mode=cfg.noise_mode, seed=cfg.seed)
-        return dataclasses.replace(prob, source=source), g
+        return (prob if source is prob.source else dataclasses.replace(prob, source=source)), g
 
     def reconstruct(
         self, alpha: float, t: float, eps: float = 0.0, delta: float = 0.0
@@ -342,14 +343,14 @@ def noise_audit(level: float, modeset: ModeSet, quad: QuadConfig) -> NoiseAudit:
 
 _TIMES = tuple(10.0 ** -(i + 1) for i in range(1, 9))
 _ETAS = tuple(10.0 ** -(i + 2) for i in range(1, 8))
-# table id -> (default levels, the field at one level for one alpha).  A level is
-# the time t in table 1 and the noise level e, with t by the paper rule, in
-# tables 2 (source noise only) and 3 (source and data noise); the rate figure
-# plots table 3.
+# table id -> (default levels, the solver request (prob, g, t) at one level for one
+# alpha).  A level is the time t in table 1 and the noise level e, with t by the
+# paper rule, in tables 2 (source noise only) and 3 (source and data noise); the
+# rate figure plots table 3.
 _TABLES = {
-    "table1": (_TIMES, lambda pp, a, t: pp.reconstruct(a, t)),
-    "table2": (_ETAS, lambda pp, a, e: pp.reconstruct(a, pp.paper_t(a, e), eps=e)),
-    "table3": (_ETAS, lambda pp, a, e: pp.reconstruct(a, pp.paper_t(a, e), eps=e, delta=e)),
+    "table1": (_TIMES, lambda pp, a, t: (*pp.noisy(a), t)),
+    "table2": (_ETAS, lambda pp, a, e: (*pp.noisy(a, eps=e), pp.paper_t(a, e))),
+    "table3": (_ETAS, lambda pp, a, e: (*pp.noisy(a, eps=e, delta=e), pp.paper_t(a, e))),
 }
 _TABLES["fig4"] = _TABLES["table3"]
 
@@ -359,13 +360,14 @@ def _levels(table_id: str, cfg: ExperimentConfig) -> tuple[float, ...]:
 
 
 def _run_table(table_id: str, cfg: ExperimentConfig, threads: int) -> ErrorTable:
-    """The table's error at every (level, alpha); one alpha column per worker."""
+    """The table's error at every (level, alpha); one alpha column, one solver batch, per worker."""
     check_int(f"run_{table_id}", "threads", threads)
     levels, request = _levels(table_id, cfg), _TABLES[table_id][1]
     pp = paper_problem(cfg)
 
     def column(alpha: float) -> list[float]:
-        return [l2_error(request(pp, alpha, level), pp.u0) for level in levels]
+        fields = _reconstruct_batch([request(pp, alpha, level) for level in levels])
+        return [l2_error(u, pp.u0) for u in fields]
 
     if threads == 1 or len(cfg.alphas) == 1:
         cols = [column(a) for a in cfg.alphas]

@@ -128,11 +128,14 @@ def composite_nodes(
     nsub = cfg.subintervals if subintervals is None else subintervals
     check_int("composite_nodes", "subintervals", nsub)
     ref_x, ref_w = (np.asarray(v) for v in _RULES[cfg.points])
-    edges = a + (b - a) * np.arange(nsub + 1) / nsub
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    pts = (mid[:, None] + half[:, None] * ref_x[None, :]).ravel()
-    wts = (half[:, None] * ref_w[None, :]).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        edges = a + (b - a) * np.arange(nsub + 1) / nsub
+        half = 0.5 * (edges[1:] - edges[:-1])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        pts = (mid[:, None] + half[:, None] * ref_x[None, :]).ravel()
+        wts = (half[:, None] * ref_w[None, :]).ravel()
+    check_real("composite_nodes", "each node and weight", float(np.abs(np.hstack((pts, wts))).max()),
+               math.isfinite, f"finite on [{a!r}, {b!r}] in {nsub} subintervals")
     return pts, wts
 
 

@@ -24,9 +24,10 @@ tau its source-free part (E_{alpha,1} and the memory nodes, weights and kernel
 E_{alpha,alpha}(-lambda (tau-s)^alpha)) is memoized: the read-only kernel
 builder itself, under a bounded LRU cache keyed by its arguments (alpha, tau,
 modeset, quad, temporal_subintervals, kernel) and shared by the problems of all
-noise levels.  A time t < tau is used once per table and is not memoized; F is
-summed per call from the problem's own source.  With no source terms,
-kernel=False memoizes the E_{alpha,1} row alone, and F is +0.0.
+noise levels.  A time t < tau is not memoized: a batch of requests (a table
+column) builds the kernel at each t in one ml_array call per time, and all its
+E_{alpha,1} rows in one call; F is summed from the problem's own source.  With
+no source terms, kernel=False memoizes the E_{alpha,1} row alone, and F is +0.0.
 
 All per-mode reductions happen in fixed ModeSet order, so results are
 bit-identical across runs and thread counts.
@@ -38,7 +39,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -186,31 +187,37 @@ class SolvabilityReport:
     classification: str  # "bounded" or "growing"
 
 
-def _check_time(t: float, tau: float, what: str) -> float:
-    return check_real(what, "t", t, lambda v: 0.0 <= v <= tau, f"in [0, {tau}]")
-
-
-def _check_field(what: str, prob: TimeFractionalProblem, name: str, f: SpectralField) -> None:
+def _check_field(what: str, prob: TimeFractionalProblem, name: str, f, t: float = 0.0) -> float:
+    """t, checked to lie in [0, tau], once the problem and the field are checked."""
     check_type(what, "prob", prob, TimeFractionalProblem)
     if check_type(what, name, f, SpectralField).modeset != prob.modeset:
         raise DomainError(f"{what}: field modeset does not match the problem's")
+    return check_real(what, "t", t, lambda v: 0.0 <= v <= prob.tau, f"in [0, {prob.tau}]")
 
 
-def _terms_at(
-    alpha: float, t: float, modeset: ModeSet, quad: QuadConfig, subintervals: int,
-    kernel: bool = True,
-) -> tuple[np.ndarray, ...]:
-    """E_{alpha,1}(-lambda t^alpha) and, with ``kernel``, memory nodes s and
-    weights w and the kernel E_{alpha,alpha}(-lambda (t-s)^alpha), for every
-    mode at time t, evaluated once per distinct eigenvalue (387 of 900 at
-    truncation 30).  The arrays are read-only, so a memoized row can be shared."""
+def _kernel_at(alpha: float, t: float, modeset: ModeSet, quad: QuadConfig, subintervals: int):
+    """Memory nodes s, weights w and kernel E_{alpha,alpha}(-lambda (t-s)^alpha) for every
+    mode at time t, evaluated once per distinct eigenvalue (387 of 900 at truncation 30)."""
     lam, inv = np.unique(modeset.eigenvalues, return_inverse=True)
-    memory = ()
-    if kernel:
-        pts, wts, z = singular_nodes(t, alpha, quad, subintervals=subintervals)
-        X = -np.outer(lam, z)
-        memory = (pts, wts, ml_array(alpha, alpha, X.ravel()).reshape(X.shape)[inv])
-    terms = (ml_array(alpha, 1.0, -lam * t**alpha)[inv], *memory)
+    pts, wts, z = singular_nodes(t, alpha, quad, subintervals=subintervals)
+    X = -np.outer(lam, z)
+    return pts, wts, ml_array(alpha, alpha, X.ravel()).reshape(X.shape)[inv]
+
+
+def _e1_rows(alpha: float, modeset: ModeSet, ts: list[float]) -> list[np.ndarray]:
+    """E_{alpha,1}(-lambda t^alpha) for every mode at each t, from one ml_array call over
+    the distinct eigenvalues at every t; a value depends on its argument alone."""
+    lam, inv = np.unique(modeset.eigenvalues, return_inverse=True)
+    e = ml_array(alpha, 1.0, np.concatenate([-lam * t**alpha for t in ts]))
+    return [row[inv] for row in e.reshape(len(ts), len(lam))]
+
+
+def _terms_at(alpha: float, t: float, modeset: ModeSet, quad: QuadConfig, subintervals: int,
+              kernel: bool = True) -> tuple[np.ndarray, ...]:
+    """E_{alpha,1}(-lambda t^alpha) and, with ``kernel``, the memory terms of :func:`_kernel_at`,
+    built first.  The arrays are read-only, so a memoized row can be shared."""
+    memory = _kernel_at(alpha, t, modeset, quad, subintervals) if kernel else ()
+    terms = (*_e1_rows(alpha, modeset, [t]), *memory)
     for arr in terms:
         arr.flags.writeable = False
     return terms
@@ -220,26 +227,24 @@ def _terms_at(
 _tau_terms = lru_cache(maxsize=16)(_terms_at)
 
 
-def _step(prob: TimeFractionalProblem, t: float) -> tuple[np.ndarray, np.ndarray | float]:
-    """E_{alpha,1}(-lambda t^alpha) and F_n(t) for every mode at time t, F from
-    the problem's own source; F = +0.0, as the sum over a zero source gives,
-    when the source has no terms."""
+def _step(prob: TimeFractionalProblem, t: float, e1: bool = True) -> tuple:
+    """E_{alpha,1}(-lambda t^alpha), None without ``e1`` (the kernel alone is built), and F_n(t)
+    from the problem's own source; F = +0.0, as a zero source's sum gives, with no terms."""
     kernel = bool(prob.source.terms)  # f = 0 needs none; its tau row is memoized on its own key
-    key = (prob.alpha, t, prob.modeset, prob.quad, prob.temporal_subintervals, kernel)
-    e1, *memory = (_tau_terms if t == prob.tau else _terms_at)(*key)
+    key = (prob.alpha, t, prob.modeset, prob.quad, prob.temporal_subintervals)
+    e, *memory = (_tau_terms if t == prob.tau else _terms_at)(*key, kernel) if e1 else (None,)
     if not kernel:
-        return e1, 0.0
-    pts, wts, E = memory
+        return e, 0.0
+    pts, wts, E = memory or _kernel_at(*key)
     C = prob.source.coefficient_batch(prob.modeset, prob.quad, pts)
     with np.errstate(over="ignore", invalid="ignore"):  # checked next
         F = np.einsum("ns,s->n", E * C, wts, optimize=False)
     refuse(f"the memory term F(t={t!r}) is not finite", ~np.isfinite(F), prob.modeset)
-    return e1, F
+    return e, F
 
 
-def _evolve(prob: TimeFractionalProblem, start: np.ndarray, t: float) -> SpectralField:
+def _field(prob: TimeFractionalProblem, t: float, e1, start, F) -> SpectralField:
     """E_{alpha,1}(-lambda t^alpha) start + F(t), for a time t > 0."""
-    e1, F = _step(prob, t)
     with np.errstate(over="ignore"):  # checked next
         u = e1 * start + F
     refuse(f"u(t={t!r}) is not finite", ~np.isfinite(u), prob.modeset)
@@ -257,15 +262,13 @@ def _inverted(prob: TimeFractionalProblem, g: SpectralField) -> np.ndarray:
     return base
 
 
-def forward_solve(
-    prob: TimeFractionalProblem, u0: SpectralField, t: float
-) -> SpectralField:
+def forward_solve(prob: TimeFractionalProblem, u0: SpectralField, t: float) -> SpectralField:
     """Mode coefficients of the forward solution at time t."""
-    _check_field("forward_solve", prob, "u0", u0)
-    t = _check_time(t, prob.tau, "forward_solve")
+    t = _check_field("forward_solve", prob, "u0", u0, t)
     if t == 0.0:
         return SpectralField(prob.modeset, u0.coeffs)
-    return _evolve(prob, u0.coeffs, t)
+    e1, F = _step(prob, t)
+    return _field(prob, t, e1, u0.coeffs, F)
 
 
 def final_value(prob: TimeFractionalProblem, u0: SpectralField) -> SpectralField:
@@ -274,23 +277,30 @@ def final_value(prob: TimeFractionalProblem, u0: SpectralField) -> SpectralField
     return forward_solve(prob, u0, prob.tau)
 
 
-def backward_reconstruct(
-    prob: TimeFractionalProblem, g: SpectralField, t: float
-) -> SpectralField:
+def backward_reconstruct(prob: TimeFractionalProblem, g: SpectralField, t: float) -> SpectralField:
     """Regularized backward value at time t from final data g.
 
     t = tau returns g itself (the ratio is identically 1 and the memory
     terms cancel algebraically).  t = 0 is the unregularized inversion: it
     exposes the ill-posedness and is not the reconstruction method.
     """
-    _check_field("backward_reconstruct", prob, "g", g)
-    t = _check_time(t, prob.tau, "backward_reconstruct")
-    if t == prob.tau:
-        return SpectralField(prob.modeset, g.coeffs)
-    base = _inverted(prob, g)
-    if t == 0.0:
-        return SpectralField(prob.modeset, base)
-    return _evolve(prob, base, t)
+    return _reconstruct_batch([(prob, g, t)])[0]
+
+
+def _reconstruct_batch(requests: Sequence[tuple]) -> list[SpectralField]:
+    """backward_reconstruct of each (prob, g, t), in order; requests holding the same problem
+    and data objects share one inversion.  Each t < tau kernel is built in turn and dropped
+    once its F is summed; then all E_{alpha,1} rows come from one call per (alpha, modeset)."""
+    reqs = [(p, g, _check_field("backward_reconstruct", p, "g", g, t)) for p, g, t in requests]
+    steps = {i: (p.alpha, p.modeset) for i, (p, _, t) in enumerate(reqs) if 0.0 < t < p.tau}
+    bases = {pg: _inverted(*pg) for pg in dict.fromkeys((p, g) for p, g, t in reqs if t < p.tau)}
+    F = {i: _step(reqs[i][0], reqs[i][2], e1=False)[1] for i in steps}
+    groups = {key: [i for i in steps if steps[i] == key] for key in steps.values()}
+    rows = {i: row for key, ids in groups.items()
+            for i, row in zip(ids, _e1_rows(*key, [reqs[i][2] for i in ids]))}
+    return [_field(p, t, rows[i], bases[p, g], F[i]) if i in steps else
+            SpectralField(p.modeset, g.coeffs if t == p.tau else bases[p, g])
+            for i, (p, g, t) in enumerate(reqs)]
 
 
 def reconstruct_noisy(

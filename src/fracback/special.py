@@ -195,9 +195,10 @@ def _asym_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     may be a dip of that factor, not interior.  Terms past the cut and on
     poles are exact zeros, and a row's width is set by its own growth alone,
     so a row's value does not depend on the rest of the batch and rows are
-    summed in blocks of _ASYM_BLOCK * 64 // kmax, bit for bit.  Each row's
-    log first-omitted term is kept, and the accuracy check runs once on all
-    rows after the last block.
+    summed in blocks of _ASYM_BLOCK * 64 // kmax, bit for bit, in one buffer per
+    table width; a row cut at the last column skips its cut mask, all ones (a
+    product by 1.0 is exact).  Each row's log first-omitted term is kept, and
+    the accuracy check runs once on all rows after the last block.
     """
     lx = np.log(np.abs(x))
     reach = math.ceil(2.0 / alpha)
@@ -212,10 +213,11 @@ def _asym_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
         ks = np.arange(1, kmax + 1)
         regrow = []
         height = max(1, _ASYM_BLOCK * 64 // kmax)
+        buf = np.empty((min(height, len(rows)), kmax))
         for start in range(0, len(rows), height):
             blk = rows[start:start + height]
             # logmag[i, j] = -k_j*log|x_i| + log|1/Gamma(beta - alpha*k_j)|
-            logmag = np.multiply.outer(-lx[blk], ks)
+            logmag = np.multiply(-lx[blk][:, None], ks, out=buf[:len(blk)])
             logmag += logs
             kopt = np.argmin(logmag, axis=1)
             if kmax < 65536:
@@ -235,7 +237,10 @@ def _asym_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
             np.minimum(logmag, _ASYM_CLAMP, out=logmag)
             terms = np.exp(logmag, out=logmag)
             terms *= signs
-            terms *= ks <= ks[kopt][:, None]
+            cut = kopt < kmax - 1
+            if cut.any():  # all the other rows' masks are all ones
+                cut = slice(None) if cut.all() else np.flatnonzero(cut)
+                terms[cut] *= ks <= ks[kopt[cut]][:, None]
             if max(terms.max(initial=0.0), -terms.min(initial=0.0)) >= math.exp(_ASYM_CLAMP):
                 raise NumericalError(
                     f"ml_array: asymptotic term reaches e^{_ASYM_CLAMP:g} for "

@@ -557,6 +557,29 @@ class TestTableRuns:
         assert tabs[0].content_hash == tabs[1].content_hash == tabs[2].content_hash
         assert tabs[0].to_csv() == tabs[1].to_csv()
 
+    @pytest.mark.parametrize(
+        "run, levels", [(run_table1, 8), (run_table3, 7)], ids=["table1", "table3"]
+    )
+    def test_one_e1_call_per_column(self, monkeypatch, run, levels):
+        # a warm table's column builds each level's E_{alpha,alpha} kernel in
+        # turn, over the 387 distinct eigenvalues at 16 memory nodes, and then
+        # every level's E_{alpha,1} row in one call: 36 calls for table 1 and
+        # 32 for table 3, where there were two per level
+        import fracback.solver as solver
+
+        run()  # the tau memo and the fits are filled
+        calls = []
+
+        def counting(alpha, beta, x):
+            calls.append((alpha, beta, len(x)))
+            return ml_array(alpha, beta, x)
+
+        monkeypatch.setattr(solver, "ml_array", counting)
+        run()
+        want = [c for a in ExperimentConfig().alphas
+                for c in [(a, a, 387 * 16)] * levels + [(a, 1.0, 387 * levels)]]
+        assert calls == want and len(calls) == 4 * (levels + 1)
+
     def test_parameter_choice_failure_propagates(self):
         cfg = small_config(sweep=(1.0,))
         with pytest.raises(ParameterChoiceError):

@@ -4,6 +4,7 @@ integration examples with frozen true errors, and the singular modes."""
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,18 @@ class TestCompositeNodes:
         # b - a = inf once gave NaN nodes and weights with two RuntimeWarnings
         with pytest.raises(DomainError, match="with b - a finite, got 1e"):
             composite_nodes(-1e308, 1e308, QuadConfig())
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(0.0, 1.7e308), (0.9e308, 1.2e308), (-1.2e308, -0.9e308)],
+        ids=["edge-product", "edge-sum", "negative-edge-sum"],
+    )
+    def test_nodes_past_the_double_range(self, a, b):
+        # b - a is finite, but (b - a) * k, or the sum of two edges that gives a
+        # midpoint, is not: these gave NaN or inf nodes with RuntimeWarnings
+        want = re.escape(f"each node and weight must be finite on [{a!r}, {b!r}] in 4 subintervals")
+        with pytest.raises(DomainError, match=want):
+            composite_nodes(a, b, QuadConfig())
 
 
 class TestIntegrate1D:

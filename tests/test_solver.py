@@ -564,6 +564,53 @@ class TestHomogeneous:
         assert [len(r) for r in rows] == [4, 1] and len(calls) == 3  # both memo hits
 
 
+@st.composite
+def _batch_group(draw):
+    """Requests (prob, g, t) for one alpha and modeset: a table-grid or off-grid alpha,
+    strictly decreasing t in (0, tau) with t = tau and t = 0 mixed in, on one shared
+    problem and data (as in table 1) or on a noisy source and data per level (table 3)."""
+    alpha = draw(st.sampled_from((0.2, 0.4, 0.6, 0.8, 0.3, 0.5, 0.75)))
+    modeset = draw(st.sampled_from((ModeSet(1, 12), ModeSet(2, 6))))
+    ts = sorted(draw(st.lists(st.floats(1e-9, 0.99), min_size=1, max_size=6, unique=True)))[::-1]
+    for t in draw(st.lists(st.sampled_from((1.0, 0.0)), max_size=2)):
+        ts.insert(draw(st.integers(0, len(ts))), t)
+    source = Source(Term(1.0 / (1.0 + modeset.eigenvalues), lambda s: math.exp(-s)))
+    prob = TimeFractionalProblem(alpha, 1.0, modeset, source)
+    g = final_value(prob, SpectralField(modeset, 1.0 / modeset.eigenvalues))
+    if draw(st.booleans()):
+        return [(prob, g, t) for t in ts]
+    noisy = [Source(*source.terms, Term(np.full(modeset.size, 10.0 ** -k), lambda s: 1.0))
+             for k in range(3, 3 + len(ts))]
+    return [(dataclasses.replace(prob, source=f), SpectralField(modeset, g.coeffs + 10.0 ** -k), t)
+            for k, (f, t) in enumerate(zip(noisy, ts), 3)]
+
+
+class TestReconstructBatch:
+    @settings(max_examples=40)
+    @given(groups=st.lists(_batch_group(), min_size=1, max_size=2), data=st.data())
+    def test_batch_is_the_per_request_fields_to_the_bit(self, groups, data):
+        # a batch shares inversions and takes all its E_{alpha,1} rows from one
+        # call per (alpha, modeset); every field keeps the bits of its own request
+        import fracback.solver as solver
+
+        requests = [r for group in groups for r in group]
+        requests = [requests[i] for i in data.draw(st.permutations(range(len(requests))))]
+        got = solver._reconstruct_batch(requests)
+        want = [backward_reconstruct(prob, g, t) for prob, g, t in requests]
+        assert [u.coeffs.tobytes() for u in got] == [u.coeffs.tobytes() for u in want]
+
+    def test_shared_data_is_inverted_once(self, monkeypatch):
+        import fracback.solver as solver
+
+        prob = problem(0.4)
+        g = final_value(prob, u0_field())
+        inversions = []
+        inverted = solver._inverted
+        monkeypatch.setattr(solver, "_inverted", lambda *a: inversions.append(a) or inverted(*a))
+        solver._reconstruct_batch([(prob, g, t) for t in (1e-2, 1e-3, 0.0)])
+        assert inversions == [(prob, g)]
+
+
 class TestSolvability:
     def test_exact_data_bounded(self):
         prob = problem(0.5)

@@ -427,6 +427,128 @@ class TestAsymTable:
         assert np.array_equal(got[2], want[2])
 
 
+def _reference_asym_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
+    """_asym_vec as it was before its blocks shared one buffer and skipped the
+    cut mask on rows cut at the last column; the body is kept verbatim."""
+    lx = np.log(np.abs(x))
+    reach = math.ceil(2.0 / alpha)
+    out = np.empty_like(x)
+    omitted = np.full_like(x, -np.inf)  # no live term past the cut: no error estimate
+    rows = np.arange(len(x))
+    kmax = 64
+    while len(rows):
+        logs, signs, live = special._asym_table(alpha, beta, kmax)
+        if len(live) == 0:  # all kmax terms vanish on poles, yet E != 0: no value to give
+            raise NumericalError(f"ml_array: all asymptotic terms on Gamma poles, {alpha=}, {beta=}")
+        ks = np.arange(1, kmax + 1)
+        regrow = []
+        height = max(1, special._ASYM_BLOCK * 64 // kmax)
+        for start in range(0, len(rows), height):
+            blk = rows[start:start + height]
+            # logmag[i, j] = -k_j*log|x_i| + log|1/Gamma(beta - alpha*k_j)|
+            logmag = np.multiply.outer(-lx[blk], ks)
+            logmag += logs
+            kopt = np.argmin(logmag, axis=1)
+            if kmax < 65536:
+                # a tail already ~e^-45 below the leading term cannot matter
+                tail_big = logmag[:, live[-1]] > logmag[:, live[0]] - 45.0
+                grow = (kopt >= kmax - 1 - reach) & tail_big
+                if np.any(grow):
+                    regrow.append(blk[grow])
+                    blk, logmag, kopt = blk[~grow], logmag[~grow], kopt[~grow]
+            # the first omitted non-pole term estimates the truncation error
+            pos = np.searchsorted(live, kopt, side="right")
+            has_next = np.flatnonzero(pos < len(live))
+            omitted[blk[has_next]] = logmag[has_next, live[pos[has_next]]]
+            # numpy's SIMD exp is ~5x slower on a vector holding an infinity, so
+            # the log-magnitudes are capped before it; cut terms get a zero weight
+            # after it, a pole's zero sign zeroes its e^700, a kept term raises
+            np.minimum(logmag, special._ASYM_CLAMP, out=logmag)
+            terms = np.exp(logmag, out=logmag)
+            terms *= signs
+            terms *= ks <= ks[kopt][:, None]
+            if max(terms.max(initial=0.0), -terms.min(initial=0.0)) >= math.exp(special._ASYM_CLAMP):
+                raise NumericalError(
+                    f"ml_array: asymptotic term reaches e^{special._ASYM_CLAMP:g} for "
+                    f"alpha={alpha!r}, beta={beta!r}"
+                )
+            out[blk] = np.sum(terms, axis=1)
+        rows = np.concatenate(regrow) if regrow else rows[:0]
+        kmax *= 4
+    # refuse to return values the series cannot actually support
+    bad = np.exp(omitted) > 3e-10 * np.abs(out)
+    if np.any(bad):
+        raise NumericalError(
+            f"ml_array: asymptotic series cannot reach the accuracy "
+            f"target for alpha={alpha!r}, beta={beta!r}, x={x[np.argmax(bad)]!r}"
+        )
+    return out
+
+
+@st.composite
+def _asym_batches(draw):
+    """(alpha, beta, x): up to 700 arguments, so that a batch spans several
+    blocks, from y = |x|**(1/alpha) just above y_asym (interior minima, rows that
+    regrow their table) or far above it (rows cut at the last column), or below
+    it, or at a tiny |x|, where the series raises."""
+    alpha, beta = draw(st.one_of(
+        st.sampled_from([(0.5, 1.0), (0.2, 0.2), (1.0, 2.0), (0.2, 1.0), (0.4, 0.4), (0.8, 1.0)]),
+        st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 3.0)),
+    ))
+    y_a = special._regime_bounds(alpha, beta)[1]
+    lo, hi = draw(st.sampled_from([(1.0, 1.5), (1.0, 30.0), (30.0, 1e6), (1.0, 1e300), (0.5, 1.0)]))
+    n = draw(st.integers(1, 700))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = -(y_a * lo * (hi / lo) ** rng.random(n)) ** alpha
+    if draw(st.integers(0, 7)) == 7:
+        x[rng.integers(0, n)] = -1e-305  # the kept term's e^700 check
+    return alpha, beta, x
+
+
+def _asym_outcome(fn, alpha, beta, x):
+    # a RuntimeWarning is an error under this suite's filterwarnings: a first
+    # omitted term past e^709 at a tiny |x|, which ml_array never passes here
+    try:
+        return fn(alpha, beta, x).tobytes()
+    except (NumericalError, RuntimeWarning) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestAsymBlocks:
+    @settings(max_examples=120)
+    @given(batch=_asym_batches())
+    @example(batch=(0.5, 1.0, -np.geomspace(28.0**0.5, 1e3, 600)))
+    @example(batch=(0.2, 0.2, -np.geomspace(36.0**0.2, 40.0**0.2, 700)))
+    @example(batch=(1.0, 2.0, -np.geomspace(28.0, 1e8, 300)))
+    @example(batch=(0.2, 1.0, -np.geomspace(1e10, 1e300, 500) ** 0.2))
+    @example(batch=(0.5, 1.0, np.array([-40.0, -1e-305])))  # a kept term past e^700
+    @example(batch=(0.25, 0.3125, np.array([-1e-305])))  # an omitted one past e^709
+    def test_blocks_match_the_reference_bit_for_bit(self, batch):
+        # the shared buffer and the skipped cut mask keep every bit and every
+        # error of the earlier block body, which wrote each block anew and
+        # multiplied every row by its cut mask
+        assert _asym_outcome(special._asym_vec, *batch) == _asym_outcome(_reference_asym_vec, *batch)
+
+    def test_examples_cover_each_kind_of_row(self, monkeypatch):
+        # the @examples above hold rows with an interior minimum, rows that
+        # regrow their table across blocks and rows cut at the last column
+        seen = set()
+        argmin = np.argmin
+
+        def recording(a, axis=None):
+            k = argmin(a, axis=axis)
+            if a.ndim == 2:
+                seen.update(("last" if v == a.shape[1] - 1 else "interior") for v in k.tolist())
+                seen.update(["regrow"] if a.shape[1] > 64 and a.shape[0] > 1 else [])
+            return k
+
+        monkeypatch.setattr(special.np, "argmin", recording)
+        for batch in ((0.2, 0.2, -np.geomspace(36.0**0.2, 40.0**0.2, 700)),
+                      (0.2, 1.0, -np.geomspace(1e10, 1e300, 500) ** 0.2)):
+            special._asym_vec(*batch)
+        assert seen == {"last", "interior", "regrow"}
+
+
 _PAIRS =tuple((a, b) for a in (0.1, 0.2, 0.4, 0.6, 0.8) for b in (a, 1.0))
 _TAYLOR_ALPHAS = tuple(i / 10 for i in range(1, 11))
 
