@@ -23,7 +23,9 @@ keyed to y = |x|**(1/a):
   leaves too few digits (toward a = b = 1), its log worked in integer fixed
   point, as are its coefficients 1/Gamma(a*k + b), from Stirling's series,
   in memoized chunks of k that b = 1 and b = a share.  The fit is a pure,
-  memoized function of (a, b), safe to call from threads.
+  memoized function of (a, b), safe to call from threads; the paper's
+  pairs, a in {0.2, 0.4, 0.6, 0.8} and b in {a, 1}, are served from their
+  stored bits in _gap_bits, any other pair is fitted on first use.
 
 All paths are deterministic and pure; a cached value is read-only, never mutated.
 A value depends on its argument alone, never on the other arguments, their
@@ -249,8 +251,10 @@ def _asym_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
             out[blk] = np.sum(terms, axis=1)
         rows = np.concatenate(regrow) if regrow else rows[:0]
         kmax *= 4
-    # refuse to return values the series cannot actually support
-    bad = np.exp(omitted) > 3e-10 * np.abs(out)
+    # refuse to return values the series cannot actually support; an omitted
+    # term past e^709 overflows to inf, which fails the check as it should
+    with np.errstate(over="ignore"):
+        bad = np.exp(omitted) > 3e-10 * np.abs(out)
     if np.any(bad):
         raise NumericalError(
             f"ml_array: asymptotic series cannot reach the accuracy "
@@ -484,6 +488,16 @@ def _clenshaw(fit: tuple[float, float, np.ndarray], v: np.ndarray) -> np.ndarray
 
 @lru_cache(maxsize=128)
 def _gap_fit(alpha: float, beta: float) -> tuple[float, float, np.ndarray]:
+    """_fit_gap's fit, from its stored bits at the paper's eight pairs."""
+    from ._gap_bits import FITS
+
+    if (alpha, beta) not in FITS:
+        return _fit_gap(alpha, beta)
+    lo, hi, coeffs = FITS[alpha, beta]
+    return lo, hi, np.frombuffer(bytes.fromhex(coeffs), "<f8")  # read-only
+
+
+def _fit_gap(alpha: float, beta: float) -> tuple[float, float, np.ndarray]:
     """Chebyshev fit (lo, hi, coeffs) of v -> log E_{a,b}(-exp(a*v)) on the gap band.
 
     v = log y runs over [lo, hi]; coeffs is read-only.  The fit grows from

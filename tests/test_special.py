@@ -270,6 +270,15 @@ class TestKernelBits:
         with pytest.raises(NumericalError, match=r"asymptotic term reaches e\^700 for alpha=0.5"):
             special._asym_vec(0.5, 1.0, np.array([-1e-305]))
 
+    def test_overflowing_omitted_term_raises_without_a_warning(self):
+        # at |x| = 1e-305 a kept term sits at e^699.3, under the cap, and the
+        # first omitted one at e^1400 overflows to inf, which fails the
+        # accuracy check as it should, with no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="cannot reach the accuracy target"):
+                special._asym_vec(0.25, 0.3125, np.array([-1e-305]))
+
     def test_overflowing_y_warns_nothing(self):
         # |x|**(1/alpha) = 1e600 overflows to inf, an asymptotic-band y;
         # exp(-log|x| + ...) holds ~|log x| * 2**-53 ~ 8e-14 relative there
@@ -429,7 +438,8 @@ class TestAsymTable:
 
 def _reference_asym_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     """_asym_vec as it was before its blocks shared one buffer and skipped the
-    cut mask on rows cut at the last column; the body is kept verbatim."""
+    cut mask on rows cut at the last column; the block body is kept verbatim,
+    the final check is today's, which lets an omitted term overflow quietly."""
     lx = np.log(np.abs(x))
     reach = math.ceil(2.0 / alpha)
     out = np.empty_like(x)
@@ -476,7 +486,8 @@ def _reference_asym_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
         rows = np.concatenate(regrow) if regrow else rows[:0]
         kmax *= 4
     # refuse to return values the series cannot actually support
-    bad = np.exp(omitted) > 3e-10 * np.abs(out)
+    with np.errstate(over="ignore"):
+        bad = np.exp(omitted) > 3e-10 * np.abs(out)
     if np.any(bad):
         raise NumericalError(
             f"ml_array: asymptotic series cannot reach the accuracy "
@@ -506,11 +517,9 @@ def _asym_batches(draw):
 
 
 def _asym_outcome(fn, alpha, beta, x):
-    # a RuntimeWarning is an error under this suite's filterwarnings: a first
-    # omitted term past e^709 at a tiny |x|, which ml_array never passes here
     try:
         return fn(alpha, beta, x).tobytes()
-    except (NumericalError, RuntimeWarning) as exc:
+    except NumericalError as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -791,6 +800,29 @@ def _gap_batches(draw):
 _Chunk = namedtuple("_Chunk", "alpha beta prec j entries")
 
 
+def _gap_bits_source(fits) -> str:
+    """The text of fracback/_gap_bits.py storing fits, {(alpha, beta): (lo, hi, coeffs)}."""
+    lines = [
+        '"""Stored bits of the gap fits at the paper\'s eight (alpha, beta) pairs.',
+        "",
+        "Each entry is special._fit_gap(alpha, beta) as (lo, hi, coeffs), coeffs its",
+        "float64 Chebyshev coefficients as little-endian bytes in hex; special._gap_fit",
+        "serves them without a decimal fit.  The builder stays their only source:",
+        "tests/test_special.py rebuilds every entry and, if one differs, prints this",
+        "module as the builder makes it.",
+        '"""',
+        "",
+        "FITS = {",
+    ]
+    for (alpha, beta), (lo, hi, coeffs) in fits.items():
+        h = coeffs.astype("<f8").tobytes().hex()
+        lines += [f"    ({alpha!r}, {beta!r}): (", f"        {lo!r},", f"        {hi!r},"]
+        lines += [f'        "{h[i:i + 80]}"' for i in range(0, len(h), 80)]
+        lines[-1] += ","
+        lines.append("    ),")
+    return "\n".join([*lines, "}", ""])
+
+
 def _chunks(n):
     # the _rgamma_table chunks j that hold k < n
     return list(range(-(-n // special._CHUNK)))
@@ -812,7 +844,7 @@ class TestGapFit:
 
     @staticmethod
     def _cold_coeffs(pairs):
-        return [special._gap_fit.__wrapped__(alpha, beta)[2] for alpha, beta in pairs]
+        return [special._fit_gap(alpha, beta)[2] for alpha, beta in pairs]
 
     @pytest.mark.pin
     def test_frozen_gap_fits(self):
@@ -881,28 +913,28 @@ class TestGapFit:
 
     def test_full_budget_redo_only_near_one_one(self, redone):
         for alpha in (0.2, 0.4, 0.6, 0.8):
-            special._gap_fit.__wrapped__(alpha, alpha)
-            special._gap_fit.__wrapped__(alpha, 1.0)
+            special._fit_gap(alpha, alpha)
+            special._fit_gap(alpha, 1.0)
         assert redone == []  # every table pair node keeps _KEPT digits at the lean budget
-        special._gap_fit.__wrapped__(1.0, 1.000001)
+        special._fit_gap(1.0, 1.000001)
         assert (1.0, 1.000001, self._nodes(1.0, 1.000001)[0]) in redone
 
     def test_no_full_budget_redo_at_small_alpha(self, redone):
         # sum |c_k x**k| ~ e**y / alpha: the lean budget's digit per decade of
         # alpha below 0.1 pays for the 1/alpha, which summed 11 of this fit's
         # nodes twice, and 56 of the (0.01, 0.01) fit's
-        special._gap_fit.__wrapped__(0.02, 0.02)
+        special._fit_gap(0.02, 0.02)
         assert redone == []
 
     def test_cold_fit_ignores_the_callers_decimal_context(self):
         # the fit once worked in a copy of the caller's context: under
         # ROUND_FLOOR the atanh loop of _rgamma_table moved by one ulp a pass
         # and never ended, and an Inexact trap raised at once
-        want = special._gap_fit.__wrapped__(0.8, 1.0)[2].tobytes()
+        want = special._fit_gap(0.8, 1.0)[2].tobytes()
         with decimal.localcontext() as ctx:
             ctx.rounding = decimal.ROUND_FLOOR
             ctx.traps[decimal.Inexact] = True
-            got = special._gap_fit.__wrapped__(0.8, 1.0)[2].tobytes()
+            got = special._fit_gap(0.8, 1.0)[2].tobytes()
         assert got == want
 
     def test_reciprocal_gamma_table_matches_mpmath(self, tables):
@@ -911,7 +943,7 @@ class TestGapFit:
         # hold 10**-(D + 10) relative, D the digits of the fit's largest |x|,
         # y = 1.02 * 36: no worse than the Spouge bound it replaced
         d = special._digits(0.2, 36.0 * special._MARGIN)
-        special._gap_fit.__wrapped__(0.2, 0.2)
+        special._fit_gap(0.2, 0.2)
         prec = d + 17
         assert [(c.beta, c.prec, c.j) for c in tables] == [(1.0, prec, j) for j in range(len(tables))]
         unit = [e for c in tables for e in c.entries]
@@ -937,7 +969,7 @@ class TestGapFit:
         # the table a real fit builds, at small and near-one alpha and at the
         # frozen pair's beta = 3.3, at the precision the fit chose, D + 17
         # digits, holds 10**-(D + 10) relative at every 24th entry and the last
-        special._gap_fit.__wrapped__(alpha, beta)
+        special._fit_gap(alpha, beta)
         (b, prec), = {(c.beta, c.prec) for c in tables}
         assert b == (1.0 if beta == alpha else beta)
         assert [c.j for c in tables] == list(range(len(tables)))  # each chunk once, in order
@@ -965,10 +997,11 @@ class TestGapFit:
     @pytest.fixture()
     def fresh_fits(self, monkeypatch):
         # private memos, so a fit or a 1/Gamma chunk another test cached
-        # (or patched) cannot skip the code or leak into this one
-        for name in ("_gap_fit", "_rgamma_table"):
-            memo = getattr(special, name)
-            monkeypatch.setattr(special, name, self._memo(memo.__wrapped__, memo))
+        # (or patched) cannot skip the code or leak into this one; the fit's
+        # memo holds the builder's own fits, none of the stored ones
+        monkeypatch.setattr(special, "_gap_fit", self._memo(special._fit_gap, special._gap_fit))
+        table = special._rgamma_table
+        monkeypatch.setattr(special, "_rgamma_table", self._memo(table.__wrapped__, table))
 
     @pytest.fixture()
     def tables(self, monkeypatch, fresh_fits):
@@ -1002,7 +1035,7 @@ class TestGapFit:
     @pytest.mark.pin
     @pytest.mark.parametrize("order", ["solver", "reverse", "threads"])
     def test_cold_fits_keep_their_bits_in_any_order(self, fresh_fits, order):
-        pairs, fit = self._COLD_PAIRS, special._gap_fit.__wrapped__
+        pairs, fit = self._COLD_PAIRS, special._fit_gap
         if order == "threads":
             with ThreadPoolExecutor(max_workers=4) as pool:
                 fits = dict(zip(pairs, pool.map(lambda p: fit(*p), pairs, timeout=120)))
@@ -1022,7 +1055,7 @@ class TestGapFit:
         # a lone (alpha, 1) fit builds only the chunks of its own, shorter, length
         special._rgamma_table.cache_clear()
         tables.clear()
-        special._gap_fit.__wrapped__(0.4, 1.0)
+        special._fit_gap(0.4, 1.0)
         assert [(c.beta, c.j) for c in tables] == [(1.0, j) for j in _chunks(n_a1)]
         assert len(tables) < len(_chunks(n_aa + 1))
 
@@ -1052,6 +1085,50 @@ class TestGapFit:
         tables.clear()
         pp.reconstruct(0.4, 1e-2)
         assert [(c.alpha, c.beta, c.j) for c in tables] == want
+
+    _PAPER_PAIRS = [(a, b) for a in (0.2, 0.4, 0.6, 0.8) for b in (a, 1.0)]
+
+    def test_stored_fits_are_the_builders_bits(self):
+        # the paper's pairs are served from _gap_bits, never fitted, so each
+        # stored fit must be the builder's bit for bit; a mismatch prints
+        # the module as the builder makes it, to paste over the old one
+        from fracback._gap_bits import FITS
+
+        def bits(fit):
+            return fit[0].hex(), fit[1].hex(), fit[2].dtype.str, fit[2].tobytes()
+
+        built = {p: special._fit_gap(*p) for p in self._PAPER_PAIRS}
+        stored = {p: special._gap_fit.__wrapped__(*p) for p in FITS}
+        if list(stored) != self._PAPER_PAIRS or any(bits(stored[p]) != bits(built[p]) for p in stored):
+            pytest.fail("src/fracback/_gap_bits.py should read:\n" + _gap_bits_source(built), pytrace=False)
+
+    @pytest.fixture()
+    def cold(self, monkeypatch):
+        # a cold process: empty private memos of the fit (stored pairs and
+        # all), its 1/Gamma chunks and the solver's tau terms, and a log of
+        # every decimal sum
+        memos = {}
+        for name in ("_gap_fit", "_rgamma_table"):
+            memos[name] = self._memo(getattr(special, name).__wrapped__, getattr(special, name))
+            monkeypatch.setattr(special, name, memos[name])
+        monkeypatch.setattr(solver, "_tau_terms", self._memo(solver._tau_terms.__wrapped__, solver._tau_terms))
+        sums, log_ml = [], special._decimal_log_ml
+        monkeypatch.setattr(special, "_decimal_log_ml", lambda *args: sums.append(args[:2]) or log_ml(*args))
+
+        def run(alpha):
+            paper_problem(ExperimentConfig(alphas=(alpha,))).reconstruct(alpha, 1e-2)
+            assert memos["_gap_fit"].cache_info().misses > 0  # the gap band was reached
+            return len(sums), memos["_rgamma_table"].cache_info().misses
+
+        return run
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.4, 0.6, 0.8])
+    def test_paper_alpha_sums_nothing_in_decimal(self, cold, alpha):
+        assert cold(alpha) == (0, 0)
+
+    def test_off_grid_alpha_still_fits_in_decimal(self, cold):
+        sums, chunks = cold(0.3)
+        assert sums > 0 and chunks > 0
 
     def test_stirling_coeffs_match_the_bernoulli_recurrence(self):
         b = [Fraction(1)]  # Bernoulli numbers: sum_{j <= n} C(n + 1, j) B_j = 0
@@ -1126,4 +1203,5 @@ class TestMemos:
         # start; each is called unwrapped, so no test finds an entry of this one
         bad = [n for n, m in memos.items() if n not in samples or not _immutable(m.__wrapped__(*samples[n]))]
         assert bad == []
+        assert _immutable(special._gap_fit.__wrapped__(0.4, 1.0))  # a stored fit, as decoded
         assert sorted(memos) == sorted(samples)
